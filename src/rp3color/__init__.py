@@ -47,9 +47,6 @@ from .profiles import (
     frugal_profile,
 )
 from .goodp3 import (
-    eliminate_good_p3,
-    eliminate_type,
-    find_type_p3,
     good_triples,
     pivot_refinements,
 )

@@ -4,7 +4,9 @@ Subcommands: solve (full pipeline with certificates), oracle (exhaustive
 reference solver), check-free (packing search), gen-hard (formula to
 gadget graph), bench (seeded random timing sweep).  Exit codes: 0
 colorable / free, 1 not colorable, 2 not rP3-free, 3 aborted, 4 usage
-or parse errors.
+or parse errors, 5 internal error (an unexpected exception; the
+traceback and an "error: internal:" line go to stderr and no verdict is
+printed).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import logging
 import random
 import sys
 import time
+import traceback
 from typing import List, Optional
 
 from .graphs import Graph, anticomplete_packing
@@ -225,6 +228,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -2,10 +2,12 @@
 
 A triple of color sets is "good" when all three have size at least two
 and they pairwise intersect; an induced P3 whose lists form a good
-triple is the obstruction that blocks the later reduction stages.  The
-streams here refine an instance until no such path remains, preserving
-colorability in both directions (frugal colorings forward, arbitrary
-colorings come back through the pinned singletons).
+triple is the obstruction that blocks the later reduction stages.  This
+module orders the good triples, finds the earliest one an instance
+realizes, and branches on one such path (pivot_refinements); the search
+in pipeline repeats that until no good P3 remains.  Each branch step
+preserves colorability in both directions (frugal colorings forward,
+arbitrary colorings come back through the pinned singletons).
 """
 
 from __future__ import annotations
@@ -58,47 +60,6 @@ def _match_orientation(
     return None
 
 
-def find_type_p3(
-    inst: Instance, triple: GoodTriple
-) -> Optional[Tuple[int, int, int]]:
-    """First induced P3 (stream order) whose lists match ``triple`` in
-    either orientation."""
-    for p3 in induced_p3_stream(inst.graph):
-        if _match_orientation(inst, p3, triple) is not None:
-            return p3
-    return None
-
-
-def count_anticomplete_of_type(inst: Instance, triple: GoodTriple) -> int:
-    """Maximum number of pairwise anticomplete induced P3s of this list type."""
-    g = inst.graph
-    matches = [
-        p3
-        for p3 in induced_p3_stream(g)
-        if _match_orientation(inst, p3, triple) is not None
-    ]
-    vmask = []
-    cmask = []
-    for p3 in matches:
-        vm = sum(1 << v for v in p3)
-        vmask.append(vm)
-        cm = vm
-        for v in p3:
-            cm |= g.adj_mask[v]
-        cmask.append(cm)
-    best = 0
-
-    def rec(i: int, blocked: int, size: int):
-        nonlocal best
-        best = max(best, size)
-        for j in range(i, len(matches)):
-            if vmask[j] & blocked == 0:
-                rec(j + 1, blocked | cmask[j], size + 1)
-
-    rec(0, 0, 0)
-    return best
-
-
 def pivot_refinements(
     inst: Instance, triple: GoodTriple, pivot: Tuple[int, int, int]
 ) -> Iterator[Instance]:
@@ -144,43 +105,54 @@ def pivot_refinements(
 def _patch_colorings(
     inst: Instance, patch: Tuple[int, ...], oriented: Tuple[int, int, int]
 ) -> Iterator[Tuple[int, ...]]:
-    """Proper list colorings of the patch, pivot-frugal, in lex order."""
+    """Proper list colorings of the patch, pivot-frugal, in lex order.
+
+    Depth-first over patch positions with an explicit cursor per
+    position: tried[i] is the index of the next list color to try at i.
+    """
     g = inst.graph
+    size = len(patch)
     pos = {v: i for i, v in enumerate(patch)}
-    psi = [0] * len(patch)
+    options = [colors_from_mask(inst.lists[v]) for v in patch]
+    # earlier patch positions adjacent to each patch position
+    before = [
+        [pos[w] for w in g.adj[v] if pos.get(w, size) < i]
+        for i, v in enumerate(patch)
+    ]
     # pivot indices watching each patch position
     watch = [
         [i for i in range(3) if g.has_edge(oriented[i], v)] for v in patch
     ]
-    counts: List[Dict[int, int]] = [{}, {}, {}]
-
-    def rec(idx: int) -> Iterator[Tuple[int, ...]]:
-        if idx == len(patch):
+    pivot_lists = [inst.lists[p] for p in oriented]
+    # counts[i][c]: patch vertices colored c next to pivot vertex i
+    counts = [[0] * (inst.k + 1) for _ in range(3)]
+    psi = [0] * size
+    tried = [0] * size
+    idx = 0
+    while idx >= 0:
+        if idx == size:
             yield tuple(psi)
-            return
-        v = patch[idx]
-        for c in colors_from_mask(inst.lists[v]):
-            if any(
-                pos[w] < idx and psi[pos[w]] == c
-                for w in g.adj[v]
-                if w in pos
-            ):
+        else:
+            placed = False
+            while not placed and tried[idx] < len(options[idx]):
+                c = options[idx][tried[idx]]
+                tried[idx] += 1
+                bit = 1 << (c - 1)
+                placed = all(psi[j] != c for j in before[idx]) and not any(
+                    pivot_lists[i] & bit and counts[i][c] for i in watch[idx]
+                )
+            if placed:
+                psi[idx] = c
+                for i in watch[idx]:
+                    counts[i][c] += 1
+                idx += 1
                 continue
-            bit = 1 << (c - 1)
-            if any(
-                inst.lists[oriented[i]] & bit and counts[i].get(c, 0) >= 1
-                for i in watch[idx]
-            ):
-                continue
-            psi[idx] = c
+            tried[idx] = 0
+        # step back: free the previous position for its next color
+        idx -= 1
+        if idx >= 0:
             for i in watch[idx]:
-                counts[i][c] = counts[i].get(c, 0) + 1
-            yield from rec(idx + 1)
-            for i in watch[idx]:
-                counts[i][c] -= 1
-        psi[idx] = 0
-
-    yield from rec(0)
+                counts[i][psi[idx]] -= 1
 
 
 def _pinned_child(
@@ -205,34 +177,10 @@ def _pinned_child(
     return Instance(g, inst.k, tuple(lists))
 
 
-def eliminate_type(inst: Instance, triple: GoodTriple) -> Iterator[Instance]:
-    """Refinements of ``inst`` in which no induced P3 has this list type.
-
-    Requires that no good P3 of the instance weighs more than the
-    triple (checked; ValueError otherwise).  Works depth-first: while a
-    matching P3 exists, expand the first one (stream order) through
-    pivot_refinements and recurse; the count of anticomplete matching
-    P3s strictly drops at each level, so the recursion terminates.
-    """
-    if not is_good_triple(triple):
-        raise ValueError(f"triple {triple} is not good")
-    bound = triple_weight(triple)
-    for p3 in induced_p3_stream(inst.graph):
-        t = p3_list_type(inst, p3)
-        if is_good_triple(t) and triple_weight(t) > bound:
-            raise ValueError(
-                f"good P3 {p3} has weight {triple_weight(t)}, above {bound}"
-            )
-
-    def rec(cur: Instance) -> Iterator[Instance]:
-        pivot = find_type_p3(cur, triple)
-        if pivot is None:
-            yield cur
-            return
-        for child in pivot_refinements(cur, triple, pivot):
-            yield from rec(child)
-
-    return rec(inst)
+@lru_cache(maxsize=None)
+def good_triple_index(k: int) -> Dict[GoodTriple, int]:
+    """Position of each good triple in good_triples(k)."""
+    return {t: i for i, t in enumerate(good_triples(k))}
 
 
 def _earliest_good(cur: Instance, index: Dict[GoodTriple, int]):
@@ -251,28 +199,3 @@ def _earliest_good(cur: Instance, index: Dict[GoodTriple, int]):
             if best is None or i < best:
                 best = i
     return best, first
-
-
-def eliminate_good_p3(inst: Instance, r: int) -> Iterator[Instance]:
-    """Refinements of ``inst`` with no good P3 at all.
-
-    Folds eliminate_type over good_triples(inst.k) heaviest-first,
-    skipping triples with no matching P3 (those levels pass instances
-    through unchanged, so the output sequence is identical).  The
-    parameter r names the packing bound under which the stream stays
-    small; the enumeration itself is exact for any input.
-    """
-    if r < 1:
-        raise ValueError(f"packing parameter {r} below 1")
-    gammas = good_triples(inst.k)
-    index = {t: i for i, t in enumerate(gammas)}
-
-    def rec(cur: Instance) -> Iterator[Instance]:
-        best, first = _earliest_good(cur, index)
-        if best is None:
-            yield cur
-            return
-        for child in pivot_refinements(cur, gammas[best], first[best]):
-            yield from rec(child)
-
-    return rec(inst)

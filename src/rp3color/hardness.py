@@ -121,18 +121,6 @@ def nae_brute(nae: NaeInstance) -> Optional[Tuple[bool, ...]]:
     return None
 
 
-def hardness_vertex_names(nae: NaeInstance) -> Tuple[str, ...]:
-    """Human-readable labels in construction order."""
-    names = [f"c{i}" for i in range(1, 6)]
-    names += [f"x{i}" for i in range(1, nae.n + 1)]
-    for j in range(1, nae.m + 1):
-        names += [f"y{j}", f"z{j}"]
-    for j in range(1, nae.m + 1):
-        names += [f"u{j}^{k}" for k in (1, 2, 3)]
-        names += [f"w{j}^{k}" for k in (1, 2, 3)]
-    return tuple(names)
-
-
 def build_hardness_graph(nae: NaeInstance) -> Instance:
     """The gadget graph as a full-list 5-coloring instance.
 

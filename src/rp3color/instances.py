@@ -71,15 +71,6 @@ class Instance:
         return f"Instance(n={self.graph.n}, k={self.k})"
 
 
-def with_lists(inst: Instance, lists: Iterable[int]) -> Instance:
-    return Instance(inst.graph, inst.k, tuple(lists))
-
-
-def color_class(inst: Instance, phi: Coloring, c: int) -> frozenset:
-    """Vertices that ``phi`` maps to color ``c``."""
-    return frozenset(v for v, col in enumerate(phi) if col == c)
-
-
 def list_holders(inst: Instance, c: int) -> Tuple[int, ...]:
     """Vertices whose list contains color ``c``, ascending."""
     bit = 1 << (c - 1)

@@ -14,16 +14,21 @@ from __future__ import annotations
 import logging
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterator, Optional, Set, Tuple
 
-from .goodp3 import _earliest_good, good_triples, pivot_refinements, eliminate_good_p3
+from .goodp3 import (
+    _earliest_good,
+    good_triple_index,
+    good_triples,
+    pivot_refinements,
+)
 from .graphs import anticomplete_packing
 from .instances import Coloring, Instance, InstanceError, coloring_defect
 from .profiles import (
     ReductionTrace,
     eliminate_singletons,
     frugal_profile,
-    lift_color_permutation,
     lift_identity,
     lift_singleton,
 )
@@ -68,7 +73,6 @@ class Verdict:
 _LIFTS = {
     "singleton-removal": lift_singleton,
     "spanning": lift_identity,
-    "color-permutation": lift_color_permutation,
     "step4-removal": lift_step4,
     "step5c-removal": lift_step5c,
     "step11-contraction": lift_step11,
@@ -90,22 +94,6 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
     return phi
 
 
-def candidate_stream(
-    inst: Instance, r: int
-) -> Iterator[Tuple[Instance, ReductionTrace]]:
-    """All branch candidates: singleton-free refinements with no good P3.
-
-    For each stable-class profile element and each good-P3 elimination
-    leaf under it, yields the singleton-elimination fixpoint together
-    with the removal steps.  The input is feasible exactly when some
-    candidate is, and a candidate coloring lifts to an input coloring
-    through the returned trace.
-    """
-    for element in frugal_profile(inst, r):
-        for leaf in eliminate_good_p3(element, r):
-            yield eliminate_singletons(leaf)
-
-
 class _BudgetExceeded(Exception):
     pass
 
@@ -124,11 +112,14 @@ class _Budget:
 
     def node(self):
         self.nodes += 1
+        self.check()
+
+    def check(self):
         if self.limit is not None and self.nodes > self.limit:
             raise _BudgetExceeded
 
     def absorb(self, stats: Dict[str, int]):
-        self.elements += stats["elements"]
+        """Add a worker's walk counters (its elements were counted here)."""
         self.nodes += stats["nodes"]
         self.leaves += stats["leaves"]
         self.pruned += stats["pruned"]
@@ -142,80 +133,140 @@ class _Budget:
         }
 
 
-def _pruned_leaves(
-    element: Instance, r: int, budget: _Budget, prune: bool = True
-) -> Iterator[Tuple[Instance, ReductionTrace]]:
-    """Candidates under one profile element, skipping hopeless subtrees.
+def _elements(
+    inst: Instance, r: int, budget: _Budget, trace: bool
+) -> Iterator[Instance]:
+    """Profile elements, each list tuple once, counted in the budget."""
+    seen: Set[Tuple[int, ...]] = set()
+    for element in frugal_profile(inst, r):
+        if element.lists in seen:
+            budget.pruned += 1
+            continue
+        seen.add(element.lists)
+        budget.elements += 1
+        if trace:
+            log.info(
+                "element %d (nodes=%d leaves=%d pruned=%d)",
+                budget.elements,
+                budget.nodes,
+                budget.leaves,
+                budget.pruned,
+            )
+        yield element
 
-    Mirrors candidate_stream restricted to the element, but may drop
-    instances with an empty list (every further refinement keeps it
-    empty) and repeats of an already-explored list tuple (refinement
-    subtrees depend only on the instance).  Neither prune can hide a
-    feasible candidate.  With prune=False the yields match the public
-    composition exactly.
+
+def _candidates(
+    element: Instance, budget: _Budget
+) -> Iterator[Tuple[Instance, ReductionTrace]]:
+    """Singleton-free refinements of one element with no good P3.
+
+    Depth-first over pivot_refinements of the earliest good triple, with
+    an explicit stack of child streams.  A node with an empty list is
+    skipped (every refinement keeps it empty), and so is a node whose
+    list tuple was already visited (its subtree depends only on the
+    instance, and was explored in full).  Each leaf is handed through
+    eliminate_singletons; finals with an empty list or seen before are
+    dropped.  No skip can hide a feasible candidate.
     """
     gammas = good_triples(element.k)
-    index = {t: i for i, t in enumerate(gammas)}
+    index = good_triple_index(element.k)
     seen: Set[Tuple[int, ...]] = set()
     seen_final: Set[Instance] = set()
-
-    def walk(cur: Instance) -> Iterator[Instance]:
+    stack = [iter((element,))]
+    while stack:
+        cur = next(stack[-1], None)
+        if cur is None:
+            stack.pop()
+            continue
         budget.node()
-        if prune:
-            if any(m == 0 for m in cur.lists):
-                budget.pruned += 1
-                return
-            if cur.lists in seen:
-                budget.pruned += 1
-                return
-            seen.add(cur.lists)
+        if any(m == 0 for m in cur.lists) or cur.lists in seen:
+            budget.pruned += 1
+            continue
+        seen.add(cur.lists)
         best, first = _earliest_good(cur, index)
-        if best is None:
-            yield cur
-            return
-        for child in pivot_refinements(cur, gammas[best], first[best]):
-            yield from walk(child)
-
-    for leaf in walk(element):
-        final, steps = eliminate_singletons(leaf)
-        if prune:
-            if any(m == 0 for m in final.lists):
-                budget.pruned += 1
-                continue
-            if final in seen_final:
-                budget.pruned += 1
-                continue
-            seen_final.add(final)
+        if best is not None:
+            stack.append(pivot_refinements(cur, gammas[best], first[best]))
+            continue
+        final, steps = eliminate_singletons(cur)
+        if any(m == 0 for m in final.lists) or final in seen_final:
+            budget.pruned += 1
+            continue
+        seen_final.add(final)
         yield final, steps
 
 
-def _explore_element(
-    element: Instance, r: int, budget: _Budget
-) -> Tuple[str, Optional[Coloring]]:
-    """Search one profile element; "colorable" short-circuits.
+def candidate_stream(
+    inst: Instance, r: int, budget: Optional[_Budget] = None, trace: bool = False
+) -> Iterator[Tuple[Instance, ReductionTrace]]:
+    """All branch candidates: singleton-free refinements with no good P3.
 
-    A returned coloring is lifted all the way to the element, whose
-    graph and vertex set equal the original instance's.
+    Runs the good-P3 search under every distinct stable-class profile
+    element in turn and yields each candidate together with the
+    singleton-removal steps that lead to it from the element.  The input
+    is feasible exactly when some candidate is, and a candidate coloring
+    lifts to an input coloring through the returned trace.  ``budget``
+    collects the search counters and enforces its node cap.
     """
-    for final, steps in _pruned_leaves(element, r, budget):
+    if budget is None:
+        budget = _Budget()
+    for element in _elements(inst, r, budget, trace):
+        yield from _candidates(element, budget)
+
+
+def _first_coloring(
+    candidates: Iterator[Tuple[Instance, ReductionTrace]], budget: _Budget
+) -> Optional[Coloring]:
+    """Reduce and 2-SAT each candidate until one is colorable.
+
+    The coloring is lifted through the candidate's trace, so it colors
+    the element the candidate came from; every element has the graph
+    and vertex set of the original instance.
+    """
+    for final, steps in candidates:
         budget.leaves += 1
         reduced, rounds = reduce_to_binary(final)
         phi = binary_list_color(reduced)
-        if phi is None:
-            continue
-        lifted = lift(list(steps) + rounds, phi)
-        return "colorable", lifted
-    return "exhausted", None
+        if phi is not None:
+            return lift(list(steps) + rounds, phi)
+    return None
 
 
 def _element_task(payload):
-    element, r, limit = payload
+    element, limit = payload
     budget = _Budget(limit)
     try:
-        status, phi = _explore_element(element, r, budget)
+        phi = _first_coloring(_candidates(element, budget), budget)
     except _BudgetExceeded:
-        return "aborted", None, budget.as_dict()
-    return status, phi, budget.as_dict()
+        phi = None
+    return phi, budget.as_dict()
+
+
+def _first_coloring_in_pool(
+    elements: Iterator[Instance], budget: _Budget, jobs: int
+) -> Optional[Coloring]:
+    """Explore elements in worker processes, at most 2 * jobs in flight.
+
+    Each worker caps its own element at the node limit; the total is
+    checked between completions, and exceeding it raises
+    _BudgetExceeded here.
+    """
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        pending = set()
+        while True:
+            for element in islice(elements, 2 * jobs - len(pending)):
+                pending.add(pool.submit(_element_task, (element, budget.limit)))
+            if not pending:
+                return None
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for fut in done:
+                phi, stats = fut.result()
+                budget.absorb(stats)
+                if phi is not None:
+                    return phi
+            budget.check()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _certify(inst: Instance, phi: Coloring, stats: Dict[str, int]) -> Verdict:
@@ -235,10 +286,11 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
     A colorable verdict always carries a verified coloring of the
     original instance.  Not-colorable is only reported after the whole
     stream was exhausted; exceeding opts.budget visited nodes aborts
-    instead.  When opts.jobs > 1 the profile elements are explored in
-    worker processes: the verdict is unchanged but the certificate may
-    come from a different candidate, and the budget is enforced between
-    element completions rather than inside them.
+    instead.  When opts.jobs > 1 the profile elements of the same stream
+    are explored in worker processes: the verdict is unchanged but the
+    certificate may come from a different candidate, and the budget is
+    enforced per element inside a worker and on the total between
+    element completions.
     """
     if opts is None:
         opts = SolveOptions()
@@ -250,86 +302,19 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
             if opts.trace:
                 log.info("packing found: %s", packing)
             return Verdict("not-rp3-free", witness=packing, stats={})
-    if opts.jobs > 1:
-        return _solve_parallel(inst, opts)
 
     budget = _Budget(opts.budget)
-    seen: Set[Tuple[int, ...]] = set()
     try:
-        for element in frugal_profile(inst, opts.r):
-            if element.lists in seen:
-                budget.pruned += 1
-                continue
-            seen.add(element.lists)
-            budget.elements += 1
-            status, phi = _explore_element(element, opts.r, budget)
-            if opts.trace:
-                log.info(
-                    "element %d: %s (nodes=%d leaves=%d pruned=%d)",
-                    budget.elements,
-                    status,
-                    budget.nodes,
-                    budget.leaves,
-                    budget.pruned,
-                )
-            if status == "colorable":
-                return _certify(inst, phi, budget.as_dict())
+        if opts.jobs == 1:
+            candidates = candidate_stream(inst, opts.r, budget, opts.trace)
+            phi = _first_coloring(candidates, budget)
+        else:
+            elements = _elements(inst, opts.r, budget, opts.trace)
+            phi = _first_coloring_in_pool(elements, budget, opts.jobs)
     except _BudgetExceeded:
         if opts.trace:
             log.info("budget of %d nodes exceeded", opts.budget)
         return Verdict("aborted", stats=budget.as_dict())
-    return Verdict("not-colorable", stats=budget.as_dict())
-
-
-def _solve_parallel(inst: Instance, opts: SolveOptions) -> Verdict:
-    budget = _Budget(None)
-    seen: Set[Tuple[int, ...]] = set()
-
-    def elements() -> Iterator[Instance]:
-        for element in frugal_profile(inst, opts.r):
-            if element.lists in seen:
-                budget.pruned += 1
-                continue
-            seen.add(element.lists)
-            yield element
-
-    window = 2 * opts.jobs
-    over = False
-    with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-        gen = elements()
-        pending = set()
-        exhausted = False
-        while True:
-            while not exhausted and not over and len(pending) < window:
-                element = next(gen, None)
-                if element is None:
-                    exhausted = True
-                    break
-                budget.elements += 1
-                pending.add(
-                    pool.submit(_element_task, (element, opts.r, opts.budget))
-                )
-            if not pending:
-                break
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                status, phi, wstats = fut.result()
-                wstats["elements"] = 0
-                budget.absorb(wstats)
-                if status == "colorable":
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    return _certify(inst, phi, budget.as_dict())
-                if status == "aborted":
-                    over = True
-            if opts.budget is not None and budget.nodes > opts.budget:
-                over = True
-            if opts.trace:
-                log.info(
-                    "parallel progress: elements=%d nodes=%d leaves=%d",
-                    budget.elements,
-                    budget.nodes,
-                    budget.leaves,
-                )
-    if over:
-        return Verdict("aborted", stats=budget.as_dict())
-    return Verdict("not-colorable", stats=budget.as_dict())
+    if phi is None:
+        return Verdict("not-colorable", stats=budget.as_dict())
+    return _certify(inst, phi, budget.as_dict())

@@ -21,7 +21,6 @@ from .oracle import cover_cap
 #   step4-removal       low-degree vertex deleted
 #   step5c-removal      closed ball deleted after local enumeration
 #   step11-contraction  neighborhood collapsed to a three-vertex core
-#   color-permutation   colors renamed; lift renames them back
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,6 @@ def identity_map(n: int) -> Tuple[int, ...]:
     return tuple(range(n))
 
 
-def spanning_step(parent: Instance, **info) -> LiftStep:
-    return LiftStep("spanning", parent, identity_map(parent.graph.n), dict(info))
-
-
 def embed_coloring(step: LiftStep, phi: Coloring) -> List[int]:
     """Place a child coloring into a parent-sized array (gaps stay 0)."""
     out = [0] * step.parent.graph.n
@@ -61,11 +56,6 @@ def lift_singleton(step: LiftStep, phi: Coloring) -> Coloring:
 
 def lift_identity(step: LiftStep, phi: Coloring) -> Coloring:
     return phi
-
-
-def lift_color_permutation(step: LiftStep, phi: Coloring) -> Coloring:
-    inverse = invert_perm(step.info["perm"])
-    return tuple(inverse[c - 1] for c in phi)
 
 
 def invert_perm(perm: Sequence[int]) -> Tuple[int, ...]:

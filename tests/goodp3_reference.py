@@ -1,0 +1,130 @@
+"""Reference good-P3 elimination that the solver's pruned walk is checked against.
+
+eliminate_type removes one list type at a time, literal_fold folds it
+over every good triple heaviest-first, and eliminate_good_p3 reaches the
+same leaves in the same order by expanding only the earliest good triple
+an instance realizes.  None of them prunes: they yield every leaf,
+including repeats and leaves with an empty list.
+"""
+
+from typing import Iterator, Optional, Tuple
+
+from rp3color.goodp3 import (
+    _earliest_good,
+    _match_orientation,
+    good_triple_index,
+    good_triples,
+    pivot_refinements,
+)
+from rp3color.graphs import induced_p3_stream
+from rp3color.instances import (
+    GoodTriple,
+    Instance,
+    is_good_triple,
+    p3_list_type,
+    triple_weight,
+)
+
+
+def find_type_p3(
+    inst: Instance, triple: GoodTriple
+) -> Optional[Tuple[int, int, int]]:
+    """First induced P3 (stream order) whose lists match ``triple`` in
+    either orientation."""
+    for p3 in induced_p3_stream(inst.graph):
+        if _match_orientation(inst, p3, triple) is not None:
+            return p3
+    return None
+
+
+def count_anticomplete_of_type(inst: Instance, triple: GoodTriple) -> int:
+    """Maximum number of pairwise anticomplete induced P3s of this list type."""
+    g = inst.graph
+    matches = [
+        p3
+        for p3 in induced_p3_stream(g)
+        if _match_orientation(inst, p3, triple) is not None
+    ]
+    vmask = []
+    cmask = []
+    for p3 in matches:
+        vm = sum(1 << v for v in p3)
+        vmask.append(vm)
+        cm = vm
+        for v in p3:
+            cm |= g.adj_mask[v]
+        cmask.append(cm)
+    best = 0
+
+    def rec(i: int, blocked: int, size: int):
+        nonlocal best
+        best = max(best, size)
+        for j in range(i, len(matches)):
+            if vmask[j] & blocked == 0:
+                rec(j + 1, blocked | cmask[j], size + 1)
+
+    rec(0, 0, 0)
+    return best
+
+
+def eliminate_type(inst: Instance, triple: GoodTriple) -> Iterator[Instance]:
+    """Refinements of ``inst`` in which no induced P3 has this list type.
+
+    Requires that no good P3 of the instance weighs more than the
+    triple (checked; ValueError otherwise).  Works depth-first: while a
+    matching P3 exists, expand the first one (stream order) through
+    pivot_refinements and recurse; the count of anticomplete matching
+    P3s strictly drops at each level, so the recursion terminates.
+    """
+    if not is_good_triple(triple):
+        raise ValueError(f"triple {triple} is not good")
+    bound = triple_weight(triple)
+    for p3 in induced_p3_stream(inst.graph):
+        t = p3_list_type(inst, p3)
+        if is_good_triple(t) and triple_weight(t) > bound:
+            raise ValueError(
+                f"good P3 {p3} has weight {triple_weight(t)}, above {bound}"
+            )
+    return _type_leaves(inst, triple)
+
+
+def _type_leaves(cur: Instance, triple: GoodTriple) -> Iterator[Instance]:
+    pivot = find_type_p3(cur, triple)
+    if pivot is None:
+        yield cur
+        return
+    for child in pivot_refinements(cur, triple, pivot):
+        yield from _type_leaves(child, triple)
+
+
+def literal_fold(inst: Instance):
+    """eliminate_type applied for every good triple, heaviest first."""
+    stream = [inst]
+    for gamma in good_triples(inst.k):
+        stream = [
+            child for cur in stream for child in eliminate_type(cur, gamma)
+        ]
+    return stream
+
+
+def eliminate_good_p3(inst: Instance, r: int) -> Iterator[Instance]:
+    """Refinements of ``inst`` with no good P3 at all.
+
+    Equals literal_fold: triples with no matching P3 pass instances
+    through unchanged, so expanding the earliest realized triple gives
+    the same sequence.  The parameter r names the packing bound under
+    which the stream stays small; the enumeration is exact for any input.
+    """
+    if r < 1:
+        raise ValueError(f"packing parameter {r} below 1")
+    return _good_leaves(inst)
+
+
+def _good_leaves(cur: Instance) -> Iterator[Instance]:
+    best, first = _earliest_good(cur, good_triple_index(cur.k))
+    if best is None:
+        yield cur
+        return
+    gamma = good_triples(cur.k)[best]
+    for child in pivot_refinements(cur, gamma, first[best]):
+        yield from _good_leaves(child)

@@ -36,8 +36,9 @@ from rp3color import (
     verify_coloring,
 )
 from rp3color.instances import find_good_p3
-from rp3color.goodp3 import eliminate_good_p3
 from rp3color.profiles import frugal_profile
+
+from goodp3_reference import eliminate_good_p3
 
 
 def random_instance(rng, max_n, include=0.6, density=0.4):

@@ -69,6 +69,20 @@ def test_solve_budget_abort(tmp_path, capsys):
     assert capsys.readouterr().out == "s ABORTED\n"
 
 
+def test_solve_crash_exits_5(tmp_path, capsys, monkeypatch):
+    def crash(inst, opts):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("rp3color.cli.solve", crash)
+    code = main(["solve", put(tmp_path, P3_FULL)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: internal: RecursionError: maximum recursion depth exceeded"
+    )
+
+
 def test_solve_bad_r_is_usage_error(tmp_path, capsys):
     code = main(["solve", "--r", "0", put(tmp_path, P3_FULL)])
     assert code == 4

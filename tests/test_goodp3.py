@@ -6,16 +6,20 @@ from hypothesis import given, settings, strategies as st
 from rp3color import (
     Graph,
     Instance,
-    eliminate_good_p3,
-    eliminate_type,
-    find_type_p3,
     good_triples,
     mask_from_colors,
     pivot_refinements,
     solve_exact_frugal,
 )
-from rp3color.goodp3 import count_anticomplete_of_type
 from rp3color.instances import find_good_p3, is_refinement
+
+from goodp3_reference import (
+    count_anticomplete_of_type,
+    eliminate_good_p3,
+    eliminate_type,
+    find_type_p3,
+    literal_fold,
+)
 
 GAMMA = (0b011, 0b110, 0b101)  # ({1,2},{2,3},{1,3})
 
@@ -185,15 +189,6 @@ def test_eliminate_good_p3_on_the_triangle_of_pairs():
     assert outs
     assert all(find_good_p3(e) is None for e in outs)
     assert any(solve_exact_frugal(e) is not None for e in outs)
-
-
-def literal_fold(inst):
-    stream = [inst]
-    for gamma in good_triples(inst.k):
-        stream = [
-            child for cur in stream for child in eliminate_type(cur, gamma)
-        ]
-    return stream
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,5 +1,6 @@
 """End-to-end solving: candidate stream, verdicts, budgets, lifting."""
 
+import gc
 import itertools
 import logging
 import random
@@ -21,8 +22,10 @@ from rp3color import (
     verify_coloring,
 )
 from rp3color.instances import find_good_p3
-from rp3color.pipeline import _Budget, _pruned_leaves
+from rp3color.pipeline import _Budget, _candidates
 from rp3color.profiles import frugal_profile
+
+from goodp3_reference import literal_fold
 
 
 def mk(n, edges, lists, k=5):
@@ -171,19 +174,63 @@ def test_solve_agrees_with_oracle():
     assert colorable >= 15 and uncolorable >= 15
 
 
-def test_unpruned_leaves_match_public_stream():
+def pruned_fold(element):
+    """What the search yields under one element, rebuilt from the
+    unpruned reference: leaves without an empty list, first occurrence
+    of each list tuple, then singleton elimination, dropping finals with
+    an empty list or seen before."""
+    leaves, seen = [], set()
+    for leaf in literal_fold(element):
+        if 0 not in leaf.lists and leaf.lists not in seen:
+            seen.add(leaf.lists)
+            leaves.append(leaf)
+    out, finals = [], set()
+    for leaf in leaves:
+        final, steps = eliminate_singletons(leaf)
+        if 0 not in final.lists and final not in finals:
+            finals.add(final)
+            out.append((final, steps))
+    return out
+
+
+def test_candidates_match_pruned_literal_fold():
+    # the literal fold runs every good triple, 14,186 of them at k=5,
+    # so most elements use smaller palettes
     rng = random.Random(99)
-    for _ in range(10):
-        n = rng.randint(1, 5)
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
-        lists = [set(rng.sample(range(1, 6), rng.choice([2, 2, 3]))) for _ in range(n)]
-        inst = mk(n, edges, lists)
-        public = [
-            (f.lists, tuple(s.kind for s in t)) for f, t in candidate_stream(inst, 2)
-        ]
-        composed = [
-            (f.lists, tuple(s.kind for s in t))
-            for element in frugal_profile(inst, 2)
-            for f, t in _pruned_leaves(element, 2, _Budget(), prune=False)
-        ]
-        assert public == composed
+    compared = 0
+    for k, rounds, per_instance in ((3, 50, 20), (4, 8, 20), (5, 2, 3)):
+        for _ in range(rounds):
+            n = rng.randint(1, 5)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+            lists = [set(rng.sample(range(1, k + 1), rng.choice([2, 2, 3]))) for _ in range(n)]
+            inst = mk(n, edges, lists, k)
+            for element in itertools.islice(frugal_profile(inst, 2), per_instance):
+                assert list(_candidates(element, _Budget())) == pruned_fold(element)
+                compared += 1
+    assert compared >= 800
+
+
+def test_solve_leaves_few_reference_cycles():
+    # K_{2,2,2,2} with lists {1,2,3}: uncolorable, so the whole search runs
+    parts = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    edges = [
+        (u, v) for a, b in itertools.combinations(parts, 2) for u in a for v in b
+    ]
+    inst = mk(8, edges, [{1, 2, 3}] * 8)
+    gc.collect()
+    gc.disable()
+    try:
+        assert solve(inst).status == "not-colorable"
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable < 100
+
+
+def test_parallel_budget_abort():
+    # K6 has no P3, so each element is one node and none is colorable:
+    # the workers only add nodes until the total crosses the cap
+    sad = full(6, clique(6))
+    verdict = solve(sad, SolveOptions(jobs=2, budget=3))
+    assert verdict.status == "aborted"
+    assert verdict.stats["nodes"] > 3
