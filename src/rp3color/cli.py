@@ -2,11 +2,11 @@
 
 Subcommands: solve (full pipeline with certificates), oracle (exhaustive
 reference solver), check-free (packing search), gen-hard (formula to
-gadget graph), bench (seeded random timing sweep).  Exit codes: 0
-colorable / free, 1 not colorable, 2 not rP3-free, 3 aborted, 4 usage
-or parse errors, 5 internal error (an unexpected exception; the
-traceback and an "error: internal:" line go to stderr and no verdict is
-printed).
+gadget graph), bench (seeded timing sweep over colorable rP3-free
+instances).  Exit codes: 0 colorable / free, 1 not colorable, 2 not
+rP3-free, 3 aborted, 4 usage or parse errors, 5 internal error (an
+unexpected exception; the traceback and an "error: internal:" line go
+to stderr and no verdict is printed).
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ import random
 import sys
 import time
 import traceback
-from typing import List, Optional
+from itertools import combinations
+from typing import List, Optional, Tuple
 
 from .graphs import Graph, anticomplete_packing
 from .hardness import build_hardness_graph, parse_nae
 from .instances import (
     Instance,
     ParseError,
-    full_mask,
+    mask_from_colors,
     parse_instance,
     serialize_instance,
 )
@@ -138,20 +139,28 @@ def _cmd_gen_hard(args) -> int:
 
 
 def random_instance(rng: random.Random, n: int, k: int = 5) -> Instance:
-    """Random graph with random nonempty lists; deterministic per rng state."""
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < 0.4
-    ]
-    lists = []
-    for _ in range(n):
-        mask = 0
-        for c in range(k):
-            if rng.random() < 0.7:
-                mask |= 1 << c
-        lists.append(mask or full_mask(k))
+    """Disjoint cliques of one to four vertices, each list at least as
+    long as its clique, after an optional star whose center has list
+    {3, 4} and whose leaves have {1, 2}.
+
+    Every induced P3 uses the star's center, so the graph is rP3-free
+    for every r >= 2, and the instance is colorable.  Needs k >= 4;
+    deterministic per rng state.
+    """
+    edges: List[Tuple[int, int]] = []
+    lists: List[int] = []
+    star = rng.randint(0, (n - 1) // 3) if n else 0
+    if star:
+        edges += [(0, leaf) for leaf in range(1, star + 1)]
+        lists += [mask_from_colors((3, 4))] + [mask_from_colors((1, 2))] * star
+    v = len(lists)
+    while v < n:
+        size = min(rng.randint(1, 4), n - v)
+        edges += combinations(range(v, v + size), 2)
+        for _ in range(size):
+            colors = rng.sample(range(1, k + 1), rng.randint(size, k))
+            lists.append(mask_from_colors(colors))
+        v += size
     return Instance(Graph(n, edges), k, tuple(lists))
 
 

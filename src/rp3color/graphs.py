@@ -162,17 +162,35 @@ def induced_p3_stream(g: Graph) -> Iterator[InducedP3]:
                     yield (a, mid, b)
 
 
-def _induced_paths(g: Graph, t: int, alive: int) -> Iterator[Tuple[int, ...]]:
+def _p3_middles(g: Graph) -> int:
+    """Mask of the vertices whose neighborhood is not a clique.
+
+    Any subset of a clique is a clique, so no other vertex is the middle
+    of an induced P3 in any induced subgraph of g.
+    """
+    adjm = g.adj_mask
+    out = 0
+    for v in range(g.n):
+        nbrs = adjm[v]
+        if any((adjm[w] | (1 << w)) & nbrs != nbrs for w in _bits(nbrs)):
+            out |= 1 << v
+    return out
+
+
+def _induced_paths(
+    g: Graph, t: int, alive: int, mids: int = -1
+) -> Iterator[Tuple[int, ...]]:
     """Canonical induced t-vertex paths using only vertices in ``alive``.
 
-    For t == 3 the order matches induced_p3_stream; otherwise paths are
-    emitted in ascending lexicographic order of their canonical tuple
-    (first endpoint smaller than the last).
+    For t == 3 the order matches induced_p3_stream, and middles are
+    taken from ``mids`` only; otherwise paths are emitted in ascending
+    lexicographic order of their canonical tuple (first endpoint smaller
+    than the last).
     """
     if t < 2:
         raise GraphError(f"path length {t} below 2")
     if t == 3:
-        for mid in _bits(alive):
+        for mid in _bits(alive & mids):
             nbrs = [w for w in _bits(g.adj_mask[mid] & alive)]
             for i, a in enumerate(nbrs):
                 amask = g.adj_mask[a]
@@ -217,6 +235,7 @@ def anticomplete_packing(
     if r < 1:
         raise GraphError(f"packing size {r} below 1")
     full = (1 << g.n) - 1
+    mids = _p3_middles(g) if t == 3 else full
 
     def closed_mask(p: Tuple[int, ...]) -> int:
         out = 0
@@ -227,7 +246,7 @@ def anticomplete_packing(
     def search(alive: int, need: int) -> Optional[List[Tuple[int, ...]]]:
         if need == 0:
             return []
-        for p in _induced_paths(g, t, alive):
+        for p in _induced_paths(g, t, alive, mids):
             rest = search(alive & ~closed_mask(p), need - 1)
             if rest is not None:
                 return [p] + rest

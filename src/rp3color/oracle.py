@@ -10,7 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .instances import Coloring, Instance, colors_from_mask
 
@@ -62,26 +71,30 @@ def frugal_colorings(inst: Instance) -> Iterator[Coloring]:
     Frugality: no vertex v has two neighbors sharing a color that lies
     in v's own list.  The enumeration order matches exact_colorings.
     """
-    g = inst.graph
-    n = g.n
+    return frugal_colorings_of(inst.graph.adj, inst.lists)
+
+
+def frugal_colorings_of(
+    adj: Sequence[Iterable[int]], lists: Sequence[int]
+) -> Iterator[Coloring]:
+    """frugal_colorings for the graph on 0..len(lists)-1 given by ``adj``."""
+    n = len(lists)
     phi: List[int] = [0] * n
 
     def admissible(v: int, c: int) -> bool:
         bit = 1 << (c - 1)
         counts: Dict[int, int] = {}
-        for w in g.adj[v]:
+        for w in adj[v]:
             if w >= v:
                 continue
             if phi[w] == c:
                 return False
             # w gains a c-colored neighbor; its count in c must stay <= 1
-            if inst.lists[w] & bit and any(
-                x < v and phi[x] == c for x in g.adj[w]
-            ):
+            if lists[w] & bit and any(x < v and phi[x] == c for x in adj[w]):
                 return False
             counts[phi[w]] = counts.get(phi[w], 0) + 1
         for col, cnt in counts.items():
-            if cnt >= 2 and (inst.lists[v] >> (col - 1)) & 1:
+            if cnt >= 2 and (lists[v] >> (col - 1)) & 1:
                 return False
         return True
 
@@ -89,7 +102,7 @@ def frugal_colorings(inst: Instance) -> Iterator[Coloring]:
         if v == n:
             yield tuple(phi)
             return
-        for c in colors_from_mask(inst.lists[v]):
+        for c in colors_from_mask(lists[v]):
             if admissible(v, c):
                 phi[v] = c
                 yield from rec(v + 1)

@@ -15,7 +15,7 @@ import logging
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .goodp3 import (
     _earliest_good,
@@ -82,15 +82,48 @@ _LIFTS = {
 def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
     """Pull a coloring of the trace's final instance back to its first.
 
-    Steps are replayed newest-first and every intermediate coloring is
-    verified against that step's parent; a defect is an internal bug and
-    raises RuntimeError.
+    ``trace`` is one trace or several traces joined end to end, each
+    closed by its last record.  Records are undone newest-first; the
+    vertices each one (re)colors are checked against their lists before
+    the step and their neighbors, and the coloring that ends a trace is
+    verified in full against the trace's input.  A defect is an internal
+    bug and raises RuntimeError.
     """
+    source = None
+    out: List[int] = []
     for step in reversed(trace):
-        phi = _LIFTS[step.kind](step, phi)
-        defect = coloring_defect(step.parent, phi)
-        if defect is not None:
-            raise RuntimeError(f"lift failed after {step.kind}: {defect}")
+        if step.closing is not None:
+            if source is not None:
+                phi = _verified(source, out)
+            source, keep = step.closing
+            out = [0] * source.graph.n
+            for child, v in enumerate(keep):
+                out[v] = phi[child]
+        elif source is None:
+            raise ValueError("trace does not end with a closing record")
+        g = source.graph
+        _LIFTS[step.kind](step, out, g)
+        for v, mask in step.lists.items():
+            c = out[v]
+            if not (c >= 1 and (mask >> (c - 1)) & 1):
+                raise RuntimeError(
+                    f"lift failed after {step.kind}: vertex {v} colored {c} "
+                    "outside its list"
+                )
+            w = next((w for w in g.adj[v] if out[w] == c), None)
+            if w is not None:
+                raise RuntimeError(
+                    f"lift failed after {step.kind}: edge ({v}, {w}) is "
+                    f"monochromatic in color {c}"
+                )
+    return phi if source is None else _verified(source, out)
+
+
+def _verified(inst: Instance, out: List[int]) -> Coloring:
+    phi = tuple(out)
+    defect = coloring_defect(inst, phi)
+    if defect is not None:
+        raise RuntimeError(f"lift failed: {defect}")
     return phi
 
 

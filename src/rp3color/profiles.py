@@ -2,60 +2,27 @@
 
 Two refinement mechanisms live here: elimination of forced (singleton
 list) vertices, and the stable-class profile stream that prepares an
-instance for frugal coloring.  Each destructive step records a LiftStep
-so certificates can be pulled back to the original instance.
+instance for frugal coloring.  Elimination runs on a WorkingInstance
+and each deletion leaves a local undo record (LiftStep), so
+certificates can be pulled back to the original instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
-from .graphs import Graph, induced_subgraph
-from .instances import Coloring, Instance, colors_from_mask
+from .graphs import Graph
+from .instances import Instance, colors_from_mask
 from .oracle import cover_cap
-
-# LiftStep kinds, by provenance:
-#   singleton-removal   forced vertex deleted, color pushed to neighbors
-#   spanning            same vertex set, lists shrank; lift is identity
-#   step4-removal       low-degree vertex deleted
-#   step5c-removal      closed ball deleted after local enumeration
-#   step11-contraction  neighborhood collapsed to a three-vertex core
+from .working import LiftStep, ReductionTrace, WorkingInstance
 
 
-@dataclass(frozen=True)
-class LiftStep:
-    """One reduction step with the context needed to undo it."""
-
-    kind: str
-    parent: Instance
-    vertex_map: Tuple[int, ...]  # child id -> parent id
-    info: dict = field(default_factory=dict)
-
-
-ReductionTrace = List[LiftStep]
-
-
-def identity_map(n: int) -> Tuple[int, ...]:
-    return tuple(range(n))
-
-
-def embed_coloring(step: LiftStep, phi: Coloring) -> List[int]:
-    """Place a child coloring into a parent-sized array (gaps stay 0)."""
-    out = [0] * step.parent.graph.n
-    for child, parent in enumerate(step.vertex_map):
-        out[parent] = phi[child]
-    return out
-
-
-def lift_singleton(step: LiftStep, phi: Coloring) -> Coloring:
-    out = embed_coloring(step, phi)
+def lift_singleton(step: LiftStep, out: List[int], g: Graph) -> None:
     out[step.info["vertex"]] = step.info["color"]
-    return tuple(out)
 
 
-def lift_identity(step: LiftStep, phi: Coloring) -> Coloring:
-    return phi
+def lift_identity(step: LiftStep, out: List[int], g: Graph) -> None:
+    pass
 
 
 def invert_perm(perm: Sequence[int]) -> Tuple[int, ...]:
@@ -70,40 +37,12 @@ def eliminate_singletons(inst: Instance) -> Tuple[Instance, ReductionTrace]:
 
     Deleting vertex v with list {c} removes c from every neighbor list;
     the scan restarts after each deletion.  Empty lists are kept.
-    Returns the fixpoint and the singleton-removal steps in order.
+    Returns the fixpoint and the singleton-removal steps in order; their
+    vertex ids are those of ``inst``.
     """
-    steps: ReductionTrace = []
-    cur = inst
-    while True:
-        v = next(
-            (u for u in range(cur.graph.n) if cur.lists[u].bit_count() == 1),
-            None,
-        )
-        if v is None:
-            return cur, steps
-        color_bit = cur.lists[v]
-        color = color_bit.bit_length()
-        keep = [u for u in range(cur.graph.n) if u != v]
-        sub, remap = induced_subgraph(cur.graph, keep)
-        new_lists = []
-        for u in keep:
-            mask = cur.lists[u]
-            if cur.graph.has_edge(u, v):
-                mask &= ~color_bit
-            new_lists.append(mask)
-        steps.append(
-            LiftStep(
-                "singleton-removal",
-                cur,
-                tuple(keep),
-                {
-                    "vertex": v,
-                    "color": color,
-                    "neighbors": frozenset(cur.graph.adj[v]),
-                },
-            )
-        )
-        cur = Instance(sub, cur.k, tuple(new_lists))
+    work = WorkingInstance(inst)
+    work.eliminate_singletons()
+    return work.finish()
 
 
 def neighborhood_hypergraph(g: Graph, a_side: Sequence[int], b_side: Sequence[int]):
@@ -175,13 +114,10 @@ def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
                 out.append(mask)
         return Instance(g, k, tuple(out))
 
-    def rec(v: int, left: int) -> Iterator[Instance]:
-        if left > n - v:
-            return
-        if v == n:
-            yield build()
-            return
-        yield from rec(v + 1, left)
+    def choices(v: int, left: int) -> Iterator[int]:
+        """Apply each choice for v in turn, unassigned first, yielding
+        the classes still to fill; undo it before trying the next."""
+        yield left
         if left:
             vbit = 1 << v
             for c in colors_from_mask(lists[v]):
@@ -190,10 +126,26 @@ def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
                 vec[v] = c
                 class_mask[c] |= vbit
                 class_size[c] += 1
-                yield from rec(v + 1, left - 1)
+                yield left - 1
                 vec[v] = 0
                 class_mask[c] &= ~vbit
                 class_size[c] -= 1
 
+    # depth-first over the choices, one stack frame per decided vertex
     for support in range(0, min(n, k * cap) + 1):
-        yield from rec(0, support)
+        stack: List[Iterator[int]] = []
+        v, left = 0, support
+        while True:
+            if left <= n - v:
+                if v == n:
+                    yield build()
+                else:
+                    stack.append(choices(v, left))
+            while stack:
+                left = next(stack[-1], None)
+                if left is not None:
+                    v = len(stack)
+                    break
+                stack.pop()
+            else:
+                break

@@ -7,6 +7,10 @@ P3; under those hypotheses frugal colorability survives forward and any
 coloring of the output lifts back (the lift functions at the bottom).
 The structure of u0's second neighborhood in the list graph drives the
 later steps; center_context exposes it for direct inspection.
+
+The rounds of one reduce_to_binary call all run on one WorkingInstance
+over the input's vertex ids, and leave local undo records; reduce_once
+is a single round on a fresh one.
 """
 
 from __future__ import annotations
@@ -16,25 +20,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
-from .graphs import Graph, dist_neighborhood, induced_subgraph, is_clique
+from .graphs import Graph, is_clique
 from .instances import (
-    Coloring,
     Instance,
     InstanceError,
     colors_from_mask,
     find_good_p3,
     list_graph,
-    p_value,
 )
-from .oracle import frugal_colorings
-from .profiles import (
-    LiftStep,
-    ReductionTrace,
-    eliminate_singletons,
-    embed_coloring,
-    identity_map,
-    invert_perm,
-)
+from .oracle import frugal_colorings_of
+from .profiles import invert_perm
+from .working import LiftStep, ReductionTrace, WorkingInstance, second_ring
 
 log = logging.getLogger("rp3color")
 
@@ -63,12 +59,6 @@ def _perm_for(u0_mask: int, k: int) -> Tuple[int, ...]:
     return tuple(perm)
 
 
-def _apply_perm(inst: Instance, perm: Sequence[int]) -> Instance:
-    return Instance(
-        inst.graph, inst.k, tuple(_remap_mask(m, perm) for m in inst.lists)
-    )
-
-
 @dataclass(frozen=True)
 class CenterContext:
     """Second-neighborhood structure around a center with list {1,2,3}.
@@ -90,18 +80,19 @@ class CenterContext:
     five_outer: Tuple[int, ...]
 
 
-def _context_sets(inst: Instance, gl: Graph, u0: int) -> CenterContext:
-    ring = tuple(sorted(gl.adj[u0]))
-    second = tuple(sorted(dist_neighborhood(gl, u0, 2)))
-    four_side = tuple(v for v in ring if inst.lists[v] & _BIT4)
-    five_side = tuple(v for v in ring if inst.lists[v] & _BIT5)
+def _context_sets(lists, adj, u0: int):
+    """ring, second, four_side, five_side, four_outer, five_outer of
+    CenterContext, from list-graph adjacency ``adj`` and renamed lists
+    (both indexed by vertex; ``lists`` needs only the ring)."""
+    ring = tuple(sorted(adj[u0]))
+    second = tuple(sorted(second_ring(adj, u0)))
+    four_side = tuple(v for v in ring if lists[v] & _BIT4)
+    five_side = tuple(v for v in ring if lists[v] & _BIT5)
     f4 = frozenset(four_side)
     f5 = frozenset(five_side)
-    four_outer = tuple(w for w in second if gl.adj[w] & f4)
-    five_outer = tuple(w for w in second if gl.adj[w] & f5)
-    return CenterContext(
-        u0, gl, ring, second, four_side, five_side, four_outer, five_outer
-    )
+    four_outer = tuple(w for w in second if adj[w] & f4)
+    five_outer = tuple(w for w in second if adj[w] & f5)
+    return ring, second, four_side, five_side, four_outer, five_outer
 
 
 def center_context(inst: Instance, u0: int) -> CenterContext:
@@ -122,7 +113,8 @@ def center_context(inst: Instance, u0: int) -> CenterContext:
     bad = find_good_p3(inst)
     if bad is not None:
         raise InstanceError(f"good P3 at {bad}")
-    return _context_sets(inst, list_graph(inst), u0)
+    gl = list_graph(inst)
+    return CenterContext(u0, gl, *_context_sets(inst.lists, gl.adj, u0))
 
 
 def _complete_or_anticomplete(gl: Graph, w: int, side: Sequence[int]) -> bool:
@@ -210,11 +202,10 @@ def center_context_report(inst: Instance, u0: int):
     return "checked", check_center_context(ctx, inst)
 
 
-def _spanning(inst: Instance, lists, perm, **info) -> Tuple[Instance, LiftStep]:
-    inv = invert_perm(perm)
-    out = Instance(inst.graph, inst.k, tuple(_remap_mask(m, inv) for m in lists))
-    info["perm"] = perm
-    return out, LiftStep("spanning", inst, identity_map(inst.graph.n), info)
+def _local_adjacency(g: Graph, ball: Sequence[int]) -> List[List[int]]:
+    """Adjacency of the subgraph of g induced on ``ball``, by ball position."""
+    pos = {v: i for i, v in enumerate(ball)}
+    return [[pos[w] for w in g.adj[v] if w in pos] for v in ball]
 
 
 def reduce_once(inst: Instance, u0: int) -> Tuple[Instance, LiftStep]:
@@ -233,181 +224,160 @@ def reduce_once(inst: Instance, u0: int) -> Tuple[Instance, LiftStep]:
         raise InstanceError(f"vertex {v} has a singleton list")
     if inst.lists[u0].bit_count() < 3:
         raise InstanceError(f"center {u0} has list size below 3")
+    ws = WorkingInstance(inst, list_graph=True)
+    _round(ws, u0)
+    out, trace = ws.finish()
+    return out, trace[0]
 
-    g = inst.graph
-    n = g.n
-    perm = _perm_for(inst.lists[u0], inst.k)
-    work = _apply_perm(inst, perm)
-    gl = list_graph(work)
+
+def _round(ws: WorkingInstance, u0: int) -> None:
+    """One reduction round centered at u0 on the working instance.
+
+    Appends the round's record to the trace.  Witnesses are the lowest
+    alive ids, as on the renumbered instance the round stands for.
+    """
+    lists = ws.lists
+    perm = _perm_for(lists[u0], 5)
+    inv = invert_perm(perm)
+
+    def work(v: int) -> int:
+        return _remap_mask(lists[v], perm)
+
+    def put(v: int, mask: int) -> None:
+        ws.set_list(v, _remap_mask(mask, inv))
 
     # step 3: a vertex with five list-graph neighbors forces failure
-    witness = next((u for u in range(n) if len(gl.adj[u]) >= 5), None)
+    witness = ws.first_wide()
     if witness is not None:
-        return _spanning(inst, (0,) * n, perm, step=3, witness=witness)
+        ws.record("spanning", {"step": 3, "witness": witness, "perm": perm})
+        ws.clear_lists()
+        return
 
     # step 4: a vertex with fewer list-graph neighbors than list colors
     # is always colorable last, so drop it
-    witness = next(
-        (
-            u
-            for u in range(n)
-            if len(gl.adj[u]) < work.lists[u].bit_count()
-        ),
-        None,
-    )
+    witness = ws.first_low()
     if witness is not None:
-        keep = [v for v in range(n) if v != witness]
-        sub, _ = induced_subgraph(g, keep)
-        out = Instance(sub, inst.k, tuple(inst.lists[v] for v in keep))
-        step = LiftStep(
-            "step4-removal",
-            inst,
-            tuple(keep),
-            {
-                "step": 4,
-                "vertex": witness,
-                "gl_neighbors": tuple(sorted(gl.adj[witness])),
-                "perm": perm,
-            },
-        )
-        return out, step
+        info = {
+            "step": 4,
+            "vertex": witness,
+            "gl_neighbors": tuple(sorted(ws.gl[witness])),
+            "perm": perm,
+        }
+        ws.record("step4-removal", info, {witness: lists[witness]})
+        ws.kill(witness)
+        return
 
     # step 5: a vertex whose list-graph 2-ball has at most one boundary
     # vertex can be colored locally; record what the boundary may take
-    witness = next(
-        (u for u in range(n) if len(dist_neighborhood(gl, u, 2)) <= 1), None
-    )
+    witness = ws.first_local()
     if witness is not None:
-        return _step5(inst, work, gl, perm, witness)
+        _step5(ws, perm, witness)
+        return
 
-    ctx = _context_sets(work, gl, u0)
-    a_side, b_side = ctx.four_side, ctx.five_side
-    a_outer, b_outer = ctx.four_outer, ctx.five_outer
+    wl = {v: work(v) for v in ws.gl[u0]}
+    wl[u0] = work(u0)
+    ring, _, a_side, b_side, a_outer, b_outer = _context_sets(wl, ws.gl, u0)
 
     # step 6 / 7: two attachments on one side strip {4,5} from that side
-    if len(a_outer) >= 2:
-        lists = list(work.lists)
-        for a in a_side:
-            lists[a] &= ~(_BIT4 | _BIT5)
-        return _spanning(inst, lists, perm, step=6, center=u0)
-    if len(b_outer) >= 2:
-        lists = list(work.lists)
-        for b in b_side:
-            lists[b] &= ~(_BIT4 | _BIT5)
-        return _spanning(inst, lists, perm, step=7, center=u0)
+    for step, outer, side in ((6, a_outer, a_side), (7, b_outer, b_side)):
+        if len(outer) >= 2:
+            ws.record("spanning", {"step": step, "center": u0, "perm": perm})
+            for v in side:
+                put(v, wl[v] & ~(_BIT4 | _BIT5))
+            return
 
     # step 8 / 9: twin two-lists on a side pin the outer attachment
-    pair = next(
-        (
-            (a1, a2)
-            for a1, a2 in combinations(a_side, 2)
-            if work.lists[a1] == work.lists[a2]
-            and work.lists[a1].bit_count() == 2
-        ),
-        None,
-    )
-    if pair is not None:
-        lists = list(work.lists)
-        for w in a_outer:
-            lists[w] &= ~_BIT4
-        return _spanning(inst, lists, perm, step=8, center=u0, twins=pair)
-    pair = next(
-        (
-            (b1, b2)
-            for b1, b2 in combinations(b_side, 2)
-            if work.lists[b1] == work.lists[b2]
-            and work.lists[b1].bit_count() == 2
-        ),
-        None,
-    )
-    if pair is not None:
-        lists = list(work.lists)
-        for w in b_outer:
-            lists[w] &= ~_BIT5
-        return _spanning(inst, lists, perm, step=9, center=u0, twins=pair)
+    for step, side, outer, bit in (
+        (8, a_side, a_outer, _BIT4),
+        (9, b_side, b_outer, _BIT5),
+    ):
+        pair = next(
+            (
+                (v1, v2)
+                for v1, v2 in combinations(side, 2)
+                if wl[v1] == wl[v2] and wl[v1].bit_count() == 2
+            ),
+            None,
+        )
+        if pair is not None:
+            info = {"step": step, "center": u0, "twins": pair, "perm": perm}
+            ws.record("spanning", info)
+            for w in outer:
+                put(w, work(w) & ~bit)
+            return
 
     # step 10: four or more ring vertices pin both outer attachments
-    if len(ctx.ring) >= 4:
-        lists = list(work.lists)
+    if len(ring) >= 4:
+        ws.record("spanning", {"step": 10, "center": u0, "perm": perm})
         for w in a_outer:
-            lists[w] &= ~_BIT4
+            put(w, work(w) & ~_BIT4)
         for w in b_outer:
-            lists[w] &= ~_BIT5
-        return _spanning(inst, lists, perm, step=10, center=u0)
+            put(w, work(w) & ~_BIT5)
+        return
 
-    return _step11(inst, work, gl, perm, u0, ctx)
+    _step11(ws, perm, u0, wl, ring, a_side, b_side, a_outer, b_outer)
 
 
-def _step5(inst, work, gl, perm, u):
-    g = inst.graph
-    n = g.n
-    ball = sorted(dist_neighborhood(gl, u, 2, closed=True))
-    boundary = sorted(dist_neighborhood(gl, u, 2))
-    sub, remap = induced_subgraph(g, ball)
-    local = Instance(sub, inst.k, tuple(work.lists[v] for v in ball))
+def _step5(ws: WorkingInstance, perm, u: int) -> None:
+    lists = ws.lists
+    second = second_ring(ws.gl, u)
+    removed = ws.gl[u] | {u}
+    ball = tuple(sorted(removed | second))
+    boundary = tuple(sorted(second))
+    local = [_remap_mask(lists[v], perm) for v in ball]
+    adj = _local_adjacency(ws.graph, ball)
 
     realized = 0
     feasible = False
     if boundary:
-        cpos = remap[boundary[0]]
-        want = work.lists[boundary[0]]
-        for phi in frugal_colorings(local):
+        cpos = ball.index(boundary[0])
+        want = local[cpos]
+        for phi in frugal_colorings_of(adj, local):
             feasible = True
             realized |= 1 << (phi[cpos] - 1)
             if realized == want:
                 break
     else:
-        feasible = next(frugal_colorings(local), None) is not None
+        feasible = next(frugal_colorings_of(adj, local), None) is not None
 
     if not feasible:
         # step 5b: the ball itself cannot be frugally colored
-        return _spanning(inst, (0,) * n, perm, step=5, witness=u, outcome="5b")
+        info = {"step": 5, "witness": u, "outcome": "5b", "perm": perm}
+        ws.record("spanning", info)
+        ws.clear_lists()
+        return
 
     # step 5c: delete the closed one-ball, restrict the boundary list to
     # the colors the local enumeration realized there
-    removed = set(dist_neighborhood(gl, u, 1, closed=True))
-    keep = [v for v in range(n) if v not in removed]
-    sub2, _ = induced_subgraph(g, keep)
-    inv = invert_perm(perm)
-    out_lists = []
-    for v in keep:
-        if boundary and v == boundary[0]:
-            out_lists.append(_remap_mask(realized, inv))
-        else:
-            out_lists.append(inst.lists[v])
-    out = Instance(sub2, inst.k, tuple(out_lists))
-    step = LiftStep(
-        "step5c-removal",
-        inst,
-        tuple(keep),
-        {
-            "step": 5,
-            "vertex": u,
-            "ball": tuple(ball),
-            "boundary": tuple(boundary),
-            "perm": perm,
-            "outcome": "5c",
-        },
-    )
-    return out, step
+    info = {
+        "step": 5,
+        "vertex": u,
+        "ball": ball,
+        "boundary": boundary,
+        "perm": perm,
+        "outcome": "5c",
+    }
+    ws.record("step5c-removal", info, {v: lists[v] for v in ball})
+    if boundary:
+        ws.set_list(boundary[0], _remap_mask(realized, invert_perm(perm)))
+    for v in sorted(removed):
+        ws.kill(v)
 
 
-def _step11(inst, work, gl, perm, u0, ctx):
-    a_side, b_side = ctx.four_side, ctx.five_side
-    a_outer, b_outer = ctx.four_outer, ctx.five_outer
-    if len(a_outer) != 1 or len(b_outer) != 1 or len(ctx.ring) != 3:
+def _step11(ws, perm, u0, wl, ring, a_side, b_side, a_outer, b_outer) -> None:
+    if len(a_outer) != 1 or len(b_outer) != 1 or len(ring) != 3:
         raise InstanceError(
             f"degenerate structure at center {u0}: "
-            f"ring={ctx.ring} outer={a_outer}/{b_outer}"
+            f"ring={ring} outer={a_outer}/{b_outer}"
         )
-    u0_mask = work.lists[u0]
+    u0_mask = wl[u0]
     i_pool = 0
     for a in a_side:
-        i_pool |= work.lists[a]
+        i_pool |= wl[a]
     i_pool &= u0_mask
     j_pool = 0
     for b in b_side:
-        j_pool |= work.lists[b]
+        j_pool |= wl[b]
     j_pool &= u0_mask
     if not i_pool or not j_pool:
         raise InstanceError(f"center {u0} has no anchor colors")
@@ -415,48 +385,32 @@ def _step11(inst, work, gl, perm, u0, ctx):
     j = colors_from_mask(j_pool)[0]
     if i == j:
         raise InstanceError(f"anchor colors coincide at {i}")
-    a = next(v for v in a_side if (work.lists[v] >> (i - 1)) & 1)
-    b = next(v for v in b_side if (work.lists[v] >> (j - 1)) & 1)
-    third = [v for v in ctx.ring if v not in (a, b)]
+    a = next(v for v in a_side if (wl[v] >> (i - 1)) & 1)
+    b = next(v for v in b_side if (wl[v] >> (j - 1)) & 1)
+    third = [v for v in ring if v not in (a, b)]
     if len(third) != 1:
-        raise InstanceError(f"ring {ctx.ring} minus anchors is {third}")
+        raise InstanceError(f"ring {ring} minus anchors is {third}")
     c = third[0]
 
-    g = inst.graph
-    keep = [v for v in range(g.n) if v != c]
-    sub, remap = induced_subgraph(g, keep)
+    info = {
+        "step": 11,
+        "center": u0,
+        "a": a,
+        "b": b,
+        "c": c,
+        "a_outer": a_outer[0],
+        "b_outer": b_outer[0],
+        "i": i,
+        "j": j,
+        "perm": perm,
+    }
+    lists = ws.lists
+    ws.record("step11-contraction", info, {v: lists[v] for v in (u0, a, b, c)})
     inv = invert_perm(perm)
-    out_lists = []
-    for v in keep:
-        if v == u0:
-            mask = (1 << (i - 1)) | (1 << (j - 1))
-        elif v == a:
-            mask = (1 << (i - 1)) | _BIT4
-        elif v == b:
-            mask = (1 << (j - 1)) | _BIT5
-        else:
-            out_lists.append(inst.lists[v])
-            continue
-        out_lists.append(_remap_mask(mask, inv))
-    out = Instance(sub, inst.k, tuple(out_lists))
-    step = LiftStep(
-        "step11-contraction",
-        inst,
-        tuple(keep),
-        {
-            "step": 11,
-            "center": u0,
-            "a": a,
-            "b": b,
-            "c": c,
-            "a_outer": a_outer[0],
-            "b_outer": b_outer[0],
-            "i": i,
-            "j": j,
-            "perm": perm,
-        },
-    )
-    return out, step
+    ws.kill(c)
+    ws.set_list(u0, _remap_mask((1 << (i - 1)) | (1 << (j - 1)), inv))
+    ws.set_list(a, _remap_mask((1 << (i - 1)) | _BIT4, inv))
+    ws.set_list(b, _remap_mask((1 << (j - 1)) | _BIT5, inv))
 
 
 def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
@@ -464,79 +418,64 @@ def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
 
     Requires k = 5 and no singleton lists; correctness assumes no good
     P3.  The result has every list size in {0, 2} and the trace replays
-    the rounds in order.
+    the rounds in order, with the vertex ids of ``inst``.  All rounds
+    run on one working instance, so a round costs time near the size of
+    the neighborhood it changes, not of the whole instance.
     """
     if inst.k != 5:
         raise InstanceError(f"k={inst.k}, need 5")
     if any(m.bit_count() == 1 for m in inst.lists):
         raise InstanceError("singleton list present")
-    trace: ReductionTrace = []
-    cur = inst
+    if all(m.bit_count() < 3 for m in inst.lists):
+        return inst, []  # no round to run; skip building the list graph
+    ws = WorkingInstance(inst, list_graph=True)
     while True:
-        u0 = next(
-            (
-                v
-                for v in range(cur.graph.n)
-                if cur.lists[v].bit_count() >= 3
-            ),
-            None,
-        )
+        u0 = ws.first_big()
         if u0 is None:
-            return cur, trace
-        before = p_value(cur)
-        nxt, step = reduce_once(cur, u0)
-        trace.append(step)
-        cur, killed = eliminate_singletons(nxt)
-        trace.extend(killed)
+            return ws.finish()
+        before = ws.potential
+        fired = len(ws.trace)
+        _round(ws, u0)
+        ws.eliminate_singletons()
         log.debug(
             "round: step %d at center %d, p %d -> %d",
-            step.info["step"],
+            ws.trace[fired].info["step"],
             u0,
             before,
-            p_value(cur),
+            ws.potential,
         )
-        if p_value(cur) >= before:
+        if ws.potential >= before:
             raise RuntimeError(
-                f"potential failed to drop: {before} -> {p_value(cur)}"
+                f"potential failed to drop: {before} -> {ws.potential}"
             )
 
 
-def lift_step4(step: LiftStep, phi: Coloring) -> Coloring:
-    out = embed_coloring(step, phi)
+def lift_step4(step: LiftStep, out: List[int], g: Graph) -> None:
     u = step.info["vertex"]
     taken = {out[w] for w in step.info["gl_neighbors"]}
-    free = [
-        c
-        for c in colors_from_mask(step.parent.lists[u])
-        if c not in taken
-    ]
+    free = [c for c in colors_from_mask(step.lists[u]) if c not in taken]
     if not free:
         raise RuntimeError(f"no free color when restoring vertex {u}")
     out[u] = free[0]
-    return tuple(out)
 
 
-def lift_step5c(step: LiftStep, phi: Coloring) -> Coloring:
-    parent = step.parent
-    g = parent.graph
+def lift_step5c(step: LiftStep, out: List[int], g: Graph) -> None:
     ball = step.info["ball"]
     boundary = step.info["boundary"]
-    out = embed_coloring(step, phi)
-    sub, remap = induced_subgraph(g, ball)
-    local = Instance(sub, parent.k, tuple(parent.lists[v] for v in ball))
+    cpos = ball.index(boundary[0]) if boundary else None
     want = out[boundary[0]] if boundary else None
+    local = [step.lists[v] for v in ball]
     chosen = None
-    for cand in frugal_colorings(local):
-        if want is None or cand[remap[boundary[0]]] == want:
+    for cand in frugal_colorings_of(_local_adjacency(g, ball), local):
+        if want is None or cand[cpos] == want:
             chosen = cand
             break
     if chosen is None:
         raise RuntimeError(
             f"no local coloring matches the boundary color {want}"
         )
-    for v in ball:
-        out[v] = chosen[remap[v]]
-    return tuple(out)
+    for v, col in zip(ball, chosen):
+        out[v] = col
 
 
 def _first_color(mask: int) -> int:
@@ -554,25 +493,24 @@ def _smallest_pair(amask: int, bmask: int) -> Tuple[int, int]:
     raise RuntimeError("no distinct color pair available")
 
 
-def lift_step11(step: LiftStep, phi: Coloring) -> Coloring:
-    parent = step.parent
+def lift_step11(step: LiftStep, out: List[int], g: Graph) -> None:
     info = step.info
     perm = info["perm"]
     inv = invert_perm(perm)
-    work = _apply_perm(parent, perm)
     u0, a, b, c = info["center"], info["a"], info["b"], info["c"]
-    a2, b2 = info["a_outer"], info["b_outer"]
 
-    hat = embed_coloring(step, phi)
-    hat = [perm[col - 1] if col else 0 for col in hat]
-    pa, pb = hat[a2], hat[b2]
+    pa, pb = (
+        perm[out[v] - 1] if out[v] else 0
+        for v in (info["a_outer"], info["b_outer"])
+    )
     if pa not in (4, 5) or pb not in (4, 5):
         raise RuntimeError(f"outer colors {pa}, {pb} escape {{4, 5}}")
     if pa == 4 and pb == 5:
         raise RuntimeError("outer colors 4/5 contradict the contraction")
 
-    la, lb, lc = work.lists[a], work.lists[b], work.lists[c]
+    la, lb, lc = (_remap_mask(step.lists[v], perm) for v in (a, b, c))
     no45 = ~(_BIT4 | _BIT5)
+    hat = {}
     if pa == 4 and pb == 4:
         hat[b] = 5
         if lc & _BIT4:  # c sits on the four side
@@ -599,4 +537,5 @@ def lift_step11(step: LiftStep, phi: Coloring) -> Coloring:
         kk = _first_color(lc & no45)
         hat[c] = kk
         hat[u0] = min({1, 2, 3} - {kk})
-    return tuple(inv[col - 1] for col in hat)
+    for v, col in hat.items():
+        out[v] = inv[col - 1]

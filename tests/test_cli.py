@@ -83,6 +83,22 @@ def test_solve_crash_exits_5(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_solve_many_disjoint_triangles(tmp_path, capsys):
+    # n = 1,020: deeper than one interpreter frame per vertex allows
+    t = 340
+    lines = [f"p glist {3 * t} {3 * t} 5"]
+    for i in range(t):
+        a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        lines += [f"e {a} {b}", f"e {a} {c}", f"e {b} {c}"]
+    lines += [f"l {v} 1 2 3" for v in range(1, 3 * t + 1)]
+    text = "\n".join(lines) + "\n"
+    code = main(["solve", put(tmp_path, text)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("s COLORABLE\n")
+    assert verify_coloring(parse_instance(text), coloring_from(out))
+
+
 def test_solve_bad_r_is_usage_error(tmp_path, capsys):
     code = main(["solve", "--r", "0", put(tmp_path, P3_FULL)])
     assert code == 4
@@ -171,6 +187,7 @@ def test_bench_stdout_is_deterministic(capsys):
     second = capsys.readouterr()
     assert first.out == second.out
     assert "bench total" in first.out
+    assert "not-rp3-free=0" in first.out
     assert "took" in first.err
 
 

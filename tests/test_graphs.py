@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,3 +204,49 @@ def test_freeness_is_hereditary(g):
     keep = [v for v in range(g.n) if v % 3 != 1]
     sub, _ = induced_subgraph(g, keep)
     assert anticomplete_packing(sub, 2, 3) is None
+
+
+def packing_unfiltered(g, r):
+    """The packing search for t = 3 with every alive vertex tried as a
+    middle, in the enumeration order of induced_p3_stream: the reference
+    for the middle filter of anticomplete_packing."""
+
+    def p3s(alive):
+        for mid in range(g.n):
+            if not (alive >> mid) & 1:
+                continue
+            nbrs = [w for w in sorted(g.adj[mid]) if (alive >> w) & 1]
+            for i, a in enumerate(nbrs):
+                for b in nbrs[i + 1:]:
+                    if b not in g.adj[a]:
+                        yield (a, mid, b)
+
+    def search(alive, need):
+        if need == 0:
+            return []
+        for p in p3s(alive):
+            closed = 0
+            for v in p:
+                closed |= (1 << v) | g.adj_mask[v]
+            rest = search(alive & ~closed, need - 1)
+            if rest is not None:
+                return [p] + rest
+        return None
+
+    found = search((1 << g.n) - 1, r)
+    return tuple(found) if found is not None else None
+
+
+def test_packing_witness_matches_unfiltered_search():
+    rng = random.Random(1931)
+    found = 0
+    for _ in range(1500):
+        n = rng.randint(0, 14)
+        p = rng.choice([0.15, 0.3, 0.5, 0.7])
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        g = Graph(n, edges)
+        for r in (1, 2, 3):
+            want = packing_unfiltered(g, r)
+            assert anticomplete_packing(g, r, 3) == want
+            found += want is not None
+    assert found >= 500

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,3 +194,70 @@ def test_neighborhood_cover_stays_small(inst):
         h = neighborhood_hypergraph(inst.graph, a, b)
         _, cover, _ = hypergraph_stats(h)
         assert cover <= cover_cap(2)
+
+
+def profile_recursive(inst, r):
+    """The recursive form of frugal_profile, one call level per vertex:
+    the order oracle for the explicit-stack stream."""
+    g, k = inst.graph, inst.k
+    n = g.n
+    cap = min((k - 1) * cover_cap(r), n)
+    adjm = g.adj_mask
+    vec = [0] * n
+    class_mask = [0] * (k + 1)
+    class_size = [0] * (k + 1)
+
+    def build():
+        out = []
+        for v in range(n):
+            if vec[v]:
+                out.append(1 << (vec[v] - 1))
+            else:
+                mask = inst.lists[v]
+                for c in range(1, k + 1):
+                    if class_mask[c] & adjm[v]:
+                        mask &= ~(1 << (c - 1))
+                out.append(mask)
+        return tuple(out)
+
+    def rec(v, left):
+        if left > n - v:
+            return
+        if v == n:
+            yield build()
+            return
+        yield from rec(v + 1, left)
+        if left:
+            for c in range(1, k + 1):
+                if not (inst.lists[v] >> (c - 1)) & 1:
+                    continue
+                if class_size[c] >= cap or class_mask[c] & adjm[v]:
+                    continue
+                vec[v] = c
+                class_mask[c] |= 1 << v
+                class_size[c] += 1
+                yield from rec(v + 1, left - 1)
+                vec[v] = 0
+                class_mask[c] &= ~(1 << v)
+                class_size[c] -= 1
+
+    for support in range(0, min(n, k * cap) + 1):
+        yield from rec(0, support)
+
+
+def test_profile_order_matches_recursive_oracle():
+    rng = random.Random(4242)
+    compared = 0
+    for _ in range(120):
+        k = rng.choice([3, 5])
+        n = rng.randint(0, 7)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        lists = [rng.randrange(1 << k) for _ in range(n)]
+        inst = Instance(Graph(n, edges), k, tuple(lists))
+        r = rng.choice([1, 2])
+        got = [e.lists for e in itertools.islice(frugal_profile(inst, r), 2000)]
+        want = list(itertools.islice(profile_recursive(inst, r), 2000))
+        assert got == want
+        compared += len(got)
+    assert compared >= 20000
+

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,9 +10,11 @@ from rp3color import (
     Graph,
     Instance,
     InstanceError,
+    binary_list_color,
     center_context,
     center_context_report,
     check_center_context,
+    eliminate_singletons,
     mask_from_colors,
     p_value,
     reduce_once,
@@ -302,3 +305,108 @@ def test_big_lists_resolve_early():
             assert step.info["step"] <= 5
             checked += 1
     assert checked >= 20
+
+
+def reduce_by_rounds(inst):
+    """reduce_to_binary rebuilt from scratch every round: reduce_once on
+    a fresh instance, then eliminate_singletons on its output.  Returns
+    the final instance, (step, outcome, singleton count) per round, and
+    the joined per-round traces."""
+    cur, rounds, trace = inst, [], []
+    while True:
+        u0 = next(
+            (v for v in range(cur.graph.n) if cur.lists[v].bit_count() >= 3),
+            None,
+        )
+        if u0 is None:
+            return cur, rounds, trace
+        before = p_value(cur)
+        nxt, step = reduce_once(cur, u0)
+        cur, killed = eliminate_singletons(nxt)
+        if p_value(cur) >= before:
+            raise RuntimeError("potential failed to drop")
+        rounds.append((step.info["step"], step.info.get("outcome"), len(killed)))
+        trace += [step] + killed
+
+
+def bounded_degree_instance(rng, n):
+    """Max degree 4 and lists of size 2 or 3, so rounds get past steps
+    3 and 4; good P3s are not excluded."""
+    palette = [0b00111, 0b11000, 0b01001, 0b10010, 0b10100, 0b01100, 0b00011]
+    deg = [0] * n
+    edges = set()
+    for _ in range(2 * n):
+        u, v = sorted(rng.sample(range(n), 2))
+        if deg[u] < 4 and deg[v] < 4 and (u, v) not in edges:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    lists = tuple(rng.choice(palette) for _ in range(n))
+    return Instance(Graph(n, sorted(edges)), 5, lists)
+
+
+def assert_same_reduction(inst):
+    try:
+        out, trace = reduce_to_binary(inst)
+    except (InstanceError, RuntimeError) as exc:
+        with pytest.raises(type(exc)):
+            reduce_by_rounds(inst)
+        return 0
+    want, rounds, per_round = reduce_by_rounds(inst)
+    got = []
+    for s in trace:
+        if "step" in s.info:
+            got.append((s.info["step"], s.info.get("outcome"), 0))
+        else:
+            got[-1] = got[-1][:2] + (got[-1][2] + 1,)
+    assert got == rounds
+    assert out == want
+    phi = binary_list_color(out)
+    if phi is not None:
+        try:
+            lifted = lift(trace, phi)
+        except RuntimeError:
+            # lifting may fail only when the input has a good P3
+            assert find_good_p3(inst) is not None
+            with pytest.raises(RuntimeError):
+                lift(per_round, phi)
+            return len(rounds)
+        assert lifted == lift(per_round, phi)
+        assert verify_coloring(inst, lifted)
+    return len(rounds)
+
+
+def test_incremental_reduction_matches_fresh_rounds():
+    rng = random.Random(7)
+    cands = 0
+    for _ in range(60):
+        inst = random_instance(rng, rng.randint(1, 5))
+        for cand, _ in itertools.islice(candidate_stream(inst, 2), 6):
+            cands += 1
+            assert_same_reduction(cand)
+    assert cands >= 60
+    rng = random.Random(77)
+    rounds = sum(
+        assert_same_reduction(bounded_degree_instance(rng, rng.randint(4, 40)))
+        for _ in range(150)
+    )
+    assert rounds >= 1000
+
+
+def test_corrupted_undo_record_fails_lift():
+    inst = mk(4, [(0, 1), (2, 3)], [{1, 2, 3}, {1, 4}, {4, 5}, {4, 5}])
+    out, trace = reduce_to_binary(inst)
+    assert [s.info["step"] for s in trace] == [4]
+    phi = binary_list_color(out)
+    assert verify_coloring(inst, lift(trace, phi))
+
+    step = trace[0]
+    u = step.info["vertex"]
+    # a saved list the vertex never had: caught by the final check
+    bad = replace(step, lists={u: mask_from_colors({5})})
+    with pytest.raises(RuntimeError, match="outside its list"):
+        lift([bad], phi)
+    # a forgotten list-graph neighbor: caught when the vertex is restored
+    bad = replace(step, info=dict(step.info, gl_neighbors=()))
+    with pytest.raises(RuntimeError, match="monochromatic"):
+        lift([bad], phi)
