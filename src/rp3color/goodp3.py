@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .graphs import induced_p3_stream, set_neighborhood
 from .instances import (
@@ -84,20 +84,17 @@ def pivot_refinements(
     if oriented is None:
         raise ValueError(f"pivot {pivot} does not match the triple")
     g, k = inst.graph, inst.k
-    pivotset = frozenset(oriented)
-    closed = set_neighborhood(g, pivotset, closed=True)
-    cands = sorted(closed - pivotset)
-
-    patches: List[Tuple[int, ...]] = []
-    for size in range(0, min(3 * k - 3, len(cands)) + 1):
-        for combo in combinations(cands, size):
-            patches.append(tuple(sorted(pivotset | set(combo))))
-    patches.sort(key=lambda s: (len(s), s))
+    closed = set_neighborhood(g, oriented, closed=True)
+    cands = sorted(closed.difference(oriented))
 
     def stream() -> Iterator[Instance]:
-        for patch in patches:
-            for psi in _patch_colorings(inst, patch, oriented):
-                yield _pinned_child(inst, patch, psi, oriented, triple, closed)
+        # for equal sizes, combinations() runs in lexicographic order of
+        # the added vertices, which is that of the sorted patches
+        for size in range(0, min(3 * k - 3, len(cands)) + 1):
+            for combo in combinations(cands, size):
+                patch = tuple(sorted(oriented + combo))
+                for psi in _patch_colorings(inst, patch, oriented):
+                    yield _pinned_child(inst, patch, psi, oriented, triple, closed)
 
     return stream()
 
@@ -112,11 +109,10 @@ def _patch_colorings(
     """
     g = inst.graph
     size = len(patch)
-    pos = {v: i for i, v in enumerate(patch)}
     options = [colors_from_mask(inst.lists[v]) for v in patch]
     # earlier patch positions adjacent to each patch position
     before = [
-        [pos[w] for w in g.adj[v] if pos.get(w, size) < i]
+        [j for j in range(i) if g.has_edge(v, patch[j])]
         for i, v in enumerate(patch)
     ]
     # pivot indices watching each patch position
@@ -165,10 +161,9 @@ def _pinned_child(
 ) -> Instance:
     g = inst.graph
     lists = list(inst.lists)
-    in_patch = set(patch)
     for v, c in zip(patch, psi):
         lists[v] = 1 << (c - 1)
-    for v in closed - in_patch:
+    for v in closed.difference(patch):
         drop = 0
         for j in range(3):
             if g.has_edge(oriented[j], v):

@@ -1,13 +1,13 @@
 """Immutable simple graphs with neighborhood and induced-path machinery.
 
-Vertices are the integers 0..n-1.  Adjacency is kept both as frozensets
-(for membership tests and iteration) and as integer bitmasks (for the
-hot loops in path enumeration and packing search).
+Vertices are the integers 0..n-1.  Adjacency is one integer bitmask
+per vertex (bit w of adj_mask[v] is set when vw is an edge); vertex sets
+are bitmasks inside the loops and frozensets only where they are
+returned to callers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 VertexSet = FrozenSet[int]
@@ -18,7 +18,7 @@ class GraphError(ValueError):
     """Raised for malformed graph constructions."""
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
         low = mask & -mask
@@ -33,7 +33,7 @@ class Graph:
     rejected.
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_mask")
+    __slots__ = ("n", "edges", "adj_mask")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
@@ -47,24 +47,18 @@ class Graph:
             seen.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted(seen))
-        adj: List[set] = [set() for _ in range(n)]
+        adj = [0] * n
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adj: Tuple[VertexSet, ...] = tuple(frozenset(s) for s in adj)
-        self.adj_mask: Tuple[int, ...] = tuple(
-            sum(1 << w for w in s) for s in adj
-        )
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        self.adj_mask: Tuple[int, ...] = tuple(adj)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return (self.adj_mask[u] >> v) & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -88,30 +82,26 @@ def dist_neighborhood(g: Graph, v: int, d: int, closed: bool = False) -> VertexS
         raise GraphError(f"vertex {v} out of range")
     if d < 0:
         raise GraphError(f"negative distance {d}")
-    dist = {v: 0}
-    frontier = deque([v])
-    while frontier:
-        u = frontier.popleft()
-        if dist[u] == d:
-            continue
-        for w in g.adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                frontier.append(w)
-    if closed:
-        return frozenset(dist)
-    return frozenset(u for u, du in dist.items() if du == d)
+    adjm = g.adj_mask
+    seen = frontier = 1 << v
+    for _ in range(d):
+        reach = 0
+        for u in bits(frontier):
+            reach |= adjm[u]
+        frontier = reach & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+    return frozenset(bits(seen if closed else frontier))
 
 
 def set_neighborhood(g: Graph, xs: Iterable[int], closed: bool = False) -> VertexSet:
     """Union of the neighborhoods of ``xs`` (``closed``: include ``xs``)."""
-    xs = frozenset(xs)
-    out = set(xs)
+    inside = out = 0
     for x in xs:
-        out |= g.adj[x]
-    if closed:
-        return frozenset(out)
-    return frozenset(out - xs)
+        inside |= 1 << x
+        out |= g.adj_mask[x]
+    return frozenset(bits(out | inside if closed else out & ~inside))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:
@@ -153,13 +143,7 @@ def induced_p3_stream(g: Graph) -> Iterator[InducedP3]:
     x2 is the middle vertex, x1 < x3, and x1-x3 is a non-edge.  Triples
     are emitted sorted by (x2, x1, x3).
     """
-    for mid in range(g.n):
-        nbrs = sorted(g.adj[mid])
-        for i, a in enumerate(nbrs):
-            amask = g.adj_mask[a]
-            for b in nbrs[i + 1 :]:
-                if not (amask >> b) & 1:
-                    yield (a, mid, b)
+    return _induced_paths(g, 3, (1 << g.n) - 1)
 
 
 def _p3_middles(g: Graph) -> int:
@@ -172,7 +156,7 @@ def _p3_middles(g: Graph) -> int:
     out = 0
     for v in range(g.n):
         nbrs = adjm[v]
-        if any((adjm[w] | (1 << w)) & nbrs != nbrs for w in _bits(nbrs)):
+        if any((adjm[w] | (1 << w)) & nbrs != nbrs for w in bits(nbrs)):
             out |= 1 << v
     return out
 
@@ -182,24 +166,29 @@ def _induced_paths(
 ) -> Iterator[Tuple[int, ...]]:
     """Canonical induced t-vertex paths using only vertices in ``alive``.
 
-    For t == 3 the order matches induced_p3_stream, and middles are
-    taken from ``mids`` only; otherwise paths are emitted in ascending
-    lexicographic order of their canonical tuple (first endpoint smaller
-    than the last).
+    For t == 3 the paths are (x1, x2, x3) with middle x2 taken from
+    ``mids`` only, sorted by (x2, x1, x3); otherwise paths are emitted
+    in ascending lexicographic order of their canonical tuple (first
+    endpoint smaller than the last).
     """
     if t < 2:
         raise GraphError(f"path length {t} below 2")
+    adjm = g.adj_mask
     if t == 3:
-        for mid in _bits(alive & mids):
-            nbrs = [w for w in _bits(g.adj_mask[mid] & alive)]
-            for i, a in enumerate(nbrs):
-                amask = g.adj_mask[a]
-                for b in nbrs[i + 1 :]:
-                    if not (amask >> b) & 1:
-                        yield (a, mid, b)
+        # the two inner loops inline bits(): this runs at every walk node
+        for mid in bits(alive & mids):
+            nbrs = adjm[mid] & alive
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                a = low.bit_length() - 1
+                ends = nbrs & ~adjm[a]  # later neighbors that a does not see
+                while ends:
+                    low = ends & -ends
+                    ends ^= low
+                    yield (a, mid, low.bit_length() - 1)
         return
 
-    adjm = g.adj_mask
     path: List[int] = []
 
     def extend(blocked: int) -> Iterator[Tuple[int, ...]]:
@@ -207,7 +196,7 @@ def _induced_paths(
         # adjacent to the last vertex and to nothing before it
         last = path[-1]
         cand = adjm[last] & alive & ~blocked & ~(1 << last)
-        for w in _bits(cand):
+        for w in bits(cand):
             path.append(w)
             if len(path) == t:
                 if path[0] < path[-1]:
@@ -216,7 +205,7 @@ def _induced_paths(
                 yield from extend(blocked | (1 << last) | adjm[last])
             path.pop()
 
-    for start in _bits(alive):
+    for start in bits(alive):
         path.append(start)
         yield from extend(0)
         path.pop()

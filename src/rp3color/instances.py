@@ -89,34 +89,6 @@ def p_value(inst: Instance) -> int:
     return inst.graph.n + sum(m.bit_count() for m in inst.lists)
 
 
-def is_refinement(
-    parent: Instance, child: Instance, mapping: Dict[int, int]
-) -> Tuple[bool, bool]:
-    """Whether ``child`` refines ``parent`` under the child-to-parent ``mapping``.
-
-    A refinement keeps an induced subgraph (exactly the parent edges
-    among mapped vertices) and only shrinks lists.  Returns
-    (is_refinement, is_spanning); spanning means the mapping is onto the
-    parent's vertex set.
-    """
-    if child.k != parent.k:
-        return False, False
-    image = set(mapping.values())
-    if len(mapping) != child.graph.n or len(image) != child.graph.n:
-        return False, False
-    if any(not (0 <= v < parent.graph.n) for v in image):
-        return False, False
-    for u in range(child.graph.n):
-        if child.lists[u] & ~parent.lists[mapping[u]]:
-            return False, False
-        for v in range(u + 1, child.graph.n):
-            if child.graph.has_edge(u, v) != parent.graph.has_edge(
-                mapping[u], mapping[v]
-            ):
-                return False, False
-    return True, len(image) == parent.graph.n
-
-
 def is_good_triple(triple: GoodTriple) -> bool:
     """All three sets have size at least 2 and pairwise intersect."""
     a, b, c = triple
@@ -174,16 +146,14 @@ def coloring_defect(
         if phi[u] == phi[v]:
             return f"edge ({u}, {v}) is monochromatic in color {phi[u]}"
     if frugal:
+        holders = [0] * (inst.k + 1)
+        for v, c in enumerate(phi):
+            holders[c] |= 1 << v
         for v in range(g.n):
-            counts: Dict[int, int] = {}
-            for w in g.adj[v]:
-                counts[phi[w]] = counts.get(phi[w], 0) + 1
-            for c in sorted(counts):
-                if counts[c] >= 2 and (inst.lists[v] >> (c - 1)) & 1:
-                    return (
-                        f"vertex {v} has {counts[c]} neighbors in its "
-                        f"listed color {c}"
-                    )
+            for c in colors_from_mask(inst.lists[v]):
+                seen = (g.adj_mask[v] & holders[c]).bit_count()
+                if seen >= 2:
+                    return f"vertex {v} has {seen} neighbors in its listed color {c}"
     return None
 
 

@@ -10,17 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
+from .graphs import bits
 from .instances import Coloring, Instance, colors_from_mask
 
 
@@ -30,21 +22,7 @@ def exact_colorings(inst: Instance) -> Iterator[Coloring]:
     Vertices are assigned in ascending id order, colors in ascending
     order within each list.
     """
-    g = inst.graph
-    n = g.n
-    phi: List[int] = [0] * n
-
-    def rec(v: int) -> Iterator[Coloring]:
-        if v == n:
-            yield tuple(phi)
-            return
-        for c in colors_from_mask(inst.lists[v]):
-            if all(phi[w] != c for w in g.adj[v] if w < v):
-                phi[v] = c
-                yield from rec(v + 1)
-        phi[v] = 0
-
-    return rec(0)
+    return _colorings(inst.graph.adj_mask, inst.lists, frugal=False)
 
 
 def solve_exact(inst: Instance) -> Optional[Coloring]:
@@ -71,44 +49,68 @@ def frugal_colorings(inst: Instance) -> Iterator[Coloring]:
     Frugality: no vertex v has two neighbors sharing a color that lies
     in v's own list.  The enumeration order matches exact_colorings.
     """
-    return frugal_colorings_of(inst.graph.adj, inst.lists)
+    return frugal_colorings_of(inst.graph.adj_mask, inst.lists)
 
 
-def frugal_colorings_of(
-    adj: Sequence[Iterable[int]], lists: Sequence[int]
+def frugal_colorings_of(adj: Sequence[int], lists: Sequence[int]) -> Iterator[Coloring]:
+    """frugal_colorings for the graph on 0..len(lists)-1 whose vertex v
+    has the neighbor bitmask ``adj[v]``."""
+    return _colorings(adj, lists, frugal=True)
+
+
+def _colorings(
+    adj: Sequence[int], lists: Sequence[int], frugal: bool
 ) -> Iterator[Coloring]:
-    """frugal_colorings for the graph on 0..len(lists)-1 given by ``adj``."""
+    """Proper (``frugal``: frugal) list colorings of the graph given by
+    neighbor bitmasks, vertices ascending, colors ascending.
+
+    Depth-first with an explicit cursor per vertex, so the depth is not
+    bounded by the interpreter's recursion limit: tried[v] is the index
+    of the next list color to try at v, and holders[c] the mask of the
+    vertices before the current one colored c.
+    """
     n = len(lists)
-    phi: List[int] = [0] * n
-
-    def admissible(v: int, c: int) -> bool:
-        bit = 1 << (c - 1)
-        counts: Dict[int, int] = {}
-        for w in adj[v]:
-            if w >= v:
-                continue
-            if phi[w] == c:
-                return False
-            # w gains a c-colored neighbor; its count in c must stay <= 1
-            if lists[w] & bit and any(x < v and phi[x] == c for x in adj[w]):
-                return False
-            counts[phi[w]] = counts.get(phi[w], 0) + 1
-        for col, cnt in counts.items():
-            if cnt >= 2 and (lists[v] >> (col - 1)) & 1:
-                return False
-        return True
-
-    def rec(v: int) -> Iterator[Coloring]:
+    options = [colors_from_mask(m) for m in lists]
+    earlier = [adj[v] & ((1 << v) - 1) for v in range(n)]
+    top = max((m.bit_length() for m in lists), default=0)
+    # listed[c]: the vertices whose list holds color c
+    listed = [0] * (top + 1)
+    for v, cs in enumerate(options):
+        for c in cs:
+            listed[c] |= 1 << v
+    holders = [0] * (top + 1)
+    phi = [0] * n
+    tried = [0] * n
+    v = 0
+    while v >= 0:
         if v == n:
             yield tuple(phi)
-            return
-        for c in colors_from_mask(lists[v]):
-            if admissible(v, c):
-                phi[v] = c
-                yield from rec(v + 1)
-        phi[v] = 0
-
-    return rec(0)
+            v -= 1
+            continue
+        if phi[v]:  # back at v: take its color away before the next one
+            holders[phi[v]] ^= 1 << v
+            phi[v] = 0
+        before = earlier[v]
+        while tried[v] < len(options[v]):
+            c = options[v][tried[v]]
+            tried[v] += 1
+            if before & holders[c]:
+                continue
+            # frugal: no earlier neighbor listing c already sees a c, and
+            # v sees none of its own listed colors twice
+            if frugal and (
+                any(adj[w] & holders[c] for w in bits(before & listed[c]))
+                or any((before & holders[d]).bit_count() > 1 for d in options[v])
+            ):
+                continue
+            phi[v] = c
+            holders[c] |= 1 << v
+            break
+        if phi[v]:
+            v += 1
+        else:
+            tried[v] = 0
+            v -= 1
 
 
 def solve_exact_frugal(inst: Instance) -> Optional[Coloring]:

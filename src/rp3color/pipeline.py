@@ -23,7 +23,7 @@ from .goodp3 import (
     good_triples,
     pivot_refinements,
 )
-from .graphs import anticomplete_packing
+from .graphs import anticomplete_packing, bits
 from .instances import Coloring, Instance, InstanceError, coloring_defect
 from .profiles import (
     ReductionTrace,
@@ -110,7 +110,7 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
                     f"lift failed after {step.kind}: vertex {v} colored {c} "
                     "outside its list"
                 )
-            w = next((w for w in g.adj[v] if out[w] == c), None)
+            w = next((w for w in bits(g.adj_mask[v]) if out[w] == c), None)
             if w is not None:
                 raise RuntimeError(
                     f"lift failed after {step.kind}: edge ({v}, {w}) is "

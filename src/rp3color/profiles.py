@@ -45,35 +45,6 @@ def eliminate_singletons(inst: Instance) -> Tuple[Instance, ReductionTrace]:
     return work.finish()
 
 
-def neighborhood_hypergraph(g: Graph, a_side: Sequence[int], b_side: Sequence[int]):
-    """Hypergraph on ``a_side`` whose edges are the a-neighborhoods of ``b_side``.
-
-    Requires the two sides to be disjoint stable sets and every b-vertex
-    to have at least two neighbors in ``a_side``.  Vertices of the
-    hypergraph are ``a_side`` relabelled ascending; duplicate edges stay.
-    """
-    from .graphs import is_stable_set
-    from .oracle import Hypergraph
-
-    a_sorted = sorted(set(a_side))
-    b_sorted = sorted(set(b_side))
-    if set(a_sorted) & set(b_sorted):
-        clash = min(set(a_sorted) & set(b_sorted))
-        raise ValueError(f"sides share vertex {clash}")
-    if not is_stable_set(g, a_sorted):
-        raise ValueError("a side is not stable")
-    if not is_stable_set(g, b_sorted):
-        raise ValueError("b side is not stable")
-    remap = {v: i for i, v in enumerate(a_sorted)}
-    edges = []
-    for b in b_sorted:
-        nbrs = frozenset(remap[w] for w in g.adj[b] if w in remap)
-        if len(nbrs) < 2:
-            raise ValueError(f"vertex {b} has fewer than 2 neighbors across")
-        edges.append(nbrs)
-    return Hypergraph(len(a_sorted), tuple(edges))
-
-
 def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
     """Stream of spanning refinements obtained by pinning stable classes.
 

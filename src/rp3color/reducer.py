@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
-from .graphs import Graph, is_clique
+from .graphs import Graph, bits, is_clique
 from .instances import (
     Instance,
     InstanceError,
@@ -82,14 +82,14 @@ class CenterContext:
 
 def _context_sets(lists, adj, u0: int):
     """ring, second, four_side, five_side, four_outer, five_outer of
-    CenterContext, from list-graph adjacency ``adj`` and renamed lists
-    (both indexed by vertex; ``lists`` needs only the ring)."""
-    ring = tuple(sorted(adj[u0]))
-    second = tuple(sorted(second_ring(adj, u0)))
+    CenterContext, from list-graph neighbor bitmasks ``adj`` and renamed
+    lists (both indexed by vertex; ``lists`` needs only the ring)."""
+    ring = tuple(bits(adj[u0]))
+    second = tuple(bits(second_ring(adj, u0)))
     four_side = tuple(v for v in ring if lists[v] & _BIT4)
     five_side = tuple(v for v in ring if lists[v] & _BIT5)
-    f4 = frozenset(four_side)
-    f5 = frozenset(five_side)
+    f4 = sum(1 << v for v in four_side)
+    f5 = sum(1 << v for v in five_side)
     four_outer = tuple(w for w in second if adj[w] & f4)
     five_outer = tuple(w for w in second if adj[w] & f5)
     return ring, second, four_side, five_side, four_outer, five_outer
@@ -114,7 +114,7 @@ def center_context(inst: Instance, u0: int) -> CenterContext:
     if bad is not None:
         raise InstanceError(f"good P3 at {bad}")
     gl = list_graph(inst)
-    return CenterContext(u0, gl, *_context_sets(inst.lists, gl.adj, u0))
+    return CenterContext(u0, gl, *_context_sets(inst.lists, gl.adj_mask, u0))
 
 
 def _complete_or_anticomplete(gl: Graph, w: int, side: Sequence[int]) -> bool:
@@ -202,10 +202,12 @@ def center_context_report(inst: Instance, u0: int):
     return "checked", check_center_context(ctx, inst)
 
 
-def _local_adjacency(g: Graph, ball: Sequence[int]) -> List[List[int]]:
-    """Adjacency of the subgraph of g induced on ``ball``, by ball position."""
+def _local_adjacency(g: Graph, ball: Sequence[int]) -> List[int]:
+    """Neighbor bitmasks of the subgraph of g induced on ``ball``, by
+    ball position."""
     pos = {v: i for i, v in enumerate(ball)}
-    return [[pos[w] for w in g.adj[v] if w in pos] for v in ball]
+    inside = sum(1 << v for v in ball)
+    return [sum(1 << pos[w] for w in bits(g.adj_mask[v] & inside)) for v in ball]
 
 
 def reduce_once(inst: Instance, u0: int) -> Tuple[Instance, LiftStep]:
@@ -260,7 +262,7 @@ def _round(ws: WorkingInstance, u0: int) -> None:
         info = {
             "step": 4,
             "vertex": witness,
-            "gl_neighbors": tuple(sorted(ws.gl[witness])),
+            "gl_neighbors": tuple(bits(ws.gl[witness])),
             "perm": perm,
         }
         ws.record("step4-removal", info, {witness: lists[witness]})
@@ -274,7 +276,7 @@ def _round(ws: WorkingInstance, u0: int) -> None:
         _step5(ws, perm, witness)
         return
 
-    wl = {v: work(v) for v in ws.gl[u0]}
+    wl = {v: work(v) for v in bits(ws.gl[u0])}
     wl[u0] = work(u0)
     ring, _, a_side, b_side, a_outer, b_outer = _context_sets(wl, ws.gl, u0)
 
@@ -321,9 +323,9 @@ def _round(ws: WorkingInstance, u0: int) -> None:
 def _step5(ws: WorkingInstance, perm, u: int) -> None:
     lists = ws.lists
     second = second_ring(ws.gl, u)
-    removed = ws.gl[u] | {u}
-    ball = tuple(sorted(removed | second))
-    boundary = tuple(sorted(second))
+    removed = ws.gl[u] | (1 << u)
+    ball = tuple(bits(removed | second))
+    boundary = tuple(bits(second))
     local = [_remap_mask(lists[v], perm) for v in ball]
     adj = _local_adjacency(ws.graph, ball)
 
@@ -360,7 +362,7 @@ def _step5(ws: WorkingInstance, perm, u: int) -> None:
     ws.record("step5c-removal", info, {v: lists[v] for v in ball})
     if boundary:
         ws.set_list(boundary[0], _remap_mask(realized, invert_perm(perm)))
-    for v in sorted(removed):
+    for v in bits(removed):
         ws.kill(v)
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .graphs import induced_subgraph
+from .graphs import bits, induced_subgraph
 from .instances import Instance
 
 # LiftStep kinds, by provenance:
@@ -47,15 +47,14 @@ class LiftStep:
 ReductionTrace = List[LiftStep]
 
 
-def second_ring(adj: Sequence[AbstractSet[int]], v: int) -> Set[int]:
-    """Vertices at distance exactly two from v in the graph ``adj``."""
+def second_ring(adj: Sequence[int], v: int) -> int:
+    """Mask of the vertices at distance exactly two from v in the graph
+    with neighbor bitmasks ``adj``."""
     ring = adj[v]
-    out: Set[int] = set()
-    for w in ring:
+    out = 0
+    for w in bits(ring):
         out |= adj[w]
-    out -= ring
-    out.discard(v)
-    return out
+    return out & ~ring & ~(1 << v)
 
 
 def _first(heap: List[int], ok: Callable[[int], bool]) -> Optional[int]:
@@ -71,8 +70,8 @@ class WorkingInstance:
     """A shrinking copy of an instance that records how to undo itself.
 
     ``potential`` is p_value of the current instance.  With
-    ``list_graph`` set, ``gl[v]`` is the set of alive neighbors of v
-    whose lists meet v's, kept up to date in O(deg) per change.
+    ``list_graph`` set, ``gl[v]`` is the bitmask of the alive neighbors
+    of v whose lists meet v's, kept up to date in O(deg) per change.
     """
 
     def __init__(self, inst: Instance, list_graph: bool = False):
@@ -87,17 +86,19 @@ class WorkingInstance:
         self.trace: ReductionTrace = []
         # ascending id lists are valid heaps
         self._singles = [v for v in range(n) if lists[v].bit_count() == 1]
-        self.gl: Optional[List[Set[int]]] = None
-        self._dirty: Optional[Set[int]] = None
+        self.gl: Optional[List[int]] = None
+        self._dirty: Optional[int] = None
         if list_graph:
-            gl: List[Set[int]] = [set() for _ in range(n)]
+            gl = [0] * n
             for u, v in g.edges:
                 if lists[u] & lists[v]:
-                    gl[u].add(v)
-                    gl[v].add(u)
+                    gl[u] |= 1 << v
+                    gl[v] |= 1 << u
             self.gl = gl
-            self._wide = [v for v in range(n) if len(gl[v]) >= 5]
-            self._low = [v for v in range(n) if len(gl[v]) < lists[v].bit_count()]
+            self._wide = [v for v in range(n) if gl[v].bit_count() >= 5]
+            self._low = [
+                v for v in range(n) if gl[v].bit_count() < lists[v].bit_count()
+            ]
             self._big = [v for v in range(n) if lists[v].bit_count() >= 3]
             self._local: List[int] = []
             self._local_ok = bytearray(n)
@@ -120,10 +121,11 @@ class WorkingInstance:
         gl = self.gl
         if gl is not None:
             lists = self.lists
-            for w in [w for w in gl[v] if not lists[w] & mask]:
-                gl[v].discard(w)
-                gl[w].discard(v)
-                self._changed(w)
+            for w in bits(gl[v]):
+                if not lists[w] & mask:
+                    gl[v] ^= 1 << w
+                    gl[w] ^= 1 << v
+                    self._changed(w)
         self._changed(v)
 
     def kill(self, v: int) -> None:
@@ -133,10 +135,10 @@ class WorkingInstance:
         self.potential -= 1 + self.lists[v].bit_count()
         gl = self.gl
         if gl is not None:
-            for w in gl[v]:
-                gl[w].discard(v)
+            for w in bits(gl[v]):
+                gl[w] ^= 1 << v
                 self._changed(w)
-            gl[v] = set()
+            gl[v] = 0
 
     def clear_lists(self) -> None:
         """Empty every alive list (a round that proves infeasibility)."""
@@ -148,20 +150,19 @@ class WorkingInstance:
         size = self.lists[v].bit_count()
         if size == 1:
             heappush(self._singles, v)
-        if self.gl is not None and len(self.gl[v]) < size:
+        if self.gl is not None and self.gl[v].bit_count() < size:
             heappush(self._low, v)
 
     def _mark(self, v: int) -> None:
         """Flag the closed list-graph 2-ball of v, the only vertices
         whose distance-2 ring a change at v can alter."""
-        dirty = self._dirty
-        if dirty is None:
+        if self._dirty is None:
             return
         gl = self.gl
-        dirty.add(v)
-        for w in gl[v]:
-            dirty.add(w)
-            dirty.update(gl[w])
+        ball = gl[v] | (1 << v)
+        for w in bits(gl[v]):
+            ball |= gl[w]
+        self._dirty |= ball
 
     # -- lowest-id witnesses -------------------------------------------
 
@@ -177,13 +178,13 @@ class WorkingInstance:
     def first_wide(self) -> Optional[int]:
         """Lowest vertex with five or more list-graph neighbors."""
         alive, gl = self.alive, self.gl
-        return _first(self._wide, lambda v: alive[v] and len(gl[v]) >= 5)
+        return _first(self._wide, lambda v: alive[v] and gl[v].bit_count() >= 5)
 
     def first_low(self) -> Optional[int]:
         """Lowest vertex with fewer list-graph neighbors than colors."""
         alive, gl, lists = self.alive, self.gl, self.lists
         return _first(
-            self._low, lambda v: alive[v] and len(gl[v]) < lists[v].bit_count()
+            self._low, lambda v: alive[v] and gl[v].bit_count() < lists[v].bit_count()
         )
 
     def first_local(self) -> Optional[int]:
@@ -193,11 +194,11 @@ class WorkingInstance:
         afterwards only for vertices flagged by a change since the last.
         """
         alive, ok = self.alive, self._local_ok
-        todo = range(self.graph.n) if self._dirty is None else self._dirty
-        self._dirty = set()
+        todo = range(self.graph.n) if self._dirty is None else bits(self._dirty)
+        self._dirty = 0
         for v in todo:
             if alive[v]:
-                ok[v] = len(second_ring(self.gl, v)) <= 1
+                ok[v] = second_ring(self.gl, v).bit_count() <= 1
                 if ok[v]:
                     heappush(self._local, v)
         return _first(self._local, lambda v: alive[v] and ok[v])
@@ -223,18 +224,16 @@ class WorkingInstance:
     def eliminate_singletons(self) -> None:
         """Delete the lowest-id vertex with a one-color list, removing
         its color from every neighbor list, until none is left."""
-        g, alive, lists = self.graph, self.alive, self.lists
+        adjm, alive, lists = self.graph.adj_mask, self.alive, self.lists
         while True:
             v = self.first_single()
             if v is None:
                 return
             bit = lists[v]
-            neighbors = frozenset(w for w in g.adj[v] if alive[w])
-            self.record(
-                "singleton-removal",
-                {"vertex": v, "color": bit.bit_length(), "neighbors": neighbors},
-                {v: bit},
-            )
+            neighbors = [w for w in bits(adjm[v]) if alive[w]]
+            info = {"vertex": v, "color": bit.bit_length()}
+            info["neighbors"] = frozenset(neighbors)
+            self.record("singleton-removal", info, {v: bit})
             self.kill(v)
             for w in neighbors:
                 if lists[w] & bit:

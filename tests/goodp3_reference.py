@@ -4,14 +4,17 @@ eliminate_type removes one list type at a time, literal_fold folds it
 over every good triple heaviest-first, and eliminate_good_p3 reaches the
 same leaves in the same order by expanding only the earliest good triple
 an instance realizes.  None of them prunes: they yield every leaf,
-including repeats and leaves with an empty list.
+including repeats and leaves with an empty list.  eager_pivot_refinements
+is pivot_refinements with every patch built and sorted up front.
 """
 
-from typing import Iterator, Optional, Tuple
+from itertools import combinations
+from typing import Iterator, List, Optional, Tuple
 
 from rp3color.goodp3 import (
     _earliest_good,
     _match_orientation,
+    _patch_colorings,
     good_triple_index,
     good_triples,
     pivot_refinements,
@@ -128,3 +131,37 @@ def _good_leaves(cur: Instance) -> Iterator[Instance]:
     gamma = good_triples(cur.k)[best]
     for child in pivot_refinements(cur, gamma, first[best]):
         yield from _good_leaves(child)
+
+
+def eager_pivot_refinements(
+    inst: Instance, triple: GoodTriple, pivot: Tuple[int, int, int]
+) -> List[Instance]:
+    """Every child of pivot_refinements, from the patch list sorted by
+    (size, patch)."""
+    oriented = _match_orientation(inst, pivot, triple)
+    if oriented is None:
+        raise ValueError(f"pivot {pivot} does not match the triple")
+    g, k = inst.graph, inst.k
+    closed = set(oriented)
+    for p in oriented:
+        closed |= {w for w in range(g.n) if g.has_edge(p, w)}
+    cands = sorted(closed - set(oriented))
+    patches = []
+    for size in range(0, min(3 * k - 3, len(cands)) + 1):
+        for combo in combinations(cands, size):
+            patches.append(tuple(sorted(set(oriented) | set(combo))))
+    patches.sort(key=lambda s: (len(s), s))
+    out = []
+    for patch in patches:
+        for psi in _patch_colorings(inst, patch, oriented):
+            lists = list(inst.lists)
+            for v, c in zip(patch, psi):
+                lists[v] = 1 << (c - 1)
+            for v in closed - set(patch):
+                drop = 0
+                for j in range(3):
+                    if g.has_edge(oriented[j], v):
+                        drop |= triple[j]
+                lists[v] = inst.lists[v] & ~drop
+            out.append(Instance(g, k, tuple(lists)))
+    return out

@@ -83,16 +83,28 @@ def test_solve_crash_exits_5(tmp_path, capsys, monkeypatch):
     )
 
 
-def test_solve_many_disjoint_triangles(tmp_path, capsys):
-    # n = 1,020: deeper than one interpreter frame per vertex allows
-    t = 340
+def disjoint_triangles(t):
     lines = [f"p glist {3 * t} {3 * t} 5"]
     for i in range(t):
         a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
         lines += [f"e {a} {b}", f"e {a} {c}", f"e {b} {c}"]
     lines += [f"l {v} 1 2 3" for v in range(1, 3 * t + 1)]
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def test_solve_many_disjoint_triangles(tmp_path, capsys):
+    # n = 1,020: deeper than one interpreter frame per vertex allows
+    text = disjoint_triangles(340)
     code = main(["solve", put(tmp_path, text)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("s COLORABLE\n")
+    assert verify_coloring(parse_instance(text), coloring_from(out))
+
+
+def test_oracle_many_disjoint_triangles(tmp_path, capsys):
+    text = disjoint_triangles(340)
+    code = main(["oracle", put(tmp_path, text)])
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("s COLORABLE\n")

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,15 +13,17 @@ from rp3color import (
     pivot_refinements,
     solve_exact_frugal,
 )
-from rp3color.instances import find_good_p3, is_refinement
+from rp3color.instances import find_good_p3
 
 from goodp3_reference import (
     count_anticomplete_of_type,
+    eager_pivot_refinements,
     eliminate_good_p3,
     eliminate_type,
     find_type_p3,
     literal_fold,
 )
+from profile_reference import is_refinement
 
 GAMMA = (0b011, 0b110, 0b101)  # ({1,2},{2,3},{1,3})
 
@@ -127,7 +131,7 @@ def test_pivot_outputs_clear_the_pivot_zone(inst):
     g = inst.graph
     zone = set(pivot)
     for x in pivot:
-        zone |= g.adj[x]
+        zone |= {w for w in range(g.n) if g.has_edge(x, w)}
     for child in itertools.islice(pivot_refinements(inst, GAMMA, pivot), 60):
         again = find_type_p3(child, GAMMA)
         while again is not None:
@@ -208,3 +212,53 @@ def test_eliminate_good_p3_soundness_and_completeness(inst):
         assert find_good_p3(child) is None
     if solve_exact_frugal(inst) is not None:
         assert any(solve_exact_frugal(e) is not None for e in outs)
+
+
+def test_pivot_refinements_match_eager_sorted_patches():
+    rng = random.Random(5151)
+    compared = 0
+    for _ in range(300):
+        k = rng.choice([3, 4, 5])
+        n = rng.randint(3, 9)
+        p = rng.choice([0.3, 0.5, 0.7])
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        lists = tuple(rng.randrange(1 << k) for _ in range(n))
+        inst = Instance(Graph(n, edges), k, lists)
+        for triple in good_triples(k):
+            pivot = find_type_p3(inst, triple)
+            if pivot is not None:
+                break
+        else:
+            continue
+        want = eager_pivot_refinements(inst, triple, pivot)
+        assert list(pivot_refinements(inst, triple, pivot)) == want
+        compared += len(want)
+    assert compared >= 5000
+
+
+def test_pivot_refinements_first_child_is_lazy():
+    # K_{8,8,8} with full lists: 21 patch candidates, ~1.9 million
+    # patches of up to 12 of them, none of which may be built up front
+    parts = [range(0, 8), range(8, 16), range(16, 24)]
+    edges = [
+        (u, v)
+        for i, j in itertools.combinations(range(3), 2)
+        for u in parts[i]
+        for v in parts[j]
+    ]
+    inst = Instance(Graph(24, edges), 5, (0b11111,) * 24)
+    triple = good_triples(5)[0]
+    pivot = (0, 8, 1)  # 0 and 1 share a part, 8 sees both
+    tracemalloc.start()
+    try:
+        child = next(pivot_refinements(inst, triple, pivot))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+    # the bare pivot: 0, 1, 8 colored 1, 2, 3 (1, 1 would give the
+    # middle a repeated listed color); every other vertex sees a pivot
+    # vertex, whose list is full, and loses its whole list
+    want = [0] * 24
+    want[0], want[1], want[8] = 0b00001, 0b00010, 0b00100
+    assert child.lists == tuple(want)

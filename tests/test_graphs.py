@@ -70,7 +70,9 @@ def test_dist_neighborhood_examples():
 def test_open_one_ball_is_adjacency(g, v):
     if v >= g.n:
         return
-    assert dist_neighborhood(g, v, 1, closed=False) == g.adj[v]
+    assert dist_neighborhood(g, v, 1, closed=False) == {
+        w for w in range(g.n) if g.has_edge(v, w)
+    }
 
 
 def test_induced_subgraph_examples():
@@ -122,16 +124,16 @@ def test_p3_stream_matches_direct_count(g):
     got = list(induced_p3_stream(g))
     count = 0
     for mid in range(g.n):
-        nbrs = sorted(g.adj[mid])
+        nbrs = [w for w in range(g.n) if g.has_edge(mid, w)]
         for x, y in itertools.combinations(nbrs, 2):
-            if y not in g.adj[x]:
+            if not g.has_edge(x, y):
                 count += 1
     assert len(got) == count
     assert len(set(got)) == len(got)
     for x1, x2, x3 in got:
         assert x1 < x3
-        assert x2 in g.adj[x1] and x2 in g.adj[x3]
-        assert x3 not in g.adj[x1]
+        assert g.has_edge(x1, x2) and g.has_edge(x3, x2)
+        assert not g.has_edge(x1, x3)
     assert got == sorted(got, key=lambda t: (t[1], t[0], t[2]))
 
 
@@ -152,7 +154,7 @@ def induced_paths_brute(g, t):
         ok = True
         for i in range(t):
             for j in range(i + 1, t):
-                adj = combo[j] in g.adj[combo[i]]
+                adj = g.has_edge(combo[i], combo[j])
                 if (j == i + 1) != adj:
                     ok = False
         if ok:
@@ -169,7 +171,7 @@ def packing_exists_brute(g, r, t):
             if verts[a] & verts[b]:
                 ok = False
                 break
-            if any(x in g.adj[y] for x in verts[a] for y in verts[b]):
+            if any(g.has_edge(y, x) for x in verts[a] for y in verts[b]):
                 ok = False
                 break
         if ok:
@@ -188,13 +190,13 @@ def test_packing_agrees_with_brute_force(g, r, t):
         for p in got:
             assert len(p) == t
             for i in range(t - 1):
-                assert p[i + 1] in g.adj[p[i]]
+                assert g.has_edge(p[i], p[i + 1])
             for i, j in itertools.combinations(range(t), 2):
                 if j > i + 1:
-                    assert p[j] not in g.adj[p[i]]
+                    assert not g.has_edge(p[i], p[j])
         for pa, pb in itertools.combinations(got, 2):
             assert not (set(pa) & set(pb))
-            assert not any(y in g.adj[x] for x in pa for y in pb)
+            assert not any(g.has_edge(x, y) for x in pa for y in pb)
 
 
 @given(graphs())
@@ -215,10 +217,10 @@ def packing_unfiltered(g, r):
         for mid in range(g.n):
             if not (alive >> mid) & 1:
                 continue
-            nbrs = [w for w in sorted(g.adj[mid]) if (alive >> w) & 1]
+            nbrs = [w for w in range(g.n) if g.has_edge(mid, w) and (alive >> w) & 1]
             for i, a in enumerate(nbrs):
                 for b in nbrs[i + 1:]:
-                    if b not in g.adj[a]:
+                    if not g.has_edge(a, b):
                         yield (a, mid, b)
 
     def search(alive, need):

@@ -176,7 +176,7 @@ def test_gadget_structure():
     assert is_stable_set(g, range(10, 16))   # selectors
     # selector degree: one clique anchor, two clique blockers, guard, literal
     for v in range(10, 16):
-        assert len(g.adj[v]) == 5
+        assert g.adj_mask[v].bit_count() == 5
 
 
 def test_gadget_lies_outside_the_solver_class():

@@ -18,8 +18,10 @@ from rp3color import (
     solve_exact_frugal,
     verify_coloring,
 )
-from rp3color.instances import find_good_p3, is_refinement, list_holders
+from rp3color.instances import find_good_p3, list_holders
 from rp3color.profiles import frugal_profile
+
+from profile_reference import is_refinement
 
 
 def mk(n, edges, lists, k=5):

@@ -41,7 +41,7 @@ def valid_direct(inst, phi, frugal=False):
     if frugal:
         for v in range(g.n):
             for c in inst.list_of(v):
-                if sum(1 for w in g.adj[v] if phi[w] == c) > 1:
+                if sum(1 for w in range(g.n) if g.has_edge(v, w) and phi[w] == c) > 1:
                     return False
     return True
 

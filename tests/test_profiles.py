@@ -17,9 +17,9 @@ from rp3color import (
     solve_exact_frugal,
     verify_coloring,
 )
-from rp3color.instances import is_refinement
 from rp3color.pipeline import lift
-from rp3color.profiles import neighborhood_hypergraph
+
+from profile_reference import is_refinement, neighborhood_hypergraph
 
 
 def mk(n, edges, lists, k=5):
@@ -122,7 +122,7 @@ def profile_direct(inst, r):
             for v in cls:
                 if not inst.lists[v] & (1 << (i - 1)):
                     ok = False
-                if any(w in g.adj[v] for w in cls):
+                if any(g.has_edge(v, w) for w in cls):
                     ok = False
         if not ok:
             continue
@@ -133,7 +133,7 @@ def profile_direct(inst, r):
             else:
                 m = inst.lists[v]
                 for i, cls in classes.items():
-                    if any(w in g.adj[v] for w in cls):
+                    if any(g.has_edge(v, w) for w in cls):
                         m &= ~(1 << (i - 1))
                 lists.append(m)
         rows.append((sum(1 for x in vec if x), vec, tuple(lists)))
@@ -187,7 +187,7 @@ def test_neighborhood_cover_stays_small(inst):
         b = [
             v
             for v, c in enumerate(phi)
-            if c == j and len(inst.graph.adj[v] & set(a)) >= 2
+            if c == j and sum(inst.graph.has_edge(v, w) for w in a) >= 2
         ]
         if not a:
             continue
