@@ -31,18 +31,11 @@ from .instances import (
     serialize_instance,
     verify_coloring,
 )
-from .oracle import (
-    Hypergraph,
-    cover_bound,
-    cover_cap,
-    frugal_colorings,
-    hypergraph_stats,
-    solve_exact,
-    solve_exact_frugal,
-)
+from .oracle import frugal_colorings, solve_exact, solve_exact_frugal
 from .profiles import (
     LiftStep,
     ReductionTrace,
+    cover_cap,
     eliminate_singletons,
     frugal_profile,
 )

@@ -86,7 +86,6 @@ def _cmd_solve(args) -> int:
     opts = SolveOptions(
         r=args.r,
         force=args.force,
-        jobs=args.jobs,
         budget=args.budget,
         trace=args.trace,
     )
@@ -196,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the reduction pipeline")
     p.add_argument("--r", type=int, default=2, help="packing parameter")
     p.add_argument("--force", action="store_true", help="skip the packing check")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--budget", type=int, default=None, help="search node cap")
     p.add_argument("--trace", action="store_true", help="progress on stderr")
     p.add_argument("file")

@@ -178,19 +178,20 @@ def good_triple_index(k: int) -> Dict[GoodTriple, int]:
     return {t: i for i, t in enumerate(good_triples(k))}
 
 
-def _earliest_good(cur: Instance, index: Dict[GoodTriple, int]):
-    """Smallest triple index with a matching P3, plus the first matching
-    P3 (stream order) per index; (None, {}) when no good P3 exists."""
-    best = None
-    first: Dict[int, Tuple[int, int, int]] = {}
+def _earliest_good(
+    cur: Instance, index: Dict[GoodTriple, int]
+) -> Tuple[Optional[int], Optional[Tuple[int, int, int]]]:
+    """Smallest triple index with a matching P3, and the first matching
+    P3 (stream order) for that index; (None, None) when no good P3
+    exists.  The scan stops at index 0, which nothing can beat."""
+    best = pivot = None
     for p3 in induced_p3_stream(cur.graph):
         t = p3_list_type(cur, p3)
         if not is_good_triple(t):
             continue
-        for key in (t, (t[2], t[1], t[0])):
-            i = index[key]
-            if i not in first:
-                first[i] = p3
-            if best is None or i < best:
-                best = i
-    return best, first
+        i = min(index[t], index[(t[2], t[1], t[0])])
+        if best is None or i < best:
+            best, pivot = i, p3
+            if best == 0:
+                break
+    return best, pivot

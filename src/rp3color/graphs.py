@@ -189,26 +189,33 @@ def _induced_paths(
                     yield (a, mid, low.bit_length() - 1)
         return
 
-    path: List[int] = []
-
-    def extend(blocked: int) -> Iterator[Tuple[int, ...]]:
-        # blocked: closed neighborhood of path[:-1]; candidates must be
-        # adjacent to the last vertex and to nothing before it
-        last = path[-1]
-        cand = adjm[last] & alive & ~blocked & ~(1 << last)
-        for w in bits(cand):
-            path.append(w)
-            if len(path) == t:
-                if path[0] < path[-1]:
-                    yield tuple(path)
-            else:
-                yield from extend(blocked | (1 << last) | adjm[last])
-            path.pop()
-
+    # depth-first with one candidate mask per path position: cands[i]
+    # holds the untried extensions of path[: i + 1], which must be
+    # adjacent to path[i] and to nothing before it; closed[i] is the
+    # closed neighborhood of path[:i]
     for start in bits(alive):
-        path.append(start)
-        yield from extend(0)
-        path.pop()
+        path = [start]
+        closed = [0]
+        cands = [adjm[start] & alive]
+        while cands:
+            cand = cands[-1]
+            if not cand:
+                cands.pop()
+                closed.pop()
+                path.pop()
+                continue
+            low = cand & -cand
+            cands[-1] = cand ^ low
+            w = low.bit_length() - 1
+            if len(path) + 1 == t:
+                if start < w:
+                    yield (*path, w)
+                continue
+            last = path[-1]
+            block = closed[-1] | (1 << last) | adjm[last]
+            path.append(w)
+            closed.append(block)
+            cands.append(adjm[w] & alive & ~block)
 
 
 def anticomplete_packing(
@@ -226,20 +233,25 @@ def anticomplete_packing(
     full = (1 << g.n) - 1
     mids = _p3_middles(g) if t == 3 else full
 
-    def closed_mask(p: Tuple[int, ...]) -> int:
-        out = 0
+    # depth-first over the paths, one stream per packed path: streams[i]
+    # yields the paths anticomplete to chosen[:i], inside alive[i]
+    chosen: List[Tuple[int, ...]] = []
+    alive = [full]
+    streams = [_induced_paths(g, t, full, mids)]
+    while streams:
+        p = next(streams[-1], None)
+        if p is None:
+            streams.pop()
+            alive.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        if len(streams) == r:
+            return (*chosen, p)
+        rest = alive[-1]
         for v in p:
-            out |= (1 << v) | g.adj_mask[v]
-        return out
-
-    def search(alive: int, need: int) -> Optional[List[Tuple[int, ...]]]:
-        if need == 0:
-            return []
-        for p in _induced_paths(g, t, alive, mids):
-            rest = search(alive & ~closed_mask(p), need - 1)
-            if rest is not None:
-                return [p] + rest
-        return None
-
-    found = search(full, r)
-    return tuple(found) if found is not None else None
+            rest &= ~((1 << v) | g.adj_mask[v])
+        chosen.append(p)
+        alive.append(rest)
+        streams.append(_induced_paths(g, t, rest, mids))
+    return None

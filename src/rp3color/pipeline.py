@@ -12,9 +12,7 @@ shortcuts the search took.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .goodp3 import (
@@ -42,6 +40,7 @@ log = logging.getLogger("rp3color")
 class SolveOptions:
     r: int = 2
     force: bool = False
+    # kept only while perfbench/worker.py still passes jobs=1
     jobs: int = 1
     budget: Optional[int] = None
     trace: bool = False
@@ -49,8 +48,10 @@ class SolveOptions:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"r={self.r}, need at least 1")
-        if self.jobs < 1:
-            raise ValueError(f"jobs={self.jobs}, need at least 1")
+        if self.jobs != 1:
+            raise ValueError(
+                f"jobs={self.jobs}, need 1: the worker-process pool was removed"
+            )
         if self.budget is not None and self.budget < 1:
             raise ValueError(f"budget={self.budget}, need at least 1")
 
@@ -145,17 +146,8 @@ class _Budget:
 
     def node(self):
         self.nodes += 1
-        self.check()
-
-    def check(self):
         if self.limit is not None and self.nodes > self.limit:
             raise _BudgetExceeded
-
-    def absorb(self, stats: Dict[str, int]):
-        """Add a worker's walk counters (its elements were counted here)."""
-        self.nodes += stats["nodes"]
-        self.leaves += stats["leaves"]
-        self.pruned += stats["pruned"]
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -164,28 +156,6 @@ class _Budget:
             "leaves": self.leaves,
             "pruned": self.pruned,
         }
-
-
-def _elements(
-    inst: Instance, r: int, budget: _Budget, trace: bool
-) -> Iterator[Instance]:
-    """Profile elements, each list tuple once, counted in the budget."""
-    seen: Set[Tuple[int, ...]] = set()
-    for element in frugal_profile(inst, r):
-        if element.lists in seen:
-            budget.pruned += 1
-            continue
-        seen.add(element.lists)
-        budget.elements += 1
-        if trace:
-            log.info(
-                "element %d (nodes=%d leaves=%d pruned=%d)",
-                budget.elements,
-                budget.nodes,
-                budget.leaves,
-                budget.pruned,
-            )
-        yield element
 
 
 def _candidates(
@@ -216,9 +186,9 @@ def _candidates(
             budget.pruned += 1
             continue
         seen.add(cur.lists)
-        best, first = _earliest_good(cur, index)
+        best, pivot = _earliest_good(cur, index)
         if best is not None:
-            stack.append(pivot_refinements(cur, gammas[best], first[best]))
+            stack.append(pivot_refinements(cur, gammas[best], pivot))
             continue
         final, steps = eliminate_singletons(cur)
         if any(m == 0 for m in final.lists) or final in seen_final:
@@ -237,12 +207,28 @@ def candidate_stream(
     element in turn and yields each candidate together with the
     singleton-removal steps that lead to it from the element.  The input
     is feasible exactly when some candidate is, and a candidate coloring
-    lifts to an input coloring through the returned trace.  ``budget``
-    collects the search counters and enforces its node cap.
+    lifts to an input coloring through the returned trace.  An element
+    whose list tuple was seen before is skipped.  ``budget`` collects the
+    search counters and enforces its node cap; ``trace`` logs them as
+    each element starts.
     """
     if budget is None:
         budget = _Budget()
-    for element in _elements(inst, r, budget, trace):
+    seen: Set[Tuple[int, ...]] = set()
+    for element in frugal_profile(inst, r):
+        if element.lists in seen:
+            budget.pruned += 1
+            continue
+        seen.add(element.lists)
+        budget.elements += 1
+        if trace:
+            log.info(
+                "element %d (nodes=%d leaves=%d pruned=%d)",
+                budget.elements,
+                budget.nodes,
+                budget.leaves,
+                budget.pruned,
+            )
         yield from _candidates(element, budget)
 
 
@@ -264,44 +250,6 @@ def _first_coloring(
     return None
 
 
-def _element_task(payload):
-    element, limit = payload
-    budget = _Budget(limit)
-    try:
-        phi = _first_coloring(_candidates(element, budget), budget)
-    except _BudgetExceeded:
-        phi = None
-    return phi, budget.as_dict()
-
-
-def _first_coloring_in_pool(
-    elements: Iterator[Instance], budget: _Budget, jobs: int
-) -> Optional[Coloring]:
-    """Explore elements in worker processes, at most 2 * jobs in flight.
-
-    Each worker caps its own element at the node limit; the total is
-    checked between completions, and exceeding it raises
-    _BudgetExceeded here.
-    """
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        pending = set()
-        while True:
-            for element in islice(elements, 2 * jobs - len(pending)):
-                pending.add(pool.submit(_element_task, (element, budget.limit)))
-            if not pending:
-                return None
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                phi, stats = fut.result()
-                budget.absorb(stats)
-                if phi is not None:
-                    return phi
-            budget.check()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _certify(inst: Instance, phi: Coloring, stats: Dict[str, int]) -> Verdict:
     defect = coloring_defect(inst, phi)
     if defect is not None:
@@ -319,11 +267,7 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
     A colorable verdict always carries a verified coloring of the
     original instance.  Not-colorable is only reported after the whole
     stream was exhausted; exceeding opts.budget visited nodes aborts
-    instead.  When opts.jobs > 1 the profile elements of the same stream
-    are explored in worker processes: the verdict is unchanged but the
-    certificate may come from a different candidate, and the budget is
-    enforced per element inside a worker and on the total between
-    element completions.
+    instead.
     """
     if opts is None:
         opts = SolveOptions()
@@ -338,12 +282,8 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
 
     budget = _Budget(opts.budget)
     try:
-        if opts.jobs == 1:
-            candidates = candidate_stream(inst, opts.r, budget, opts.trace)
-            phi = _first_coloring(candidates, budget)
-        else:
-            elements = _elements(inst, opts.r, budget, opts.trace)
-            phi = _first_coloring_in_pool(elements, budget, opts.jobs)
+        candidates = candidate_stream(inst, opts.r, budget, opts.trace)
+        phi = _first_coloring(candidates, budget)
     except _BudgetExceeded:
         if opts.trace:
             log.info("budget of %d nodes exceeded", opts.budget)

@@ -9,11 +9,11 @@ certificates can be pulled back to the original instance.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Sequence, Tuple
 
 from .graphs import Graph
 from .instances import Instance, colors_from_mask
-from .oracle import cover_cap
 from .working import LiftStep, ReductionTrace, WorkingInstance
 
 
@@ -45,6 +45,17 @@ def eliminate_singletons(inst: Instance) -> Tuple[Instance, ReductionTrace]:
     return work.finish()
 
 
+def cover_cap(r: int) -> int:
+    """Class-size cap used by the refinement profile for parameter r.
+
+    Equals 11 (r+1)^2 (2r+3) C(2r, r-1); large enough that the greedy
+    cover argument behind the profile goes through.
+    """
+    if r < 1:
+        raise ValueError(f"packing parameter {r} below 1")
+    return 11 * (r + 1) ** 2 * (2 * r + 3) * math.comb(2 * r, r - 1)
+
+
 def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
     """Stream of spanning refinements obtained by pinning stable classes.
 
@@ -59,6 +70,10 @@ def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
 
     Whenever the graph is r-P3-packing-free and the instance has a
     proper list coloring, some element of this stream has a frugal one.
+
+    The cap does not prune in practice: cover_cap(2) = 2,772, so for
+    k = 5 and r = 2 it equals n for every n < 11,088, and the stream
+    enumerates every tuple of disjoint stable classes.
     """
     g, k = inst.graph, inst.k
     n = g.n

@@ -124,12 +124,12 @@ def eliminate_good_p3(inst: Instance, r: int) -> Iterator[Instance]:
 
 
 def _good_leaves(cur: Instance) -> Iterator[Instance]:
-    best, first = _earliest_good(cur, good_triple_index(cur.k))
+    best, pivot = _earliest_good(cur, good_triple_index(cur.k))
     if best is None:
         yield cur
         return
     gamma = good_triples(cur.k)[best]
-    for child in pivot_refinements(cur, gamma, first[best]):
+    for child in pivot_refinements(cur, gamma, pivot):
         yield from _good_leaves(child)
 
 

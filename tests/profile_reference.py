@@ -1,16 +1,20 @@
 """Reference helpers that only the tests use.
 
 is_refinement checks that an instance refines another (the contract of
-every profile element and good-P3 child), and neighborhood_hypergraph
+every profile element and good-P3 child).  neighborhood_hypergraph
 builds the hypergraph whose cover number bounds the profile's class
-sizes.
+sizes, hypergraph_stats computes its exact statistics by exhaustive
+search, and cover_bound is the bound on the cover number that those
+statistics must respect.
 """
 
-from typing import Dict, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Dict, FrozenSet, Sequence, Tuple
 
 from rp3color.graphs import Graph, bits, is_stable_set
 from rp3color.instances import Instance
-from rp3color.oracle import Hypergraph
 
 
 def is_refinement(
@@ -65,3 +69,101 @@ def neighborhood_hypergraph(g: Graph, a_side: Sequence[int], b_side: Sequence[in
             raise ValueError(f"vertex {b} has fewer than 2 neighbors across")
         edges.append(nbrs)
     return Hypergraph(len(a_sorted), tuple(edges))
+
+
+@dataclass(frozen=True)
+class Hypergraph:
+    """A hypergraph on vertices 0..n-1; duplicate edges are kept."""
+
+    n: int
+    edges: Tuple[FrozenSet[int], ...]
+
+    def __post_init__(self):
+        for e in self.edges:
+            if not e:
+                raise ValueError("empty hyperedge")
+            for v in e:
+                if not (0 <= v < self.n):
+                    raise ValueError(f"hyperedge vertex {v} out of range")
+
+
+def _max_matching(h: Hypergraph) -> int:
+    edges = h.edges
+
+    def rec(i: int, used: FrozenSet[int]) -> int:
+        if i == len(edges):
+            return 0
+        best = rec(i + 1, used)
+        if not (edges[i] & used):
+            best = max(best, 1 + rec(i + 1, used | edges[i]))
+        return best
+
+    return rec(0, frozenset())
+
+
+def _min_cover(h: Hypergraph) -> int:
+    edges = list(h.edges)
+    best = h.n  # all vertices always cover
+
+    def rec(chosen: FrozenSet[int], size: int):
+        nonlocal best
+        if size >= best:
+            return
+        uncovered = next((e for e in edges if not (e & chosen)), None)
+        if uncovered is None:
+            best = size
+            return
+        # branch on each vertex of the first uncovered edge
+        for v in sorted(uncovered):
+            rec(chosen | {v}, size + 1)
+
+    rec(frozenset(), 0)
+    return best
+
+
+def _max_cluster(h: Hypergraph) -> int:
+    """Largest k >= 2 admitting edges e_1..e_k with a private common
+    vertex for every pair (a vertex of e_i and e_j in no other chosen
+    edge); 2 when the edges are pairwise disjoint."""
+    idxs = range(len(h.edges))
+    for size in range(len(h.edges), 1, -1):
+        for combo in combinations(idxs, size):
+            ok = True
+            for a, b in combinations(combo, 2):
+                shared = h.edges[a] & h.edges[b]
+                if not shared:
+                    ok = False
+                    break
+                rest = frozenset().union(
+                    *(h.edges[c] for c in combo if c != a and c != b)
+                ) if size > 2 else frozenset()
+                if not (shared - rest):
+                    ok = False
+                    break
+            if ok:
+                return size
+    return 2
+
+
+def hypergraph_stats(h: Hypergraph) -> Tuple[int, int, int]:
+    """Exact (max matching, min vertex cover, max cluster size).
+
+    The cluster statistic is the largest family of edges in which every
+    pair shares a vertex private to that pair; families of pairwise
+    disjoint edges fall back to 2.
+    """
+    return _max_matching(h), _min_cover(h), _max_cluster(h)
+
+
+def cover_bound(cluster: int, matching: int) -> int:
+    """Upper bound on the minimum vertex cover from (cluster, matching).
+
+    Any hypergraph with max cluster size L and max matching size v has a
+    vertex cover of size at most 11 L^2 (L + v + 3) C(L + v, v)^2.
+    """
+    return (
+        11
+        * cluster**2
+        * (cluster + matching + 3)
+        * math.comb(cluster + matching, matching) ** 2
+    )

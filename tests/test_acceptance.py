@@ -14,7 +14,6 @@ import pytest
 
 from rp3color import (
     Graph,
-    Hypergraph,
     Instance,
     NaeInstance,
     SolveOptions,
@@ -23,8 +22,6 @@ from rp3color import (
     build_hardness_graph,
     candidate_stream,
     center_context_report,
-    cover_bound,
-    hypergraph_stats,
     lift,
     mask_from_colors,
     nae_brute,
@@ -39,6 +36,7 @@ from rp3color.instances import find_good_p3
 from rp3color.profiles import frugal_profile
 
 from goodp3_reference import eliminate_good_p3
+from profile_reference import Hypergraph, cover_bound, hypergraph_stats
 
 
 def random_instance(rng, max_n, include=0.6, density=0.4):

@@ -111,6 +111,37 @@ def test_oracle_many_disjoint_triangles(tmp_path, capsys):
     assert verify_coloring(parse_instance(text), coloring_from(out))
 
 
+def test_solve_many_disjoint_p3s_packing(tmp_path, capsys):
+    # r = 1,100: deeper than one interpreter frame per packed path allows
+    t = 1100
+    lines = [f"p glist {3 * t} {2 * t} 5"]
+    for i in range(t):
+        lines += [f"e {3 * i + 1} {3 * i + 2}", f"e {3 * i + 2} {3 * i + 3}"]
+    code = main(["solve", "--r", str(t), put(tmp_path, "\n".join(lines) + "\n")])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out == "s NOT_RP3FREE\n" + "".join(
+        f"w {3 * i + 1} {3 * i + 2} {3 * i + 3}\n" for i in range(t)
+    )
+
+
+def test_check_free_long_path(tmp_path, capsys):
+    # t = 1,000: deeper than one interpreter frame per path vertex allows
+    n = 1000
+    text = f"p glist {n} {n - 1} 5\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, n))
+    code = main(["check-free", "--r", "1", "--t", str(n), put(tmp_path, text)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out == "s NOT_RP3FREE\nw " + " ".join(map(str, range(1, n + 1))) + "\n"
+
+
+def test_solve_jobs_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["solve", "--jobs", "2", put(tmp_path, P3_FULL)])
+    assert e.value.code == 4
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_solve_bad_r_is_usage_error(tmp_path, capsys):
     code = main(["solve", "--r", "0", put(tmp_path, P3_FULL)])
     assert code == 4

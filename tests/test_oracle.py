@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from rp3color import (
     Graph,
-    Hypergraph,
     Instance,
-    cover_bound,
     cover_cap,
     frugal_colorings,
-    hypergraph_stats,
     list_graph,
     mask_from_colors,
     solve_exact,
@@ -20,6 +17,8 @@ from rp3color import (
 )
 from rp3color.graphs import dist_neighborhood
 from rp3color.instances import find_good_p3
+
+from profile_reference import Hypergraph, cover_bound, hypergraph_stats
 
 
 def mk(n, edges, lists, k=5):

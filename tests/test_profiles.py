@@ -11,7 +11,6 @@ from rp3color import (
     cover_cap,
     eliminate_singletons,
     frugal_profile,
-    hypergraph_stats,
     mask_from_colors,
     solve_exact,
     solve_exact_frugal,
@@ -19,7 +18,11 @@ from rp3color import (
 )
 from rp3color.pipeline import lift
 
-from profile_reference import is_refinement, neighborhood_hypergraph
+from profile_reference import (
+    hypergraph_stats,
+    is_refinement,
+    neighborhood_hypergraph,
+)
 
 
 def mk(n, edges, lists, k=5):
