@@ -13,8 +13,7 @@ arbitrary colorings come back through the pinned singletons).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import induced_p3_stream, set_neighborhood
 from .instances import (
@@ -71,45 +70,121 @@ def pivot_refinements(
     |S| <= 3k, and a proper list coloring psi of the patch in which no
     pivot vertex sees two patch neighbors share a color from its list.
     Output lists: patch vertices are pinned to their psi color;
-    unpatched pivot neighbors drop the triple entry of every pivot
-    vertex they touch; everything else is unchanged.
+    unpatched pivot neighbors v keep rest(v), their list minus the
+    triple entry of every pivot vertex they touch; everything else is
+    unchanged.
 
     Patches stream by size then lexicographic order, colorings in
     lexicographic order over the patch (ascending ids).  A frugal
     coloring of the input restricts to a witness patch, so feasibility
     carries forward; each output only pins list colors, so any output
     coloring is an input coloring.
+
+    Three skips leave out what the search in pipeline would only throw
+    away (outputs with an empty list, or with a list tuple it has met)
+    and the work behind it; each is exact:
+
+    - Empty lists.  An input with an empty list gives none but
+      empty-list outputs, so its stream is empty.  A neighbor v with
+      rest(v) empty is forced: it is in every patch, and the stream is
+      empty when more than 3k - 3 are forced.  The forced set does not
+      change which of two equal-size patches is lexicographically
+      smaller, so the order is kept.
+    - Repeats.  When rest(v) is the single color c, coloring v with c
+      inside a patch gives the output of the same patch without v,
+      which is smaller and so came earlier; c is not tried inside the
+      patch, and v is left out of patches when no other color remains.
+      No other two outputs coincide, so the stream is the unpruned one
+      with the first of each list tuple kept.
+    - Uncolorable patches.  A patch with no such coloring has no
+      colorable superset, so each size class is a lexicographic
+      depth-first walk that cuts every extension of an uncolorable
+      prefix.  This skips patches, never outputs.
     """
     oriented = _match_orientation(inst, pivot, triple)
     if oriented is None:
         raise ValueError(f"pivot {pivot} does not match the triple")
     g, k = inst.graph, inst.k
-    closed = set_neighborhood(g, oriented, closed=True)
-    cands = sorted(closed.difference(oriented))
+    # base: the output lists before pinning, every neighbor at rest(v);
+    # allowed: the colors each vertex may take inside a patch
+    base = list(inst.lists)
+    allowed = list(inst.lists)
+    forced, free = [], []
+    for v in sorted(set_neighborhood(g, oriented)):
+        drop = 0
+        for j in range(3):
+            if g.has_edge(oriented[j], v):
+                drop |= triple[j]
+        rest = base[v] = inst.lists[v] & ~drop
+        if rest == 0:
+            forced.append(v)
+            continue
+        if rest & (rest - 1) == 0:
+            allowed[v] &= ~rest
+        if allowed[v]:
+            free.append(v)
+    cap = 3 * k - 3 - len(forced)
+    if cap < 0 or 0 in inst.lists:
+        return iter(())
+    core = oriented + tuple(forced)
+    base = tuple(base)
 
     def stream() -> Iterator[Instance]:
-        # for equal sizes, combinations() runs in lexicographic order of
-        # the added vertices, which is that of the sorted patches
-        for size in range(0, min(3 * k - 3, len(cands)) + 1):
-            for combo in combinations(cands, size):
-                patch = tuple(sorted(oriented + combo))
-                for psi in _patch_colorings(inst, patch, oriented):
-                    yield _pinned_child(inst, patch, psi, oriented, triple, closed)
+        # colorable[combo]: whether core plus the free vertices at the
+        # indices combo has a coloring, for each patch and prefix this
+        # size class visits; each prefix the next class visits was
+        # visited here, as a patch or a prefix, so prev answers it
+        colorable: Dict[Tuple[int, ...], bool] = {}
+        for size in range(min(cap, len(free)) + 1):
+            prev, colorable = colorable, {}
+            found = False
+            chosen: List[int] = []
+            nxt = 0
+            while True:
+                depth = len(chosen)
+                if depth == size:
+                    combo = tuple(chosen)
+                    patch = tuple(sorted(core + tuple(free[i] for i in combo)))
+                    colorable[combo] = False
+                    for psi in _patch_colorings(inst, patch, oriented, allowed):
+                        colorable[combo] = found = True
+                        yield _pinned_child(inst, base, patch, psi)
+                elif nxt <= len(free) - (size - depth):
+                    chosen.append(nxt)
+                    nxt += 1
+                    if depth + 1 == size:
+                        continue
+                    combo = tuple(chosen)
+                    colorable[combo] = ok = prev[combo]
+                    if ok:
+                        continue
+                # move the last choice on to its next candidate
+                if not chosen:
+                    break
+                nxt = chosen.pop() + 1
+            if not found:
+                return  # no patch of this size, so none larger, is colorable
 
     return stream()
 
 
 def _patch_colorings(
-    inst: Instance, patch: Tuple[int, ...], oriented: Tuple[int, int, int]
+    inst: Instance,
+    patch: Tuple[int, ...],
+    oriented: Tuple[int, int, int],
+    allowed: Sequence[int],
 ) -> Iterator[Tuple[int, ...]]:
     """Proper list colorings of the patch, pivot-frugal, in lex order.
+
+    Each vertex v takes its colors from ``allowed[v]``, a subset of its
+    list; the pivot-frugal condition reads the pivot lists themselves.
 
     Depth-first over patch positions with an explicit cursor per
     position: tried[i] is the index of the next list color to try at i.
     """
     g = inst.graph
     size = len(patch)
-    options = [colors_from_mask(inst.lists[v]) for v in patch]
+    options = [colors_from_mask(allowed[v]) for v in patch]
     # earlier patch positions adjacent to each patch position
     before = [
         [j for j in range(i) if g.has_edge(v, patch[j])]
@@ -153,23 +228,16 @@ def _patch_colorings(
 
 def _pinned_child(
     inst: Instance,
+    base: Tuple[int, ...],
     patch: Tuple[int, ...],
     psi: Tuple[int, ...],
-    oriented: Tuple[int, int, int],
-    triple: GoodTriple,
-    closed: frozenset,
 ) -> Instance:
-    g = inst.graph
-    lists = list(inst.lists)
+    """``base`` (every pivot neighbor at its unpatched list) with the
+    patch pinned to psi."""
+    lists = list(base)
     for v, c in zip(patch, psi):
         lists[v] = 1 << (c - 1)
-    for v in closed.difference(patch):
-        drop = 0
-        for j in range(3):
-            if g.has_edge(oriented[j], v):
-                drop |= triple[j]
-        lists[v] = inst.lists[v] & ~drop
-    return Instance(g, inst.k, tuple(lists))
+    return Instance(inst.graph, inst.k, tuple(lists))
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,9 @@ eliminate_type removes one list type at a time, literal_fold folds it
 over every good triple heaviest-first, and eliminate_good_p3 reaches the
 same leaves in the same order by expanding only the earliest good triple
 an instance realizes.  None of them prunes: they yield every leaf,
-including repeats and leaves with an empty list.  eager_pivot_refinements
-is pivot_refinements with every patch built and sorted up front.
+including repeats and leaves with an empty list, so they branch through
+eager_pivot_refinements: every child of one pivot built up front from
+the sorted patch list, without the skips of pivot_refinements.
 """
 
 from itertools import combinations
@@ -17,7 +18,6 @@ from rp3color.goodp3 import (
     _patch_colorings,
     good_triple_index,
     good_triples,
-    pivot_refinements,
 )
 from rp3color.graphs import induced_p3_stream
 from rp3color.instances import (
@@ -76,7 +76,7 @@ def eliminate_type(inst: Instance, triple: GoodTriple) -> Iterator[Instance]:
     Requires that no good P3 of the instance weighs more than the
     triple (checked; ValueError otherwise).  Works depth-first: while a
     matching P3 exists, expand the first one (stream order) through
-    pivot_refinements and recurse; the count of anticomplete matching
+    eager_pivot_refinements and recurse; the count of anticomplete matching
     P3s strictly drops at each level, so the recursion terminates.
     """
     if not is_good_triple(triple):
@@ -96,7 +96,7 @@ def _type_leaves(cur: Instance, triple: GoodTriple) -> Iterator[Instance]:
     if pivot is None:
         yield cur
         return
-    for child in pivot_refinements(cur, triple, pivot):
+    for child in eager_pivot_refinements(cur, triple, pivot):
         yield from _type_leaves(child, triple)
 
 
@@ -129,15 +129,15 @@ def _good_leaves(cur: Instance) -> Iterator[Instance]:
         yield cur
         return
     gamma = good_triples(cur.k)[best]
-    for child in pivot_refinements(cur, gamma, pivot):
+    for child in eager_pivot_refinements(cur, gamma, pivot):
         yield from _good_leaves(child)
 
 
 def eager_pivot_refinements(
     inst: Instance, triple: GoodTriple, pivot: Tuple[int, int, int]
 ) -> List[Instance]:
-    """Every child of pivot_refinements, from the patch list sorted by
-    (size, patch)."""
+    """Every child of the pivot, empty-list children and repeats
+    included, from the patch list sorted by (size, patch)."""
     oriented = _match_orientation(inst, pivot, triple)
     if oriented is None:
         raise ValueError(f"pivot {pivot} does not match the triple")
@@ -153,7 +153,7 @@ def eager_pivot_refinements(
     patches.sort(key=lambda s: (len(s), s))
     out = []
     for patch in patches:
-        for psi in _patch_colorings(inst, patch, oriented):
+        for psi in _patch_colorings(inst, patch, oriented, inst.lists):
             lists = list(inst.lists)
             for v, c in zip(patch, psi):
                 lists[v] = 1 << (c - 1)

@@ -215,8 +215,11 @@ def test_eliminate_good_p3_soundness_and_completeness(inst):
 
 
 def test_pivot_refinements_match_eager_sorted_patches():
+    # the lazy stream is the eager one without the children the search
+    # discards: those with an empty list, and repeats of an earlier list
+    # tuple (the first is kept)
     rng = random.Random(5151)
-    compared = 0
+    compared = kept = 0
     for _ in range(300):
         k = rng.choice([3, 4, 5])
         n = rng.randint(3, 9)
@@ -230,15 +233,20 @@ def test_pivot_refinements_match_eager_sorted_patches():
                 break
         else:
             continue
-        want = eager_pivot_refinements(inst, triple, pivot)
+        eager = eager_pivot_refinements(inst, triple, pivot)
+        want, seen = [], set()
+        for child in eager:
+            if 0 not in child.lists and child.lists not in seen:
+                seen.add(child.lists)
+                want.append(child)
         assert list(pivot_refinements(inst, triple, pivot)) == want
-        compared += len(want)
+        compared += len(eager)
+        kept += len(want)
     assert compared >= 5000
+    assert kept >= 1000
 
 
-def test_pivot_refinements_first_child_is_lazy():
-    # K_{8,8,8} with full lists: 21 patch candidates, ~1.9 million
-    # patches of up to 12 of them, none of which may be built up front
+def k888(pivot_lists):
     parts = [range(0, 8), range(8, 16), range(16, 24)]
     edges = [
         (u, v)
@@ -246,19 +254,33 @@ def test_pivot_refinements_first_child_is_lazy():
         for u in parts[i]
         for v in parts[j]
     ]
-    inst = Instance(Graph(24, edges), 5, (0b11111,) * 24)
-    triple = good_triples(5)[0]
-    pivot = (0, 8, 1)  # 0 and 1 share a part, 8 sees both
+    lists = [0b11111] * 24
+    for v, mask in zip((0, 8, 1), pivot_lists):
+        lists[v] = mask
+    return Instance(Graph(24, edges), 5, tuple(lists))
+
+
+def test_pivot_refinements_first_child_is_lazy():
+    # K_{8,8,8} with full lists: each of the 21 pivot neighbors sees a
+    # pivot vertex whose list is full, so it keeps no color unless it is
+    # patched; 21 forced vertices exceed the 12 a patch may add
+    full = k888((0b11111,) * 3)
+    assert list(pivot_refinements(full, good_triples(5)[0], (0, 8, 1))) == []
+    # pivot lists {1,2}, {2,3}, {1,3}: no neighbor is forced, and the
+    # 21 candidates give about 1.7 million patches of up to 12 of them,
+    # none of which may be built up front
+    inst = k888(GAMMA)
     tracemalloc.start()
     try:
-        child = next(pivot_refinements(inst, triple, pivot))
+        child = next(pivot_refinements(inst, GAMMA, (0, 8, 1)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
-    # the bare pivot: 0, 1, 8 colored 1, 2, 3 (1, 1 would give the
-    # middle a repeated listed color); every other vertex sees a pivot
-    # vertex, whose list is full, and loses its whole list
-    want = [0] * 24
-    want[0], want[1], want[8] = 0b00001, 0b00010, 0b00100
+    # the bare pivot: 0 and 1 share a part and both take 1, which is not
+    # in the middle's list {2,3}; 8 takes 2.  The rest of 0's part sees
+    # only 8 and drops {2,3}; the other parts see both 0 and 1 and drop
+    # all of {1,2,3}
+    want = [0b11001] * 8 + [0b11000] * 16
+    want[0], want[1], want[8] = 0b00001, 0b00001, 0b00010
     assert child.lists == tuple(want)

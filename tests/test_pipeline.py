@@ -230,3 +230,33 @@ def test_budget_abort_counts_nodes():
     verdict = solve(sad, SolveOptions(budget=3))
     assert verdict.status == "aborted"
     assert verdict.stats["nodes"] == 4
+
+
+def multipartite(sizes, lists):
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(range(start, start + size))
+        start += size
+    edges = [
+        (u, v) for a, b in itertools.combinations(parts, 2) for u in a for v in b
+    ]
+    return mk(start, edges, [lists] * start)
+
+
+@pytest.mark.parametrize(
+    "sizes, lists",
+    [
+        ((4, 4, 4), {1, 2, 3}),
+        ((3, 3, 3), {1, 2, 3, 4, 5}),
+        ((2, 2, 2, 2), {1, 2, 3, 4, 5}),
+    ],
+)
+def test_complete_multipartite_solves_within_budget(sizes, lists):
+    # each pivot neighbor loses most of its list when left out of the
+    # patch, so nearly every patch gives empty-list children; while
+    # those were built and counted, these took 166,000 to 183,000 nodes
+    inst = multipartite(sizes, lists)
+    verdict = solve(inst, SolveOptions(budget=20000))
+    assert verdict.status == "colorable"
+    assert verify_coloring(inst, verdict.coloring)
+    assert solve_exact(inst) is not None
