@@ -7,23 +7,19 @@ module orders the good triples, finds the earliest one an instance
 realizes, and branches on one such path (pivot_refinements); the search
 in pipeline repeats that until no good P3 remains.  Each branch step
 preserves colorability in both directions (frugal colorings forward,
-arbitrary colorings come back through the pinned singletons).
+arbitrary colorings come back through the pinned singletons).  The
+colorings of a patch come from oracle.colorings, frugal at the three
+pivot vertices only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .graphs import induced_p3_stream, set_neighborhood
-from .instances import (
-    GoodTriple,
-    Instance,
-    colors_from_mask,
-    is_good_triple,
-    p3_list_type,
-    triple_weight,
-)
+from .graphs import induced_p3_stream, local_adjacency, set_neighborhood
+from .instances import GoodTriple, Instance, p3_list_type, triple_weight
+from .oracle import colorings
 
 
 @lru_cache(maxsize=None)
@@ -75,10 +71,13 @@ def pivot_refinements(
     unchanged.
 
     Patches stream by size then lexicographic order, colorings in
-    lexicographic order over the patch (ascending ids).  A frugal
-    coloring of the input restricts to a witness patch, so feasibility
-    carries forward; each output only pins list colors, so any output
-    coloring is an input coloring.
+    lexicographic order over the patch (ascending ids), as
+    oracle.colorings enumerates them on the induced patch with the
+    pivot positions watched and ``allowed`` as the lists; on the pivot,
+    ``allowed`` is the input list, so the watched lists are the pivot
+    lists.  A frugal coloring of the input restricts to a witness
+    patch, so feasibility carries forward; each output only pins list
+    colors, so any output coloring is an input coloring.
 
     Three skips leave out what the search in pipeline would only throw
     away (outputs with an empty list, or with a list tuple it has met)
@@ -146,7 +145,9 @@ def pivot_refinements(
                     combo = tuple(chosen)
                     patch = tuple(sorted(core + tuple(free[i] for i in combo)))
                     colorable[combo] = False
-                    for psi in _patch_colorings(inst, patch, oriented, allowed):
+                    lists = [allowed[v] for v in patch]
+                    watch = sum(1 << i for i, v in enumerate(patch) if v in oriented)
+                    for psi in colorings(local_adjacency(g, patch), lists, watch):
                         colorable[combo] = found = True
                         yield _pinned_child(inst, base, patch, psi)
                 elif nxt <= len(free) - (size - depth):
@@ -168,64 +169,6 @@ def pivot_refinements(
     return stream()
 
 
-def _patch_colorings(
-    inst: Instance,
-    patch: Tuple[int, ...],
-    oriented: Tuple[int, int, int],
-    allowed: Sequence[int],
-) -> Iterator[Tuple[int, ...]]:
-    """Proper list colorings of the patch, pivot-frugal, in lex order.
-
-    Each vertex v takes its colors from ``allowed[v]``, a subset of its
-    list; the pivot-frugal condition reads the pivot lists themselves.
-
-    Depth-first over patch positions with an explicit cursor per
-    position: tried[i] is the index of the next list color to try at i.
-    """
-    g = inst.graph
-    size = len(patch)
-    options = [colors_from_mask(allowed[v]) for v in patch]
-    # earlier patch positions adjacent to each patch position
-    before = [
-        [j for j in range(i) if g.has_edge(v, patch[j])]
-        for i, v in enumerate(patch)
-    ]
-    # pivot indices watching each patch position
-    watch = [
-        [i for i in range(3) if g.has_edge(oriented[i], v)] for v in patch
-    ]
-    pivot_lists = [inst.lists[p] for p in oriented]
-    # counts[i][c]: patch vertices colored c next to pivot vertex i
-    counts = [[0] * (inst.k + 1) for _ in range(3)]
-    psi = [0] * size
-    tried = [0] * size
-    idx = 0
-    while idx >= 0:
-        if idx == size:
-            yield tuple(psi)
-        else:
-            placed = False
-            while not placed and tried[idx] < len(options[idx]):
-                c = options[idx][tried[idx]]
-                tried[idx] += 1
-                bit = 1 << (c - 1)
-                placed = all(psi[j] != c for j in before[idx]) and not any(
-                    pivot_lists[i] & bit and counts[i][c] for i in watch[idx]
-                )
-            if placed:
-                psi[idx] = c
-                for i in watch[idx]:
-                    counts[i][c] += 1
-                idx += 1
-                continue
-            tried[idx] = 0
-        # step back: free the previous position for its next color
-        idx -= 1
-        if idx >= 0:
-            for i in watch[idx]:
-                counts[i][psi[idx]] -= 1
-
-
 def _pinned_child(
     inst: Instance,
     base: Tuple[int, ...],
@@ -242,23 +185,27 @@ def _pinned_child(
 
 @lru_cache(maxsize=None)
 def good_triple_index(k: int) -> Dict[GoodTriple, int]:
-    """Position of each good triple in good_triples(k)."""
-    return {t: i for i, t in enumerate(good_triples(k))}
+    """Rank of each good triple: the smaller of its own position and its
+    reverse's position in good_triples(k), so both orientations of a
+    P3 rank alike."""
+    index: Dict[GoodTriple, int] = {}
+    for i, t in enumerate(good_triples(k)):
+        # a reverse met earlier keeps its own, smaller, position
+        index[t] = index.get((t[2], t[1], t[0]), i)
+    return index
 
 
 def _earliest_good(
     cur: Instance, index: Dict[GoodTriple, int]
 ) -> Tuple[Optional[int], Optional[Tuple[int, int, int]]]:
-    """Smallest triple index with a matching P3, and the first matching
-    P3 (stream order) for that index; (None, None) when no good P3
-    exists.  The scan stops at index 0, which nothing can beat."""
+    """Smallest triple rank with a matching P3, and the first matching
+    P3 (stream order) for that rank; (None, None) when no good P3
+    exists.  The scan stops at rank 0, which nothing can beat."""
     best = pivot = None
+    lists = cur.lists
     for p3 in induced_p3_stream(cur.graph):
-        t = p3_list_type(cur, p3)
-        if not is_good_triple(t):
-            continue
-        i = min(index[t], index[(t[2], t[1], t[0])])
-        if best is None or i < best:
+        i = index.get((lists[p3[0]], lists[p3[1]], lists[p3[2]]))
+        if i is not None and (best is None or i < best):
             best, pivot = i, p3
             if best == 0:
                 break

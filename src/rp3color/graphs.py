@@ -8,7 +8,7 @@ returned to callers.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 VertexSet = FrozenSet[int]
 InducedP3 = Tuple[int, int, int]
@@ -117,6 +117,14 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Tuple[Graph, Dict[int, in
         if u in remap and v in remap
     ]
     return Graph(len(kept), edges), remap
+
+
+def local_adjacency(g: Graph, keep: Sequence[int]) -> List[int]:
+    """Neighbor bitmasks of the subgraph of g induced on ``keep``, by
+    position in ``keep``."""
+    pos = {v: i for i, v in enumerate(keep)}
+    inside = sum(1 << v for v in keep)
+    return [sum(1 << pos[w] for w in bits(g.adj_mask[v] & inside)) for v in keep]
 
 
 def is_stable_set(g: Graph, xs: Iterable[int]) -> bool:

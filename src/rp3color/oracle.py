@@ -1,9 +1,12 @@
-"""Brute-force reference solvers.
+"""Brute-force list-coloring enumeration.
 
-Exhaustive backtracking over list colorings, plain or frugal, meant for
-small inputs: these are the ground-truth oracles the reduction pipeline
-is tested against and that the `oracle` command runs.  The reducer also
-uses the frugal enumeration on the small balls of step 5.
+One backtracking body, ``colorings``, enumerates the proper list
+colorings of a graph given by neighbor bitmasks in lexicographic order,
+frugal at a chosen set of watched vertices.  With no vertex watched or
+every vertex watched it is the exhaustive, exponential oracle the
+reduction pipeline is tested against and that the `oracle` command
+runs.  The reducer watches every vertex of its small step-5 balls, and
+goodp3.pivot_refinements watches the three pivot vertices of a patch.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ def exact_colorings(inst: Instance) -> Iterator[Coloring]:
     Vertices are assigned in ascending id order, colors in ascending
     order within each list.
     """
-    return _colorings(inst.graph.adj_mask, inst.lists, frugal=False)
+    return colorings(inst.graph.adj_mask, inst.lists, watch=0)
 
 
 def solve_exact(inst: Instance) -> Optional[Coloring]:
@@ -47,20 +50,18 @@ def frugal_colorings(inst: Instance) -> Iterator[Coloring]:
     Frugality: no vertex v has two neighbors sharing a color that lies
     in v's own list.  The enumeration order matches exact_colorings.
     """
-    return frugal_colorings_of(inst.graph.adj_mask, inst.lists)
+    return colorings(inst.graph.adj_mask, inst.lists, watch=(1 << inst.graph.n) - 1)
 
 
-def frugal_colorings_of(adj: Sequence[int], lists: Sequence[int]) -> Iterator[Coloring]:
-    """frugal_colorings for the graph on 0..len(lists)-1 whose vertex v
-    has the neighbor bitmask ``adj[v]``."""
-    return _colorings(adj, lists, frugal=True)
-
-
-def _colorings(
-    adj: Sequence[int], lists: Sequence[int], frugal: bool
+def colorings(
+    adj: Sequence[int], lists: Sequence[int], watch: int
 ) -> Iterator[Coloring]:
-    """Proper (``frugal``: frugal) list colorings of the graph given by
-    neighbor bitmasks, vertices ascending, colors ascending.
+    """Proper list colorings of the graph on 0..len(lists)-1 whose vertex
+    v has the neighbor bitmask ``adj[v]``, vertices ascending, colors
+    ascending, frugal at the vertices in the bitmask ``watch`` (a subset
+    of the positions): no watched vertex has two neighbors colored with
+    one color of its list.  Checking that each time a vertex is colored
+    rejects a partial coloring exactly when it breaks the condition.
 
     Depth-first with an explicit cursor per vertex, so the depth is not
     bounded by the interpreter's recursion limit: tried[v] is the index
@@ -71,10 +72,10 @@ def _colorings(
     options = [colors_from_mask(m) for m in lists]
     earlier = [adj[v] & ((1 << v) - 1) for v in range(n)]
     top = max((m.bit_length() for m in lists), default=0)
-    # listed[c]: the vertices whose list holds color c
+    # listed[c]: the watched vertices whose list holds color c
     listed = [0] * (top + 1)
-    for v, cs in enumerate(options):
-        for c in cs:
+    for v in bits(watch):
+        for c in options[v]:
             listed[c] |= 1 << v
     holders = [0] * (top + 1)
     phi = [0] * n
@@ -88,18 +89,14 @@ def _colorings(
         if phi[v]:  # back at v: take its color away before the next one
             holders[phi[v]] ^= 1 << v
             phi[v] = 0
-        before = earlier[v]
         while tried[v] < len(options[v]):
             c = options[v][tried[v]]
             tried[v] += 1
-            if before & holders[c]:
+            if earlier[v] & holders[c]:
                 continue
-            # frugal: no earlier neighbor listing c already sees a c, and
-            # v sees none of its own listed colors twice
-            if frugal and (
-                any(adj[w] & holders[c] for w in bits(before & listed[c]))
-                or any((before & holders[d]).bit_count() > 1 for d in options[v])
-            ):
+            # frugal: no watched neighbor listing c already sees a c
+            near = adj[v] & listed[c]
+            if near and any(adj[w] & holders[c] for w in bits(near)):
                 continue
             phi[v] = c
             holders[c] |= 1 << v

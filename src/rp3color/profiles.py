@@ -10,7 +10,7 @@ certificates can be pulled back to the original instance.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from .graphs import Graph
 from .instances import Instance, colors_from_mask
@@ -23,13 +23,6 @@ def lift_singleton(step: LiftStep, out: List[int], g: Graph) -> None:
 
 def lift_identity(step: LiftStep, out: List[int], g: Graph) -> None:
     pass
-
-
-def invert_perm(perm: Sequence[int]) -> Tuple[int, ...]:
-    out = [0] * len(perm)
-    for old, new in enumerate(perm, start=1):
-        out[new - 1] = old
-    return tuple(out)
 
 
 def eliminate_singletons(inst: Instance) -> Tuple[Instance, ReductionTrace]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
-from .graphs import Graph, bits, is_clique
+from .graphs import Graph, bits, is_clique, local_adjacency
 from .instances import (
     Instance,
     InstanceError,
@@ -28,8 +28,7 @@ from .instances import (
     find_good_p3,
     list_graph,
 )
-from .oracle import frugal_colorings_of
-from .profiles import invert_perm
+from .oracle import colorings
 from .working import LiftStep, ReductionTrace, WorkingInstance, second_ring
 
 log = logging.getLogger("rp3color")
@@ -44,6 +43,13 @@ def _remap_mask(mask: int, mapping: Sequence[int]) -> int:
         if (mask >> (c - 1)) & 1:
             out |= 1 << (mapping[c - 1] - 1)
     return out
+
+
+def invert_perm(perm: Sequence[int]) -> Tuple[int, ...]:
+    out = [0] * len(perm)
+    for old, new in enumerate(perm, start=1):
+        out[new - 1] = old
+    return tuple(out)
 
 
 def _perm_for(u0_mask: int, k: int) -> Tuple[int, ...]:
@@ -202,14 +208,6 @@ def center_context_report(inst: Instance, u0: int):
     return "checked", check_center_context(ctx, inst)
 
 
-def _local_adjacency(g: Graph, ball: Sequence[int]) -> List[int]:
-    """Neighbor bitmasks of the subgraph of g induced on ``ball``, by
-    ball position."""
-    pos = {v: i for i, v in enumerate(ball)}
-    inside = sum(1 << v for v in ball)
-    return [sum(1 << pos[w] for w in bits(g.adj_mask[v] & inside)) for v in ball]
-
-
 def reduce_once(inst: Instance, u0: int) -> Tuple[Instance, LiftStep]:
     """One reduction round centered at u0 (list size >= 3).
 
@@ -327,20 +325,21 @@ def _step5(ws: WorkingInstance, perm, u: int) -> None:
     ball = tuple(bits(removed | second))
     boundary = tuple(bits(second))
     local = [_remap_mask(lists[v], perm) for v in ball]
-    adj = _local_adjacency(ws.graph, ball)
+    adj = local_adjacency(ws.graph, ball)
+    watch = (1 << len(ball)) - 1  # frugal at every ball vertex
 
     realized = 0
     feasible = False
     if boundary:
         cpos = ball.index(boundary[0])
         want = local[cpos]
-        for phi in frugal_colorings_of(adj, local):
+        for phi in colorings(adj, local, watch):
             feasible = True
             realized |= 1 << (phi[cpos] - 1)
             if realized == want:
                 break
     else:
-        feasible = next(frugal_colorings_of(adj, local), None) is not None
+        feasible = next(colorings(adj, local, watch), None) is not None
 
     if not feasible:
         # step 5b: the ball itself cannot be frugally colored
@@ -468,7 +467,7 @@ def lift_step5c(step: LiftStep, out: List[int], g: Graph) -> None:
     want = out[boundary[0]] if boundary else None
     local = [step.lists[v] for v in ball]
     chosen = None
-    for cand in frugal_colorings_of(_local_adjacency(g, ball), local):
+    for cand in colorings(local_adjacency(g, ball), local, (1 << len(ball)) - 1):
         if want is None or cand[cpos] == want:
             chosen = cand
             break

@@ -6,7 +6,10 @@ same leaves in the same order by expanding only the earliest good triple
 an instance realizes.  None of them prunes: they yield every leaf,
 including repeats and leaves with an empty list, so they branch through
 eager_pivot_refinements: every child of one pivot built up front from
-the sorted patch list, without the skips of pivot_refinements.
+the sorted patch list, without the skips of pivot_refinements.  Its
+patch colorings are the exact colorings of each patch filtered by a
+pivot-frugality check written out here, so they share no frugality
+code with the solver's watched enumeration.
 """
 
 from itertools import combinations
@@ -15,18 +18,19 @@ from typing import Iterator, List, Optional, Tuple
 from rp3color.goodp3 import (
     _earliest_good,
     _match_orientation,
-    _patch_colorings,
     good_triple_index,
     good_triples,
 )
-from rp3color.graphs import induced_p3_stream
+from rp3color.graphs import induced_p3_stream, induced_subgraph
 from rp3color.instances import (
+    Coloring,
     GoodTriple,
     Instance,
     is_good_triple,
     p3_list_type,
     triple_weight,
 )
+from rp3color.oracle import exact_colorings
 
 
 def find_type_p3(
@@ -153,7 +157,7 @@ def eager_pivot_refinements(
     patches.sort(key=lambda s: (len(s), s))
     out = []
     for patch in patches:
-        for psi in _patch_colorings(inst, patch, oriented, inst.lists):
+        for psi in pivot_frugal_colorings(inst, patch, oriented):
             lists = list(inst.lists)
             for v, c in zip(patch, psi):
                 lists[v] = 1 << (c - 1)
@@ -165,3 +169,22 @@ def eager_pivot_refinements(
                 lists[v] = inst.lists[v] & ~drop
             out.append(Instance(g, k, tuple(lists)))
     return out
+
+
+def pivot_frugal_colorings(
+    inst: Instance, patch: Tuple[int, ...], pivot: Tuple[int, int, int]
+) -> Iterator[Coloring]:
+    """Proper list colorings of the sorted patch, by patch position in
+    lexicographic order, in which no pivot vertex has two patch
+    neighbors colored with one color of its list: every proper coloring
+    of the induced patch, filtered."""
+    sub, _ = induced_subgraph(inst.graph, patch)
+    local = Instance(sub, inst.k, tuple(inst.lists[v] for v in patch))
+    for psi in exact_colorings(local):
+        color = dict(zip(patch, psi))
+        if all(
+            sum(1 for w in patch if inst.graph.has_edge(p, w) and color[w] == c) <= 1
+            for p in pivot
+            for c in inst.list_of(p)
+        ):
+            yield psi

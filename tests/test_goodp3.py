@@ -13,6 +13,7 @@ from rp3color import (
     pivot_refinements,
     solve_exact_frugal,
 )
+from rp3color.goodp3 import good_triple_index
 from rp3color.instances import find_good_p3
 
 from goodp3_reference import (
@@ -60,6 +61,11 @@ def test_good_triples_k5_against_brute_force():
     ):
         if wa == wb:
             assert ta < tb
+    # both orientations of a triple share the rank of the earlier one
+    pos = {t: i for i, t in enumerate(got)}
+    assert good_triple_index(5) == {
+        t: min(i, pos[(t[2], t[1], t[0])]) for t, i in pos.items()
+    }
 
 
 def test_count_anticomplete_of_type():

@@ -17,6 +17,7 @@ from rp3color import (
 )
 from rp3color.graphs import dist_neighborhood
 from rp3color.instances import find_good_p3
+from rp3color.oracle import colorings, exact_colorings
 
 from profile_reference import Hypergraph, cover_bound, hypergraph_stats
 
@@ -29,7 +30,8 @@ def clique(n):
     return list(itertools.combinations(range(n), 2))
 
 
-def valid_direct(inst, phi, frugal=False):
+def valid_direct(inst, phi, watch=()):
+    """Proper list coloring, frugal at the vertices in ``watch``."""
     g = inst.graph
     for v in range(g.n):
         if phi[v] not in inst.list_of(v):
@@ -37,19 +39,20 @@ def valid_direct(inst, phi, frugal=False):
     for u, v in g.edges:
         if phi[u] == phi[v]:
             return False
-    if frugal:
-        for v in range(g.n):
-            for c in inst.list_of(v):
-                if sum(1 for w in range(g.n) if g.has_edge(v, w) and phi[w] == c) > 1:
-                    return False
+    for v in watch:
+        for c in inst.list_of(v):
+            if sum(1 for w in range(g.n) if g.has_edge(v, w) and phi[w] == c) > 1:
+                return False
     return True
 
 
-def first_direct(inst, frugal=False):
-    for phi in itertools.product(range(1, inst.k + 1), repeat=inst.graph.n):
-        if valid_direct(inst, phi, frugal):
-            return phi
-    return None
+def all_direct(inst, watch=()):
+    """Every valid coloring, in lexicographic order."""
+    return [
+        phi
+        for phi in itertools.product(range(1, inst.k + 1), repeat=inst.graph.n)
+        if valid_direct(inst, phi, watch)
+    ]
 
 
 def test_solve_exact_examples():
@@ -87,13 +90,21 @@ def instances(draw, max_n=5, k=3):
 @settings(max_examples=120)
 @given(instances())
 def test_solve_exact_matches_direct_enumeration(inst):
-    assert solve_exact(inst) == first_direct(inst)
+    want = all_direct(inst)
+    assert list(exact_colorings(inst)) == want
+    assert solve_exact(inst) == (want[0] if want else None)
 
 
 @settings(max_examples=120)
-@given(instances())
-def test_frugal_matches_direct_enumeration(inst):
-    assert solve_exact_frugal(inst) == first_direct(inst, frugal=True)
+@given(instances(), st.integers(min_value=0, max_value=31))
+def test_frugal_matches_direct_enumeration(inst, drawn):
+    n = inst.graph.n
+    want = all_direct(inst, watch=range(n))
+    assert list(frugal_colorings(inst)) == want
+    assert solve_exact_frugal(inst) == (want[0] if want else None)
+    watch = drawn & ((1 << n) - 1)
+    got = colorings(inst.graph.adj_mask, inst.lists, watch)
+    assert list(got) == all_direct(inst, [v for v in range(n) if watch >> v & 1])
 
 
 @given(instances(max_n=5, k=5))
