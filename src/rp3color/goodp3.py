@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .graphs import induced_p3_stream, local_adjacency, set_neighborhood
-from .instances import GoodTriple, Instance, p3_list_type, triple_weight
+from .instances import GoodTriple, Instance, p3_list_type
 from .oracle import colorings
 
 
@@ -27,20 +27,23 @@ def good_triples(k: int) -> Tuple[GoodTriple, ...]:
     """All good triples over {1..k}, heaviest first.
 
     Sorted by total size non-increasing, ties in ascending lexicographic
-    order of the triple of bitmasks.
+    order of the triple of bitmasks: the nested loops meet each weight's
+    triples in that order, so one bucket per weight needs no sort.
     """
     if not (1 <= k <= 8):
         raise ValueError(f"k={k} outside 1..8")
     masks = [m for m in range(1, 1 << k) if m.bit_count() >= 2]
-    out = [
-        (a, b, c)
-        for a in masks
-        for b in masks
-        for c in masks
-        if a & b and a & c and b & c
-    ]
-    out.sort(key=lambda t: (-triple_weight(t), t))
-    return tuple(out)
+    buckets: List[List[GoodTriple]] = [[] for _ in range(3 * k + 1)]
+    for a in masks:
+        wa = a.bit_count()
+        for b in masks:
+            if not a & b:
+                continue
+            wab = wa + b.bit_count()
+            for c in masks:
+                if a & c and b & c:
+                    buckets[wab + c.bit_count()].append((a, b, c))
+    return tuple(t for bucket in reversed(buckets) for t in bucket)
 
 
 def _match_orientation(

@@ -158,18 +158,49 @@ class _Budget:
         }
 
 
+def propagate_singletons(inst: Instance) -> Optional[Instance]:
+    """Unit propagation: remove each one-color list's color from its
+    neighbors' lists, keeping every vertex, up to the fixpoint.
+
+    Returns None at the first empty list (exactly when
+    eliminate_singletons would leave one), else the propagated instance,
+    ``inst`` itself when no list changed.  The proper list colorings
+    stay the same, and a frugal one stays frugal, since lists only
+    shrink.
+    """
+    adj = inst.graph.adj_mask
+    out = list(inst.lists)
+    work = [v for v, m in enumerate(out) if m & (m - 1) == 0]
+    while work:
+        v = work.pop()
+        bit = out[v]
+        if bit == 0:
+            return None
+        for w in bits(adj[v]):
+            m = out[w]
+            if m & bit:
+                m = out[w] = m & ~bit
+                if m & (m - 1) == 0:
+                    work.append(w)
+    lists = tuple(out)
+    return inst if lists == inst.lists else Instance(inst.graph, inst.k, lists)
+
+
 def _candidates(
     element: Instance, budget: _Budget
 ) -> Iterator[Tuple[Instance, ReductionTrace]]:
     """Singleton-free refinements of one element with no good P3.
 
     Depth-first over pivot_refinements of the earliest good triple, with
-    an explicit stack of child streams.  A node with an empty list is
-    skipped (every refinement keeps it empty), and so is a node whose
-    list tuple was already visited (its subtree depends only on the
-    instance, and was explored in full).  Each leaf is handed through
-    eliminate_singletons; finals with an empty list or seen before are
-    dropped.  No skip can hide a feasible candidate.
+    an explicit stack of child streams.  Each node is first replaced by
+    its propagate_singletons result, which has the same colorings and
+    keeps a frugal one frugal.  A node is skipped, still counting toward
+    the budget, when that empties a list (every refinement keeps a list
+    empty) or gives a list tuple already visited (its subtree depends
+    only on the instance, and was explored in full).  Each leaf is
+    handed through eliminate_singletons, which leaves no empty list
+    after propagation; finals seen before are dropped.  No skip can hide
+    a feasible candidate.
     """
     gammas = good_triples(element.k)
     index = good_triple_index(element.k)
@@ -182,7 +213,8 @@ def _candidates(
             stack.pop()
             continue
         budget.node()
-        if any(m == 0 for m in cur.lists) or cur.lists in seen:
+        cur = propagate_singletons(cur)
+        if cur is None or cur.lists in seen:
             budget.pruned += 1
             continue
         seen.add(cur.lists)
@@ -191,7 +223,7 @@ def _candidates(
             stack.append(pivot_refinements(cur, gammas[best], pivot))
             continue
         final, steps = eliminate_singletons(cur)
-        if any(m == 0 for m in final.lists) or final in seen_final:
+        if final in seen_final:
             budget.pruned += 1
             continue
         seen_final.add(final)
@@ -203,17 +235,22 @@ def candidate_stream(
 ) -> Iterator[Tuple[Instance, ReductionTrace]]:
     """All branch candidates: singleton-free refinements with no good P3.
 
-    Runs the good-P3 search under every distinct stable-class profile
-    element in turn and yields each candidate together with the
-    singleton-removal steps that lead to it from the element.  The input
-    is feasible exactly when some candidate is, and a candidate coloring
-    lifts to an input coloring through the returned trace.  An element
-    whose list tuple was seen before is skipped.  ``budget`` collects the
-    search counters and enforces its node cap; ``trace`` logs them as
-    each element starts.
+    Propagates the input's singletons once (the stream is empty when
+    that empties a list), then runs the good-P3 search under every
+    distinct stable-class profile element of the result in turn and
+    yields each candidate together with the singleton-removal steps that
+    lead to it from the element.  The input is feasible exactly when
+    some candidate is, and a candidate coloring lifts to an input
+    coloring through the returned trace.  An element whose list tuple
+    was seen before is skipped.  ``budget`` collects the search counters
+    and enforces its node cap; ``trace`` logs them as each element
+    starts.
     """
     if budget is None:
         budget = _Budget()
+    inst = propagate_singletons(inst)
+    if inst is None:
+        return
     seen: Set[Tuple[int, ...]] = set()
     for element in frugal_profile(inst, r):
         if element.lists in seen:

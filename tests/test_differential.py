@@ -1,0 +1,205 @@
+"""solve verdicts against the benchmark's independent exact solver.
+
+perfbench/reference.py decides list colorability by forward checking
+and imports nothing from rp3color, so it shares no code with the
+pipeline under test.  Every family is drawn from a fixed seed with
+n = 10-20 and is free of 2 anticomplete induced P3s, so solve must
+decide it: a colorable verdict must carry a valid coloring and agree
+with the reference, and so must a not-colorable one.
+
+Tier 1 runs a sample that takes a few seconds.  The longer sweep runs
+with RP3COLOR_LONG_DIFFERENTIAL=1 in the environment; uncolorable
+inputs cost the search an exhaustive profile, so it caps each solve at
+a node budget and only reports the solves that reach it.
+"""
+
+import importlib.util
+import itertools
+import os
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from rp3color import (
+    Graph,
+    Instance,
+    SolveOptions,
+    anticomplete_packing,
+    mask_from_colors,
+    solve,
+)
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+LONG = os.environ.get("RP3COLOR_LONG_DIFFERENTIAL") == "1"
+long_only = pytest.mark.skipif(
+    not LONG, reason="set RP3COLOR_LONG_DIFFERENTIAL=1 for the long sweep"
+)
+
+
+def load_reference():
+    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+R = load_reference()
+
+
+def to_instance(ref):
+    lists = tuple(mask_from_colors(l) for l in ref.lists)
+    return Instance(Graph(ref.n, ref.edges), 5, lists)
+
+
+def random_scan_free(rng, n, sizes):
+    """G(n, p) with p in [0.55, 0.9], redrawn until the packing scan
+    finds no 2 anticomplete induced P3s; lists of a size from sizes."""
+    while True:
+        p = rng.uniform(0.55, 0.9)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        if anticomplete_packing(Graph(n, edges), 2, 3) is None:
+            lists = [rng.sample(range(1, 6), rng.choice(sizes)) for _ in range(n)]
+            return R.make(n, edges, lists)
+
+
+def multipartite(parts, colors):
+    groups, off = [], 0
+    for size in parts:
+        groups.append(range(off, off + size))
+        off += size
+    edges = [
+        (u, v) for a, b in itertools.combinations(groups, 2) for u in a for v in b
+    ]
+    return R.make(off, edges, [colors] * off)
+
+
+def cliques_and_star(rng, n):
+    """A star K_{1,s} and disjoint cliques K1..K5: every induced P3
+    runs through the star's centre.  Star lists have 1-3 colors, a
+    clique of size q gets lists of q - 1 to 5 colors."""
+    star = rng.randint(2, n // 2)
+    edges = [(0, leaf) for leaf in range(1, star + 1)]
+    lists = [rng.sample(range(1, 6), rng.randint(1, 3)) for _ in range(star + 1)]
+    v = star + 1
+    while v < n:
+        size = min(rng.randint(1, 5), n - v)
+        edges += itertools.combinations(range(v, v + size), 2)
+        lists += [rng.sample(range(1, 6), rng.randint(max(1, size - 1), 5)) for _ in range(size)]
+        v += size
+    return R.make(n, edges, lists)
+
+
+def singleton_heavy(rng, n):
+    """Vertices split into 3-6 stable parts with each cross pair an
+    edge with probability 0.75-1, redrawn until the packing scan passes.
+    About 30% of the lists are one color.  In half the draws every list
+    holds the vertex's part color (colorable when there are at most 5
+    parts); in the other half the lists are drawn freely."""
+    while True:
+        parts = rng.randint(3, 6)
+        part = [rng.randrange(parts) for _ in range(n)]
+        p = rng.uniform(0.75, 1.0)
+        edges = [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if part[u] != part[v] and rng.random() < p
+        ]
+        if anticomplete_packing(Graph(n, edges), 2, 3) is None:
+            break
+    planted = rng.random() < 0.5
+    colors = rng.sample(range(1, 6), 5)
+    lists = []
+    for v in range(n):
+        size = 1 if rng.random() < 0.3 else rng.randint(2, 3)
+        if planted and part[v] < 5:
+            own = colors[part[v]]
+            others = [c for c in range(1, 6) if c != own]
+            lists.append([own] + rng.sample(others, size - 1))
+        else:
+            lists.append(rng.sample(range(1, 6), size))
+    return R.make(n, edges, lists)
+
+
+def check(ref, budget=None):
+    """Assert that solve agrees with the reference; returns the status."""
+    inst = to_instance(ref)
+    verdict = solve(inst, SolveOptions(budget=budget))
+    if verdict.status == "aborted" and budget is not None:
+        return verdict.status
+    expected = R.exact_coloring(ref)
+    text = R.write_text(ref)
+    if expected is None:
+        assert verdict.status == "not-colorable", text
+    else:
+        assert verdict.status == "colorable", text
+        assert R.certificate_defect(ref, verdict.coloring) is None, text
+    return verdict.status
+
+
+def test_random_scan_free_graphs():
+    # denser or larger draws are nearly all uncolorable, and an
+    # uncolorable input costs an exhaustive profile: those are left to
+    # the long sweep
+    rng = random.Random(1001)
+    counts = Counter(check(random_scan_free(rng, 10, (2, 3))) for _ in range(8))
+    assert counts["colorable"] >= 1 and counts["not-colorable"] >= 4
+
+
+@pytest.mark.parametrize(
+    "parts, colors",
+    [
+        ((5, 5), (1, 2, 3)),
+        ((5, 5), (1, 2, 3, 4)),
+        ((5, 5), (1, 2, 3, 4, 5)),
+        ((4, 4, 4), (1, 2, 3)),
+        ((4, 4, 4), (1, 2, 3, 4)),
+        ((6, 6, 6), (1, 2, 3)),
+        ((3, 3, 3, 3), (1, 2, 3)),
+        ((3, 3, 3, 3), (1, 2, 3, 4)),
+        ((2, 2, 2, 2, 2), (1, 2, 3)),
+        ((2, 2, 2, 2, 2), (1, 2, 3, 4)),
+        ((2, 2, 2, 2, 2, 2), (1, 2, 3)),
+    ],
+)
+def test_complete_multipartite(parts, colors):
+    check(multipartite(parts, colors))
+
+
+def test_cliques_and_star():
+    rng = random.Random(1002)
+    counts = Counter(check(cliques_and_star(rng, rng.randint(10, 20))) for _ in range(40))
+    assert counts["colorable"] >= 10 and counts["not-colorable"] >= 3
+
+
+def test_singleton_heavy():
+    rng = random.Random(1003)
+    counts = Counter(check(singleton_heavy(rng, rng.randint(10, 16))) for _ in range(60))
+    assert counts["colorable"] >= 10 and counts["not-colorable"] >= 10
+
+
+def test_budget_abort_is_deterministic():
+    inst = to_instance(multipartite((3, 3, 3, 3), (1, 2, 3)))
+    first = solve(inst, SolveOptions(budget=500))
+    second = solve(inst, SolveOptions(budget=500))
+    assert first.status == second.status == "aborted"
+    assert first.stats == second.stats
+    assert first.stats["nodes"] == 501
+
+
+@long_only
+def test_long_sweep():
+    rng = random.Random(2001)
+    draws = []
+    for _ in range(60):
+        n = rng.randint(10, 20)
+        draws.append(random_scan_free(rng, n, rng.choice([(2, 3), (3, 4), (2, 3, 4)])))
+        draws.append(cliques_and_star(rng, n))
+        draws.append(singleton_heavy(rng, n))
+    for parts in ((4, 4, 4), (3, 3, 3, 3), (2, 2, 2, 2, 2), (5, 5, 5), (4, 4, 4, 4)):
+        for colors in ((1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)):
+            draws.append(multipartite(parts, colors))
+    counts = Counter(check(ref, budget=100_000) for ref in draws)
+    print("long sweep:", counts)
+    assert counts["colorable"] + counts["not-colorable"] >= len(draws) // 2

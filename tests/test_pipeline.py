@@ -22,10 +22,12 @@ from rp3color import (
     verify_coloring,
 )
 from rp3color.instances import find_good_p3
-from rp3color.pipeline import _Budget, _candidates
+from rp3color.goodp3 import good_triples
+from rp3color.oracle import exact_colorings, frugal_colorings
+from rp3color.pipeline import _Budget, _candidates, propagate_singletons
 from rp3color.profiles import frugal_profile
 
-from goodp3_reference import literal_fold
+from goodp3_reference import eager_pivot_refinements, find_type_p3
 
 
 def mk(n, edges, lists, k=5):
@@ -85,6 +87,7 @@ def test_candidate_stream_yields_are_clean():
         for final, _ in itertools.islice(candidate_stream(inst, 2), 50):
             assert find_good_p3(final) is None
             assert all(m.bit_count() != 1 for m in final.lists)
+            assert 0 not in final.lists
             checked += 1
     assert checked >= 100
 
@@ -170,20 +173,57 @@ def test_solve_agrees_with_oracle():
     assert colorable >= 15 and uncolorable >= 15
 
 
+def propagated(inst):
+    """``inst`` with each one-color list's color taken out of its
+    neighbors' lists, sweep after sweep until nothing changes; None once
+    a list is empty."""
+    g, lists = inst.graph, list(inst.lists)
+    changed = True
+    while changed:
+        if 0 in lists:
+            return None
+        changed = False
+        for v, w in itertools.permutations(range(g.n), 2):
+            if lists[v].bit_count() == 1 and g.has_edge(v, w) and lists[w] & lists[v]:
+                lists[w] &= ~lists[v]
+                changed = True
+    return Instance(g, inst.k, tuple(lists))
+
+
+def propagated_type_leaves(cur, triple):
+    """eliminate_type's depth-first walk, with every node propagated
+    first and dropped when propagation empties a list."""
+    cur = propagated(cur)
+    if cur is None:
+        return
+    pivot = find_type_p3(cur, triple)
+    if pivot is None:
+        yield cur
+        return
+    for child in eager_pivot_refinements(cur, triple, pivot):
+        yield from propagated_type_leaves(child, triple)
+
+
 def pruned_fold(element):
     """What the search yields under one element, rebuilt from the
-    unpruned reference: leaves without an empty list, first occurrence
-    of each list tuple, then singleton elimination, dropping finals with
-    an empty list or seen before."""
+    unpruned reference: the literal fold over every good triple with
+    each node propagated, the first occurrence of each leaf list tuple,
+    then singleton elimination, dropping finals seen before."""
+    stream = [element]
+    for gamma in good_triples(element.k):
+        stream = [
+            leaf for cur in stream for leaf in propagated_type_leaves(cur, gamma)
+        ]
     leaves, seen = [], set()
-    for leaf in literal_fold(element):
-        if 0 not in leaf.lists and leaf.lists not in seen:
+    for leaf in stream:
+        if leaf.lists not in seen:
             seen.add(leaf.lists)
             leaves.append(leaf)
     out, finals = [], set()
     for leaf in leaves:
         final, steps = eliminate_singletons(leaf)
-        if 0 not in final.lists and final not in finals:
+        assert 0 not in final.lists
+        if final not in finals:
             finals.add(final)
             out.append((final, steps))
     return out
@@ -204,6 +244,33 @@ def test_candidates_match_pruned_literal_fold():
                 assert list(_candidates(element, _Budget())) == pruned_fold(element)
                 compared += 1
     assert compared >= 800
+
+
+def test_propagate_singletons_matches_elimination():
+    rng = random.Random(1618)
+    empty = kept = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        sizes = [0, 1, 1, 1, 2, 2, 3]
+        lists = [set(rng.sample(range(1, 6), rng.choice(sizes))) for _ in range(n)]
+        inst = mk(n, edges, lists)
+        after = propagate_singletons(inst)
+        final, _ = eliminate_singletons(inst)
+        assert (after is None) == (0 in final.lists)
+        if after is None:
+            empty += 1
+            continue
+        kept += 1
+        out = after.lists
+        assert all(m & ~old == 0 for m, old in zip(out, inst.lists))
+        for v, w in itertools.permutations(range(n), 2):
+            if out[v].bit_count() == 1 and inst.graph.has_edge(v, w):
+                assert not out[w] & out[v]
+        assert list(exact_colorings(after)) == list(exact_colorings(inst))
+        frugal_after = set(frugal_colorings(after))
+        assert all(phi in frugal_after for phi in frugal_colorings(inst))
+    assert empty >= 50 and kept >= 50
 
 
 def test_solve_leaves_few_reference_cycles():
