@@ -5,8 +5,9 @@ reference solver), check-free (packing search), gen-hard (formula to
 gadget graph), bench (seeded timing sweep over colorable rP3-free
 instances).  Exit codes: 0 colorable / free, 1 not colorable, 2 not
 rP3-free, 3 aborted, 4 usage or parse errors, 5 internal error (an
-unexpected exception; the traceback and an "error: internal:" line go
-to stderr and no verdict is printed).
+unexpected exception, which covers every exception raised inside
+solve's search; the traceback and an "error: internal:" line go to
+stderr and no verdict is printed).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .graphs import Graph, anticomplete_packing
 from .hardness import build_hardness_graph, parse_nae
 from .instances import (
     Instance,
+    InstanceError,
     ParseError,
     mask_from_colors,
     parse_instance,
@@ -77,6 +79,12 @@ def _load_instance(path: str) -> Instance:
         raise SystemExit(4)
 
 
+def _internal(exc: Exception) -> int:
+    traceback.print_exc()
+    print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 5
+
+
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.file)
     if args.trace:
@@ -89,7 +97,13 @@ def _cmd_solve(args) -> int:
         budget=args.budget,
         trace=args.trace,
     )
-    verdict = solve(inst, opts)
+    if inst.k != 5:
+        raise InstanceError(f"k={inst.k}, need 5")
+    # past the usage checks, any exception is a bug in the search
+    try:
+        verdict = solve(inst, opts)
+    except Exception as exc:
+        return _internal(exc)
     if args.force:
         print(
             "note: --force skipped the packing check; a NOT_COLORABLE "
@@ -236,9 +250,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:
-        traceback.print_exc()
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 5
+        return _internal(exc)
 
 
 if __name__ == "__main__":

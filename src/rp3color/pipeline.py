@@ -29,6 +29,7 @@ from .profiles import (
     frugal_profile,
     lift_identity,
     lift_singleton,
+    unit_propagate,
 )
 from .reducer import lift_step4, lift_step5c, lift_step11, reduce_to_binary
 from .twosat import binary_list_color
@@ -168,20 +169,10 @@ def propagate_singletons(inst: Instance) -> Optional[Instance]:
     stay the same, and a frugal one stays frugal, since lists only
     shrink.
     """
-    adj = inst.graph.adj_mask
     out = list(inst.lists)
     work = [v for v, m in enumerate(out) if m & (m - 1) == 0]
-    while work:
-        v = work.pop()
-        bit = out[v]
-        if bit == 0:
-            return None
-        for w in bits(adj[v]):
-            m = out[w]
-            if m & bit:
-                m = out[w] = m & ~bit
-                if m & (m - 1) == 0:
-                    work.append(w)
+    if not unit_propagate(inst.graph.adj_mask, out, work):
+        return None
     lists = tuple(out)
     return inst if lists == inst.lists else Instance(inst.graph, inst.k, lists)
 
@@ -235,28 +226,18 @@ def candidate_stream(
 ) -> Iterator[Tuple[Instance, ReductionTrace]]:
     """All branch candidates: singleton-free refinements with no good P3.
 
-    Propagates the input's singletons once (the stream is empty when
-    that empties a list), then runs the good-P3 search under every
-    distinct stable-class profile element of the result in turn and
-    yields each candidate together with the singleton-removal steps that
-    lead to it from the element.  The input is feasible exactly when
-    some candidate is, and a candidate coloring lifts to an input
-    coloring through the returned trace.  An element whose list tuple
-    was seen before is skipped.  ``budget`` collects the search counters
-    and enforces its node cap; ``trace`` logs them as each element
-    starts.
+    Runs the good-P3 search under every stable-class profile element in
+    turn (frugal_profile yields each propagated list tuple once, and
+    nothing when propagating the input empties a list) and yields each
+    candidate together with the singleton-removal steps that lead to it
+    from the element.  The input is feasible exactly when some candidate
+    is, and a candidate coloring lifts to an input coloring through the
+    returned trace.  ``budget`` collects the search counters and
+    enforces its node cap; ``trace`` logs them as each element starts.
     """
     if budget is None:
         budget = _Budget()
-    inst = propagate_singletons(inst)
-    if inst is None:
-        return
-    seen: Set[Tuple[int, ...]] = set()
     for element in frugal_profile(inst, r):
-        if element.lists in seen:
-            budget.pruned += 1
-            continue
-        seen.add(element.lists)
         budget.elements += 1
         if trace:
             log.info(

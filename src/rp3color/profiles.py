@@ -2,15 +2,17 @@
 
 Two refinement mechanisms live here: elimination of forced (singleton
 list) vertices, and the stable-class profile stream that prepares an
-instance for frugal coloring.  Elimination runs on a WorkingInstance
-and each deletion leaves a local undo record (LiftStep), so
-certificates can be pulled back to the original instance.
+instance for frugal coloring, together with the unit propagation
+(unit_propagate) that the profile and the search share.  Elimination
+runs on a WorkingInstance and each deletion leaves a local undo record
+(LiftStep), so certificates can be pulled back to the original
+instance.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .graphs import Graph
 from .instances import Instance, colors_from_mask
@@ -49,66 +51,101 @@ def cover_cap(r: int) -> int:
     return 11 * (r + 1) ** 2 * (2 * r + 3) * math.comb(2 * r, r - 1)
 
 
+def unit_propagate(
+    adj: List[int],
+    lists: List[int],
+    work: List[int],
+    trail: Optional[List[Tuple[int, int]]] = None,
+) -> bool:
+    """Unit propagation in place: each vertex in ``work`` has a list of
+    at most one color and removes that color from every neighbor's list
+    (``adj`` holds neighbor bitmasks); a neighbor left with one color
+    joins the worklist.
+
+    Every change is recorded as ``(vertex, old mask)`` on ``trail`` when
+    one is given, so the caller can undo it.  Returns False at the first
+    empty list, True at the fixpoint.
+    """
+    while work:
+        v = work.pop()
+        bit = lists[v]
+        if bit == 0:
+            return False
+        nbrs = adj[v]
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            w = low.bit_length() - 1
+            m = lists[w]
+            if m & bit:
+                if trail is not None:
+                    trail.append((w, m))
+                m = lists[w] = m & ~bit
+                if m & (m - 1) == 0:
+                    work.append(w)
+    return True
+
+
 def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
-    """Stream of spanning refinements obtained by pinning stable classes.
+    """Stream of unit-propagated spanning refinements obtained by
+    pinning stable classes.
 
     Each element comes from a tuple (S_1..S_k) of pairwise disjoint
     stable sets with S_i inside the holders of color i and |S_i| capped
-    at min((k-1) * cover_cap(r), n).  Pinned vertices keep exactly their
-    class color; every other vertex drops each color i held by a
-    neighbor in S_i.  Elements are streamed by ascending total size of
-    the union, ties in ascending lexicographic order of the vertex to
-    class vector (unassigned sorts first); the first element is the
-    instance itself.
+    at min((k-1) * cover_cap(r), n): pinned vertices keep exactly their
+    class color, and then every one-color list's color is removed from
+    its neighbors' lists up to the fixpoint (unit_propagate).  Tuples
+    are taken by ascending total size of the union, ties in ascending
+    lexicographic order of the vertex to class vector (unassigned sorts
+    first).  A tuple whose propagation empties a list gives no element,
+    and a list tuple seen before is not yielded again, so the first
+    element is the propagated instance, and the stream is empty when
+    that has an empty list.
+
+    The current lists are propagated as each vertex is pinned and
+    restored from an undo trail on backtrack.  Propagation is monotone,
+    so an empty list cuts every completion of the prefix; a vertex whose
+    list is already one color is never pinned, since that repeats the
+    element with it unpinned, which comes earlier.
 
     Whenever the graph is r-P3-packing-free and the instance has a
     proper list coloring, some element of this stream has a frugal one.
 
     The cap does not prune in practice: cover_cap(2) = 2,772, so for
     k = 5 and r = 2 it equals n for every n < 11,088, and the stream
-    enumerates every tuple of disjoint stable classes.
+    covers every tuple of disjoint stable classes.
     """
     g, k = inst.graph, inst.k
     n = g.n
     cap = min((k - 1) * cover_cap(r), n)
     adjm = g.adj_mask
-    lists = inst.lists
-
-    vec = [0] * n
-    class_mask = [0] * (k + 1)
+    cur = list(inst.lists)
+    units = [v for v, m in enumerate(cur) if m & (m - 1) == 0]
+    if not unit_propagate(adjm, cur, units):
+        return
     class_size = [0] * (k + 1)
-
-    def build() -> Instance:
-        out = []
-        for v in range(n):
-            i = vec[v]
-            if i:
-                out.append(1 << (i - 1))
-            else:
-                mask = lists[v]
-                am = adjm[v]
-                for c in range(1, k + 1):
-                    if class_mask[c] & am:
-                        mask &= ~(1 << (c - 1))
-                out.append(mask)
-        return Instance(g, k, tuple(out))
+    trail: List[Tuple[int, int]] = []
+    seen: Set[Tuple[int, ...]] = set()
 
     def choices(v: int, left: int) -> Iterator[int]:
         """Apply each choice for v in turn, unassigned first, yielding
         the classes still to fill; undo it before trying the next."""
         yield left
-        if left:
-            vbit = 1 << v
-            for c in colors_from_mask(lists[v]):
-                if class_size[c] >= cap or class_mask[c] & adjm[v]:
+        mask = cur[v]
+        if left and mask & (mask - 1):
+            for c in colors_from_mask(mask):
+                if class_size[c] >= cap:
                     continue
-                vec[v] = c
-                class_mask[c] |= vbit
+                mark = len(trail)
+                trail.append((v, mask))
+                cur[v] = 1 << (c - 1)
                 class_size[c] += 1
-                yield left - 1
-                vec[v] = 0
-                class_mask[c] &= ~vbit
+                if unit_propagate(adjm, cur, [v], trail):
+                    yield left - 1
                 class_size[c] -= 1
+                for w, m in reversed(trail[mark:]):
+                    cur[w] = m
+                del trail[mark:]
 
     # depth-first over the choices, one stack frame per decided vertex
     for support in range(0, min(n, k * cap) + 1):
@@ -117,7 +154,10 @@ def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
         while True:
             if left <= n - v:
                 if v == n:
-                    yield build()
+                    lists = tuple(cur)
+                    if lists not in seen:
+                        seen.add(lists)
+                        yield Instance(g, k, lists)
                 else:
                     stack.append(choices(v, left))
             while stack:

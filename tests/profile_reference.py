@@ -1,17 +1,19 @@
 """Reference helpers that only the tests use.
 
 is_refinement checks that an instance refines another (the contract of
-every profile element and good-P3 child).  neighborhood_hypergraph
-builds the hypergraph whose cover number bounds the profile's class
-sizes, hypergraph_stats computes its exact statistics by exhaustive
-search, and cover_bound is the bound on the cover number that those
-statistics must respect.
+every profile element and good-P3 child).  propagated is unit
+propagation written as plain sweeps, and propagated_rows maps a stream
+of list tuples through it the way frugal_profile filters its stream.
+neighborhood_hypergraph builds the hypergraph whose cover number bounds
+the profile's class sizes, hypergraph_stats computes its exact
+statistics by exhaustive search, and cover_bound is the bound on the
+cover number that those statistics must respect.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, FrozenSet, Sequence, Tuple
+from itertools import combinations, permutations
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from rp3color.graphs import Graph, bits, is_stable_set
 from rp3color.instances import Instance
@@ -43,6 +45,37 @@ def is_refinement(
             ):
                 return False, False
     return True, len(image) == parent.graph.n
+
+
+def propagated(inst: Instance) -> Optional[Instance]:
+    """``inst`` with each one-color list's color taken out of its
+    neighbors' lists, sweep after sweep until nothing changes; None once
+    a list is empty."""
+    g, lists = inst.graph, list(inst.lists)
+    changed = True
+    while changed:
+        if 0 in lists:
+            return None
+        changed = False
+        for v, w in permutations(range(g.n), 2):
+            if lists[v].bit_count() == 1 and g.has_edge(v, w) and lists[w] & lists[v]:
+                lists[w] &= ~lists[v]
+                changed = True
+    return Instance(g, inst.k, tuple(lists))
+
+
+def propagated_rows(
+    inst: Instance, rows: Iterable[Tuple[int, ...]]
+) -> Iterator[Tuple[int, ...]]:
+    """Each row (a list tuple on inst's graph) propagated, rows that get
+    an empty list dropped, and only the first occurrence of each result
+    kept, in order."""
+    seen = set()
+    for row in rows:
+        p = propagated(Instance(inst.graph, inst.k, tuple(row)))
+        if p is not None and p.lists not in seen:
+            seen.add(p.lists)
+            yield p.lists
 
 
 def neighborhood_hypergraph(g: Graph, a_side: Sequence[int], b_side: Sequence[int]):

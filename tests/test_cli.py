@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rp3color import parse_instance, verify_coloring
+from rp3color import InstanceError, parse_instance, verify_coloring
 from rp3color.cli import main
 
 P3_FULL = "p glist 3 2 5\ne 1 2\ne 2 3\n"
@@ -81,6 +81,30 @@ def test_solve_crash_exits_5(tmp_path, capsys, monkeypatch):
     assert captured.err.splitlines()[-1] == (
         "error: internal: RecursionError: maximum recursion depth exceeded"
     )
+
+
+def test_solve_internal_value_error_exits_5(tmp_path, capsys, monkeypatch):
+    # InstanceError is a ValueError; raised inside the search it is a
+    # bug, not a usage error
+    def broken(inst):
+        raise InstanceError("good P3 at (0, 1, 2)")
+
+    monkeypatch.setattr("rp3color.pipeline.reduce_to_binary", broken)
+    code = main(["solve", put(tmp_path, P3_FULL)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: internal: InstanceError: good P3 at (0, 1, 2)"
+    )
+
+
+def test_solve_wrong_k_is_usage_error(tmp_path, capsys):
+    code = main(["solve", put(tmp_path, "p glist 3 2 3\ne 1 2\ne 2 3\n")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "k=3, need 5" in captured.err
 
 
 def disjoint_triangles(t):

@@ -8,9 +8,9 @@ decide it: a colorable verdict must carry a valid coloring and agree
 with the reference, and so must a not-colorable one.
 
 Tier 1 runs a sample that takes a few seconds.  The longer sweep runs
-with RP3COLOR_LONG_DIFFERENTIAL=1 in the environment; uncolorable
-inputs cost the search an exhaustive profile, so it caps each solve at
-a node budget and only reports the solves that reach it.
+with RP3COLOR_LONG_DIFFERENTIAL=1 in the environment; it caps each
+solve at a node budget so that a slow solve fails instead of hanging,
+and no solve may reach it.
 """
 
 import importlib.util
@@ -147,6 +147,16 @@ def test_random_scan_free_graphs():
     assert counts["colorable"] >= 1 and counts["not-colorable"] >= 4
 
 
+def test_dense_uncolorable_random_graphs():
+    # the profile was exhaustive on draws like these, and each one hit
+    # a 50,000-node budget; pruned inside the profile they take under
+    # 10,000 nodes
+    rng = random.Random(1005)
+    for _ in range(4):
+        ref = random_scan_free(rng, rng.randint(13, 16), (3, 4))
+        assert check(ref, budget=50_000) == "not-colorable"
+
+
 @pytest.mark.parametrize(
     "parts, colors",
     [
@@ -180,7 +190,9 @@ def test_singleton_heavy():
 
 
 def test_budget_abort_is_deterministic():
-    inst = to_instance(multipartite((3, 3, 3, 3), (1, 2, 3)))
+    # uncolorable, and every profile element is a walk root with no
+    # child: 40,711 nodes in all
+    inst = to_instance(multipartite((2, 2, 2, 2, 2, 2), (1, 2, 3, 4, 5)))
     first = solve(inst, SolveOptions(budget=500))
     second = solve(inst, SolveOptions(budget=500))
     assert first.status == second.status == "aborted"
@@ -203,3 +215,4 @@ def test_long_sweep():
     counts = Counter(check(ref, budget=100_000) for ref in draws)
     print("long sweep:", counts)
     assert counts["colorable"] + counts["not-colorable"] >= len(draws) // 2
+    assert counts["aborted"] == 0

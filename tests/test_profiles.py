@@ -22,6 +22,8 @@ from profile_reference import (
     hypergraph_stats,
     is_refinement,
     neighborhood_hypergraph,
+    propagated,
+    propagated_rows,
 )
 
 
@@ -101,9 +103,15 @@ def test_profile_single_vertex():
 
 
 def test_profile_k2_stability():
+    # both ends of the edge in class 1 is never a tuple; the input
+    # already propagates to an empty list, so the stream is empty
     inst = mk(2, [(0, 1)], [{1}, {1}], k=2)
+    assert [e.lists for e in frugal_profile(inst, 1)] == []
+    # the four one-vertex tuples and the two two-vertex ones propagate
+    # to the same two list tuples, each yielded once
+    inst = mk(2, [(0, 1)], [{1, 2}, {1, 2}], k=2)
     got = [e.lists for e in frugal_profile(inst, 1)]
-    assert got == [(0b01, 0b01), (0, 0b01), (0b01, 0)]
+    assert got == [(0b11, 0b11), (0b10, 0b01), (0b01, 0b10)]
 
 
 def test_profile_empty_graph():
@@ -112,7 +120,8 @@ def test_profile_empty_graph():
 
 
 def profile_direct(inst, r):
-    """Independent enumeration of the stream, straight from the rules."""
+    """Independent enumeration of the stream, straight from the rules:
+    every tuple of stable classes in order, then propagated_rows."""
     k, n, g = inst.k, inst.graph.n, inst.graph
     cap = min((k - 1) * cover_cap(r), n)
     rows = []
@@ -141,7 +150,7 @@ def profile_direct(inst, r):
                 lists.append(m)
         rows.append((sum(1 for x in vec if x), vec, tuple(lists)))
     rows.sort(key=lambda t: (t[0], t[1]))
-    return [t[2] for t in rows]
+    return list(propagated_rows(inst, (t[2] for t in rows)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,8 +166,21 @@ def test_profile_elements_are_spanning_refinements(inst):
     for child in itertools.islice(frugal_profile(inst, 2), 25):
         assert child.graph == inst.graph
         assert is_refinement(inst, child, ident) == (True, True)
-    first = next(frugal_profile(inst, 2))
-    assert first == inst
+    first = next(frugal_profile(inst, 2), None)
+    assert first == propagated(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_n=6, k=4))
+def test_profile_elements_are_clean(inst):
+    """No element has an empty list, each is its own propagation, and
+    no list tuple comes twice."""
+    seen = set()
+    for e in itertools.islice(frugal_profile(inst, 2), 300):
+        assert 0 not in e.lists
+        assert propagated(e) == e
+        assert e.lists not in seen
+        seen.add(e.lists)
 
 
 @settings(max_examples=25, deadline=None)
@@ -200,8 +222,9 @@ def test_neighborhood_cover_stays_small(inst):
 
 
 def profile_recursive(inst, r):
-    """The recursive form of frugal_profile, one call level per vertex:
-    the order oracle for the explicit-stack stream."""
+    """The unpropagated stream in recursive form, one call level per
+    vertex: the order oracle for the explicit-stack stream once mapped
+    through propagated_rows."""
     g, k = inst.graph, inst.k
     n = g.n
     cap = min((k - 1) * cover_cap(r), n)
@@ -251,15 +274,18 @@ def profile_recursive(inst, r):
 def test_profile_order_matches_recursive_oracle():
     rng = random.Random(4242)
     compared = 0
-    for _ in range(120):
+    # most propagated tuples repeat or die, so it takes more and larger
+    # draws than the unpropagated stream to compare as many elements
+    for _ in range(250):
         k = rng.choice([3, 5])
-        n = rng.randint(0, 7)
+        n = rng.randint(0, 8)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
         lists = [rng.randrange(1 << k) for _ in range(n)]
         inst = Instance(Graph(n, edges), k, tuple(lists))
         r = rng.choice([1, 2])
         got = [e.lists for e in itertools.islice(frugal_profile(inst, r), 2000)]
-        want = list(itertools.islice(profile_recursive(inst, r), 2000))
+        want = propagated_rows(inst, profile_recursive(inst, r))
+        want = list(itertools.islice(want, 2000))
         assert got == want
         compared += len(got)
     assert compared >= 20000
