@@ -4,12 +4,13 @@ A triple of color sets is "good" when all three have size at least two
 and they pairwise intersect; an induced P3 whose lists form a good
 triple is the obstruction that blocks the later reduction stages.  This
 module orders the good triples, finds the earliest one an instance
-realizes, and branches on one such path (pivot_refinements); the search
-in pipeline repeats that until no good P3 remains.  Each branch step
-preserves colorability in both directions (frugal colorings forward,
-arbitrary colorings come back through the pinned singletons).  The
-colorings of a patch come from oracle.colorings, frugal at the three
-pivot vertices only.
+realizes, and branches on one such path (pivot_refinements, which reads
+the triple off the path's own lists and yields unit-propagated
+children); the search in pipeline repeats that until no good P3
+remains.  Each branch step preserves colorability in both directions
+(frugal colorings forward, arbitrary colorings come back through the
+pinned singletons).  The colorings of a patch come from
+oracle.colorings, frugal at the three pivot vertices only.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .graphs import induced_p3_stream, local_adjacency, set_neighborhood
-from .instances import GoodTriple, Instance, p3_list_type
+from .instances import GoodTriple, Instance, is_good_triple, p3_list_type
 from .oracle import colorings
+from .profiles import unit_propagate
 
 
 @lru_cache(maxsize=None)
@@ -46,32 +48,24 @@ def good_triples(k: int) -> Tuple[GoodTriple, ...]:
     return tuple(t for bucket in reversed(buckets) for t in bucket)
 
 
-def _match_orientation(
-    inst: Instance, p3: Tuple[int, int, int], triple: GoodTriple
-) -> Optional[Tuple[int, int, int]]:
-    """Orient ``p3`` so its list type equals ``triple``, or None."""
-    t = p3_list_type(inst, p3)
-    if t == triple:
-        return p3
-    if (t[2], t[1], t[0]) == triple:
-        return (p3[2], p3[1], p3[0])
-    return None
-
-
 def pivot_refinements(
-    inst: Instance, triple: GoodTriple, pivot: Tuple[int, int, int]
+    inst: Instance, pivot: Tuple[int, int, int]
 ) -> Iterator[Instance]:
-    """Refinements that pin a colored patch around one good P3.
+    """Unit-propagated refinements that pin a colored patch around one
+    good P3.
 
-    The pivot must be an induced P3 whose lists match ``triple`` (either
-    orientation; it is oriented to match).  Each output corresponds to a
-    patch S with pivot inside S inside the closed pivot neighborhood,
-    |S| <= 3k, and a proper list coloring psi of the patch in which no
-    pivot vertex sees two patch neighbors share a color from its list.
-    Output lists: patch vertices are pinned to their psi color;
-    unpatched pivot neighbors v keep rest(v), their list minus the
-    triple entry of every pivot vertex they touch; everything else is
-    unchanged.
+    The pivot must be an induced P3 whose lists form a good triple
+    (ValueError otherwise); either orientation gives the same stream.
+    Each output comes from a patch S with pivot inside S inside the
+    closed pivot neighborhood, |S| <= 3k, and a proper list coloring psi
+    of the patch in which no pivot vertex sees two patch neighbors share
+    a color from its list.  Its lists before propagation: patch vertices
+    are pinned to their psi color; unpatched pivot neighbors v keep
+    rest(v), their list minus the list of every pivot vertex they touch;
+    everything else is unchanged.  Those lists are then unit-propagated
+    (profiles.unit_propagate), and a child whose propagation empties a
+    list is not yielded, so every output is a propagation fixpoint with
+    no empty list.
 
     Patches stream by size then lexicographic order, colorings in
     lexicographic order over the patch (ascending ids), as
@@ -80,11 +74,12 @@ def pivot_refinements(
     ``allowed`` is the input list, so the watched lists are the pivot
     lists.  A frugal coloring of the input restricts to a witness
     patch, so feasibility carries forward; each output only pins list
-    colors, so any output coloring is an input coloring.
+    colors and propagation keeps every coloring, so any output coloring
+    is an input coloring.
 
-    Three skips leave out what the search in pipeline would only throw
-    away (outputs with an empty list, or with a list tuple it has met)
-    and the work behind it; each is exact:
+    Three skips leave out children with an empty list or a repeated
+    list tuple before propagation, and the work behind them; each is
+    exact:
 
     - Empty lists.  An input with an empty list gives none but
       empty-list outputs, so its stream is empty.  A neighbor v with
@@ -96,27 +91,30 @@ def pivot_refinements(
       inside a patch gives the output of the same patch without v,
       which is smaller and so came earlier; c is not tried inside the
       patch, and v is left out of patches when no other color remains.
-      No other two outputs coincide, so the stream is the unpruned one
-      with the first of each list tuple kept.
+      No other two unpropagated outputs coincide.
     - Uncolorable patches.  A patch with no such coloring has no
       colorable superset, so each size class is a lexicographic
       depth-first walk that cuts every extension of an uncolorable
       prefix.  This skips patches, never outputs.
+
+    So the stream is the unpruned one with the first of each list tuple
+    kept, mapped through propagation, with the empty results dropped,
+    in the same order.  Distinct children may propagate to one list
+    tuple; the search in pipeline drops the later ones.
     """
-    oriented = _match_orientation(inst, pivot, triple)
-    if oriented is None:
-        raise ValueError(f"pivot {pivot} does not match the triple")
+    if not is_good_triple(p3_list_type(inst, pivot)):
+        raise ValueError(f"pivot {pivot} is not a good P3")
     g, k = inst.graph, inst.k
     # base: the output lists before pinning, every neighbor at rest(v);
     # allowed: the colors each vertex may take inside a patch
     base = list(inst.lists)
     allowed = list(inst.lists)
     forced, free = [], []
-    for v in sorted(set_neighborhood(g, oriented)):
+    for v in sorted(set_neighborhood(g, pivot)):
         drop = 0
-        for j in range(3):
-            if g.has_edge(oriented[j], v):
-                drop |= triple[j]
+        for p in pivot:
+            if g.has_edge(p, v):
+                drop |= inst.lists[p]
         rest = base[v] = inst.lists[v] & ~drop
         if rest == 0:
             forced.append(v)
@@ -128,7 +126,7 @@ def pivot_refinements(
     cap = 3 * k - 3 - len(forced)
     if cap < 0 or 0 in inst.lists:
         return iter(())
-    core = oriented + tuple(forced)
+    core = pivot + tuple(forced)
     base = tuple(base)
 
     def stream() -> Iterator[Instance]:
@@ -149,10 +147,12 @@ def pivot_refinements(
                     patch = tuple(sorted(core + tuple(free[i] for i in combo)))
                     colorable[combo] = False
                     lists = [allowed[v] for v in patch]
-                    watch = sum(1 << i for i, v in enumerate(patch) if v in oriented)
+                    watch = sum(1 << i for i, v in enumerate(patch) if v in pivot)
                     for psi in colorings(local_adjacency(g, patch), lists, watch):
                         colorable[combo] = found = True
-                        yield _pinned_child(inst, base, patch, psi)
+                        child = _pinned_child(inst, base, patch, psi)
+                        if child is not None:
+                            yield child
                 elif nxt <= len(free) - (size - depth):
                     chosen.append(nxt)
                     nxt += 1
@@ -177,12 +177,15 @@ def _pinned_child(
     base: Tuple[int, ...],
     patch: Tuple[int, ...],
     psi: Tuple[int, ...],
-) -> Instance:
+) -> Optional[Instance]:
     """``base`` (every pivot neighbor at its unpatched list) with the
-    patch pinned to psi."""
+    patch pinned to psi, unit-propagated; None when that empties a
+    list."""
     lists = list(base)
     for v, c in zip(patch, psi):
         lists[v] = 1 << (c - 1)
+    if not unit_propagate(inst.graph.adj_mask, lists):
+        return None
     return Instance(inst.graph, inst.k, tuple(lists))
 
 

@@ -15,12 +15,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .goodp3 import (
-    _earliest_good,
-    good_triple_index,
-    good_triples,
-    pivot_refinements,
-)
+from .goodp3 import _earliest_good, good_triple_index, pivot_refinements
 from .graphs import anticomplete_packing, bits
 from .instances import Coloring, Instance, InstanceError, coloring_defect
 from .profiles import (
@@ -29,7 +24,6 @@ from .profiles import (
     frugal_profile,
     lift_identity,
     lift_singleton,
-    unit_propagate,
 )
 from .reducer import lift_step4, lift_step5c, lift_step11, reduce_to_binary
 from .twosat import binary_list_color
@@ -159,41 +153,21 @@ class _Budget:
         }
 
 
-def propagate_singletons(inst: Instance) -> Optional[Instance]:
-    """Unit propagation: remove each one-color list's color from its
-    neighbors' lists, keeping every vertex, up to the fixpoint.
-
-    Returns None at the first empty list (exactly when
-    eliminate_singletons would leave one), else the propagated instance,
-    ``inst`` itself when no list changed.  The proper list colorings
-    stay the same, and a frugal one stays frugal, since lists only
-    shrink.
-    """
-    out = list(inst.lists)
-    work = [v for v, m in enumerate(out) if m & (m - 1) == 0]
-    if not unit_propagate(inst.graph.adj_mask, out, work):
-        return None
-    lists = tuple(out)
-    return inst if lists == inst.lists else Instance(inst.graph, inst.k, lists)
-
-
 def _candidates(
     element: Instance, budget: _Budget
 ) -> Iterator[Tuple[Instance, ReductionTrace]]:
     """Singleton-free refinements of one element with no good P3.
 
     Depth-first over pivot_refinements of the earliest good triple, with
-    an explicit stack of child streams.  Each node is first replaced by
-    its propagate_singletons result, which has the same colorings and
-    keeps a frugal one frugal.  A node is skipped, still counting toward
-    the budget, when that empties a list (every refinement keeps a list
-    empty) or gives a list tuple already visited (its subtree depends
-    only on the instance, and was explored in full).  Each leaf is
-    handed through eliminate_singletons, which leaves no empty list
-    after propagation; finals seen before are dropped.  No skip can hide
-    a feasible candidate.
+    an explicit stack of child streams.  Every node is a unit-propagation
+    fixpoint with no empty list: the element because frugal_profile
+    yields it so, each child because pivot_refinements does.  A node
+    whose list tuple was already visited is skipped, still counting
+    toward the budget: its subtree depends only on the instance, and was
+    explored in full.  Each leaf is handed through eliminate_singletons,
+    which leaves no empty list on a propagated instance; finals seen
+    before are dropped.  No skip can hide a feasible candidate.
     """
-    gammas = good_triples(element.k)
     index = good_triple_index(element.k)
     seen: Set[Tuple[int, ...]] = set()
     seen_final: Set[Instance] = set()
@@ -204,14 +178,13 @@ def _candidates(
             stack.pop()
             continue
         budget.node()
-        cur = propagate_singletons(cur)
-        if cur is None or cur.lists in seen:
+        if cur.lists in seen:
             budget.pruned += 1
             continue
         seen.add(cur.lists)
-        best, pivot = _earliest_good(cur, index)
-        if best is not None:
-            stack.append(pivot_refinements(cur, gammas[best], pivot))
+        _, pivot = _earliest_good(cur, index)
+        if pivot is not None:
+            stack.append(pivot_refinements(cur, pivot))
             continue
         final, steps = eliminate_singletons(cur)
         if final in seen_final:

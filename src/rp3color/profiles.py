@@ -3,10 +3,10 @@
 Two refinement mechanisms live here: elimination of forced (singleton
 list) vertices, and the stable-class profile stream that prepares an
 instance for frugal coloring, together with the unit propagation
-(unit_propagate) that the profile and the search share.  Elimination
-runs on a WorkingInstance and each deletion leaves a local undo record
-(LiftStep), so certificates can be pulled back to the original
-instance.
+(unit_propagate) that the profile and goodp3.pivot_refinements share.
+Elimination runs on a WorkingInstance and each deletion leaves a local
+undo record (LiftStep), so certificates can be pulled back to the
+original instance.
 """
 
 from __future__ import annotations
@@ -54,18 +54,23 @@ def cover_cap(r: int) -> int:
 def unit_propagate(
     adj: List[int],
     lists: List[int],
-    work: List[int],
+    work: Optional[List[int]] = None,
     trail: Optional[List[Tuple[int, int]]] = None,
 ) -> bool:
     """Unit propagation in place: each vertex in ``work`` has a list of
     at most one color and removes that color from every neighbor's list
     (``adj`` holds neighbor bitmasks); a neighbor left with one color
-    joins the worklist.
+    joins the worklist.  With ``work`` None the worklist starts as
+    every vertex whose list has at most one color, so the result is the
+    fixpoint of the whole instance.
 
     Every change is recorded as ``(vertex, old mask)`` on ``trail`` when
     one is given, so the caller can undo it.  Returns False at the first
-    empty list, True at the fixpoint.
+    empty list, True at the fixpoint.  The proper list colorings stay
+    the same, and a frugal one stays frugal, since lists only shrink.
     """
+    if work is None:
+        work = [v for v, m in enumerate(lists) if m & (m - 1) == 0]
     while work:
         v = work.pop()
         bit = lists[v]
@@ -120,8 +125,7 @@ def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
     cap = min((k - 1) * cover_cap(r), n)
     adjm = g.adj_mask
     cur = list(inst.lists)
-    units = [v for v, m in enumerate(cur) if m & (m - 1) == 0]
-    if not unit_propagate(adjm, cur, units):
+    if not unit_propagate(adjm, cur):
         return
     class_size = [0] * (k + 1)
     trail: List[Tuple[int, int]] = []

@@ -212,10 +212,11 @@ def reduce_once(inst: Instance, u0: int) -> Tuple[Instance, LiftStep]:
     """One reduction round centered at u0 (list size >= 3).
 
     Requires k = 5 and no singleton lists; correctness further assumes
-    no good P3 (not checked here, the pipeline establishes it).  Colors
-    are first renamed so the three smallest colors of L(u0) become
-    {1,2,3}; output lists are renamed back.  The returned LiftStep
-    carries the fired step number in info['step'].
+    no good P3 (not checked here, the pipeline establishes it).  Steps
+    3-5 run on the input colors; steps 6-11 first rename the colors so
+    the three smallest of L(u0) become {1,2,3}, and rename output lists
+    back.  The returned LiftStep carries the fired step number in
+    info['step'].
     """
     if inst.k != 5:
         raise InstanceError(f"k={inst.k}, need 5")
@@ -237,19 +238,11 @@ def _round(ws: WorkingInstance, u0: int) -> None:
     alive ids, as on the renumbered instance the round stands for.
     """
     lists = ws.lists
-    perm = _perm_for(lists[u0], 5)
-    inv = invert_perm(perm)
-
-    def work(v: int) -> int:
-        return _remap_mask(lists[v], perm)
-
-    def put(v: int, mask: int) -> None:
-        ws.set_list(v, _remap_mask(mask, inv))
 
     # step 3: a vertex with five list-graph neighbors forces failure
     witness = ws.first_wide()
     if witness is not None:
-        ws.record("spanning", {"step": 3, "witness": witness, "perm": perm})
+        ws.record("spanning", {"step": 3, "witness": witness})
         ws.clear_lists()
         return
 
@@ -261,7 +254,6 @@ def _round(ws: WorkingInstance, u0: int) -> None:
             "step": 4,
             "vertex": witness,
             "gl_neighbors": tuple(bits(ws.gl[witness])),
-            "perm": perm,
         }
         ws.record("step4-removal", info, {witness: lists[witness]})
         ws.kill(witness)
@@ -271,8 +263,18 @@ def _round(ws: WorkingInstance, u0: int) -> None:
     # vertex can be colored locally; record what the boundary may take
     witness = ws.first_local()
     if witness is not None:
-        _step5(ws, perm, witness)
+        _step5(ws, witness)
         return
+
+    # steps 6-11 read colors 1-5 in the renamed palette
+    perm = _perm_for(lists[u0], 5)
+    inv = invert_perm(perm)
+
+    def work(v: int) -> int:
+        return _remap_mask(lists[v], perm)
+
+    def put(v: int, mask: int) -> None:
+        ws.set_list(v, _remap_mask(mask, inv))
 
     wl = {v: work(v) for v in bits(ws.gl[u0])}
     wl[u0] = work(u0)
@@ -318,13 +320,14 @@ def _round(ws: WorkingInstance, u0: int) -> None:
     _step11(ws, perm, u0, wl, ring, a_side, b_side, a_outer, b_outer)
 
 
-def _step5(ws: WorkingInstance, perm, u: int) -> None:
+def _step5(ws: WorkingInstance, u: int) -> None:
+    """Step 5 on the input colors: no outcome depends on their names."""
     lists = ws.lists
     second = second_ring(ws.gl, u)
     removed = ws.gl[u] | (1 << u)
     ball = tuple(bits(removed | second))
     boundary = tuple(bits(second))
-    local = [_remap_mask(lists[v], perm) for v in ball]
+    local = [lists[v] for v in ball]
     adj = local_adjacency(ws.graph, ball)
     watch = (1 << len(ball)) - 1  # frugal at every ball vertex
 
@@ -343,7 +346,7 @@ def _step5(ws: WorkingInstance, perm, u: int) -> None:
 
     if not feasible:
         # step 5b: the ball itself cannot be frugally colored
-        info = {"step": 5, "witness": u, "outcome": "5b", "perm": perm}
+        info = {"step": 5, "witness": u, "outcome": "5b"}
         ws.record("spanning", info)
         ws.clear_lists()
         return
@@ -355,12 +358,11 @@ def _step5(ws: WorkingInstance, perm, u: int) -> None:
         "vertex": u,
         "ball": ball,
         "boundary": boundary,
-        "perm": perm,
         "outcome": "5c",
     }
     ws.record("step5c-removal", info, {v: lists[v] for v in ball})
     if boundary:
-        ws.set_list(boundary[0], _remap_mask(realized, invert_perm(perm)))
+        ws.set_list(boundary[0], realized)
     for v in bits(removed):
         ws.kill(v)
 

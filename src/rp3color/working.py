@@ -232,7 +232,6 @@ class WorkingInstance:
             bit = lists[v]
             neighbors = [w for w in bits(adjm[v]) if alive[w]]
             info = {"vertex": v, "color": bit.bit_length()}
-            info["neighbors"] = frozenset(neighbors)
             self.record("singleton-removal", info, {v: bit})
             self.kill(v)
             for w in neighbors:

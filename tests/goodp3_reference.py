@@ -6,7 +6,8 @@ same leaves in the same order by expanding only the earliest good triple
 an instance realizes.  None of them prunes: they yield every leaf,
 including repeats and leaves with an empty list, so they branch through
 eager_pivot_refinements: every child of one pivot built up front from
-the sorted patch list, without the skips of pivot_refinements.  Its
+the sorted patch list, without the skips and the unit propagation of
+pivot_refinements, and oriented against the triple it is given.  Its
 patch colorings are the exact colorings of each patch filtered by a
 pivot-frugality check written out here, so they share no frugality
 code with the solver's watched enumeration.
@@ -15,12 +16,7 @@ code with the solver's watched enumeration.
 from itertools import combinations
 from typing import Iterator, List, Optional, Tuple
 
-from rp3color.goodp3 import (
-    _earliest_good,
-    _match_orientation,
-    good_triple_index,
-    good_triples,
-)
+from rp3color.goodp3 import _earliest_good, good_triple_index, good_triples
 from rp3color.graphs import induced_p3_stream, induced_subgraph
 from rp3color.instances import (
     Coloring,
@@ -31,6 +27,18 @@ from rp3color.instances import (
     triple_weight,
 )
 from rp3color.oracle import exact_colorings
+
+
+def _match_orientation(
+    inst: Instance, p3: Tuple[int, int, int], triple: GoodTriple
+) -> Optional[Tuple[int, int, int]]:
+    """Orient ``p3`` so its list type equals ``triple``, or None."""
+    t = p3_list_type(inst, p3)
+    if t == triple:
+        return p3
+    if (t[2], t[1], t[0]) == triple:
+        return (p3[2], p3[1], p3[0])
+    return None
 
 
 def find_type_p3(

@@ -24,7 +24,7 @@ from goodp3_reference import (
     find_type_p3,
     literal_fold,
 )
-from profile_reference import is_refinement
+from profile_reference import is_refinement, propagated
 
 GAMMA = (0b011, 0b110, 0b101)  # ({1,2},{2,3},{1,3})
 
@@ -91,7 +91,7 @@ def test_find_type_p3_orientation():
 def test_pivot_refinements_isolated_pivot():
     bare = mk(3, [(0, 1), (1, 2)], [{1, 2}, {2, 3}, {1, 3}])
     got = [tuple(e.list_of(v) for v in range(3)) for e in
-           pivot_refinements(bare, GAMMA, (0, 1, 2))]
+           pivot_refinements(bare, (0, 1, 2))]
     assert got == [
         ((1,), (2,), (1,)),
         ((1,), (2,), (3,)),
@@ -106,15 +106,16 @@ def test_pivot_refinements_strips_outside_neighbor():
         [(0, 1), (1, 2), (0, 3)],
         [{1, 2}, {2, 3}, {1, 3}, {1, 2, 3}],
     )
-    first = next(iter(pivot_refinements(inst, GAMMA, (0, 1, 2))))
+    first = next(iter(pivot_refinements(inst, (0, 1, 2))))
     assert first.list_of(3) == (3,)
     assert first.list_of(0) == (1,)
 
 
-def test_pivot_refinements_rejects_mismatch():
-    inst = mk(3, [(0, 1), (1, 2)], [{1, 2}, {1, 2}, {1, 2}])
-    with pytest.raises(ValueError, match="does not match"):
-        pivot_refinements(inst, GAMMA, (0, 1, 2))
+def test_pivot_refinements_rejects_non_good_pivot():
+    # the lists {1,2}, {1,2}, {3} do not pairwise intersect
+    inst = mk(3, [(0, 1), (1, 2)], [{1, 2}, {1, 2}, {3}])
+    with pytest.raises(ValueError, match="not a good P3"):
+        pivot_refinements(inst, (0, 1, 2))
 
 
 @st.composite
@@ -138,7 +139,7 @@ def test_pivot_outputs_clear_the_pivot_zone(inst):
     zone = set(pivot)
     for x in pivot:
         zone |= {w for w in range(g.n) if g.has_edge(x, w)}
-    for child in itertools.islice(pivot_refinements(inst, GAMMA, pivot), 60):
+    for child in itertools.islice(pivot_refinements(inst, pivot), 60):
         again = find_type_p3(child, GAMMA)
         while again is not None:
             assert not (set(again) & zone)
@@ -170,7 +171,7 @@ def test_eliminate_type_outputs_are_type_free(inst):
 def test_eliminate_type_shrinks_packing():
     inst = mk(3, [(0, 1), (1, 2)], [{1, 2}, {2, 3}, {1, 3}])
     before = count_anticomplete_of_type(inst, GAMMA)
-    for child in pivot_refinements(inst, GAMMA, (0, 1, 2)):
+    for child in pivot_refinements(inst, (0, 1, 2)):
         assert count_anticomplete_of_type(child, GAMMA) < before
 
 
@@ -222,8 +223,9 @@ def test_eliminate_good_p3_soundness_and_completeness(inst):
 
 def test_pivot_refinements_match_eager_sorted_patches():
     # the lazy stream is the eager one without the children the search
-    # discards: those with an empty list, and repeats of an earlier list
-    # tuple (the first is kept)
+    # discards (those with an empty list, and repeats of an earlier list
+    # tuple, the first kept), then propagated, dropping empty results;
+    # either orientation of the pivot gives the same stream
     rng = random.Random(5151)
     compared = kept = 0
     for _ in range(300):
@@ -245,7 +247,10 @@ def test_pivot_refinements_match_eager_sorted_patches():
             if 0 not in child.lists and child.lists not in seen:
                 seen.add(child.lists)
                 want.append(child)
-        assert list(pivot_refinements(inst, triple, pivot)) == want
+        want = [p for p in map(propagated, want) if p is not None]
+        got = list(pivot_refinements(inst, pivot))
+        assert got == want
+        assert list(pivot_refinements(inst, pivot[::-1])) == got
         compared += len(eager)
         kept += len(want)
     assert compared >= 5000
@@ -271,14 +276,14 @@ def test_pivot_refinements_first_child_is_lazy():
     # pivot vertex whose list is full, so it keeps no color unless it is
     # patched; 21 forced vertices exceed the 12 a patch may add
     full = k888((0b11111,) * 3)
-    assert list(pivot_refinements(full, good_triples(5)[0], (0, 8, 1))) == []
+    assert list(pivot_refinements(full, (0, 8, 1))) == []
     # pivot lists {1,2}, {2,3}, {1,3}: no neighbor is forced, and the
     # 21 candidates give about 1.7 million patches of up to 12 of them,
     # none of which may be built up front
     inst = k888(GAMMA)
     tracemalloc.start()
     try:
-        child = next(pivot_refinements(inst, GAMMA, (0, 8, 1)))
+        child = next(pivot_refinements(inst, (0, 8, 1)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -24,8 +24,9 @@ from rp3color import (
 from rp3color.instances import find_good_p3
 from rp3color.goodp3 import good_triples
 from rp3color.oracle import exact_colorings, frugal_colorings
-from rp3color.pipeline import _Budget, _candidates, propagate_singletons
-from rp3color.profiles import frugal_profile
+from rp3color import pipeline
+from rp3color.pipeline import _Budget, _candidates
+from rp3color.profiles import frugal_profile, unit_propagate
 
 from goodp3_reference import eager_pivot_refinements, find_type_p3
 from profile_reference import propagated
@@ -231,6 +232,15 @@ def test_candidates_match_pruned_literal_fold():
     assert compared >= 800
 
 
+def propagate_singletons(inst):
+    """``inst`` unit-propagated from every one-color list by
+    profiles.unit_propagate; None once a list is empty."""
+    lists = list(inst.lists)
+    if not unit_propagate(inst.graph.adj_mask, lists):
+        return None
+    return Instance(inst.graph, inst.k, tuple(lists))
+
+
 def test_propagate_singletons_matches_elimination():
     rng = random.Random(1618)
     empty = kept = 0
@@ -256,6 +266,33 @@ def test_propagate_singletons_matches_elimination():
         frugal_after = set(frugal_colorings(after))
         assert all(phi in frugal_after for phi in frugal_colorings(inst))
     assert empty >= 50 and kept >= 50
+
+
+def test_walk_nodes_are_propagated(monkeypatch):
+    # the walk does not propagate its nodes: every node must come out of
+    # frugal_profile or pivot_refinements at the propagation fixpoint
+    detect = pipeline._earliest_good
+    checked = 0
+
+    def checking(cur, index):
+        nonlocal checked
+        assert 0 not in cur.lists
+        assert propagated(cur) == cur
+        checked += 1
+        return detect(cur, index)
+
+    monkeypatch.setattr(pipeline, "_earliest_good", checking)
+    insts = [multipartite((2, 2, 2), {1, 2, 3})]
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        lists = [set(rng.sample(range(1, 6), rng.choice([1, 2, 3, 3]))) for _ in range(n)]
+        insts.append(mk(n, edges, lists))
+    for inst in insts:
+        for _ in candidate_stream(inst, 2):
+            pass
+    assert checked >= 5000
 
 
 def test_solve_leaves_few_reference_cycles():
