@@ -178,6 +178,9 @@ def random_instance(rng: random.Random, n: int, k: int = 5) -> Instance:
 
 
 def _cmd_bench(args) -> int:
+    for flag, value in (("--count", args.count), ("--size", args.size)):
+        if value < 0:
+            raise ValueError(f"{flag} {value} is negative")
     rng = random.Random(args.seed)
     opts = SolveOptions(r=2)
     tally = {"colorable": 0, "not-colorable": 0, "not-rp3-free": 0, "aborted": 0}

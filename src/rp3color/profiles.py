@@ -2,8 +2,9 @@
 
 Two refinement mechanisms live here: elimination of forced (singleton
 list) vertices, and the stable-class profile stream that prepares an
-instance for frugal coloring, together with the unit propagation
-(unit_propagate) that the profile and goodp3.pivot_refinements share.
+instance for frugal coloring, built one support level at a time from
+the level before, together with the unit propagation (unit_propagate)
+that the profile and goodp3.pivot_refinements share.
 Elimination runs on a WorkingInstance and each deletion leaves a local
 undo record (LiftStep), so certificates can be pulled back to the
 original instance.
@@ -52,10 +53,7 @@ def cover_cap(r: int) -> int:
 
 
 def unit_propagate(
-    adj: List[int],
-    lists: List[int],
-    work: Optional[List[int]] = None,
-    trail: Optional[List[Tuple[int, int]]] = None,
+    adj: List[int], lists: List[int], work: Optional[List[int]] = None
 ) -> bool:
     """Unit propagation in place: each vertex in ``work`` has a list of
     at most one color and removes that color from every neighbor's list
@@ -64,9 +62,8 @@ def unit_propagate(
     every vertex whose list has at most one color, so the result is the
     fixpoint of the whole instance.
 
-    Every change is recorded as ``(vertex, old mask)`` on ``trail`` when
-    one is given, so the caller can undo it.  Returns False at the first
-    empty list, True at the fixpoint.  The proper list colorings stay
+    Returns False at the first empty list (``lists`` is then partly
+    propagated), True at the fixpoint.  The proper list colorings stay
     the same, and a frugal one stays frugal, since lists only shrink.
     """
     if work is None:
@@ -83,8 +80,6 @@ def unit_propagate(
             w = low.bit_length() - 1
             m = lists[w]
             if m & bit:
-                if trail is not None:
-                    trail.append((w, m))
                 m = lists[w] = m & ~bit
                 if m & (m - 1) == 0:
                     work.append(w)
@@ -100,18 +95,29 @@ def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
     at min((k-1) * cover_cap(r), n): pinned vertices keep exactly their
     class color, and then every one-color list's color is removed from
     its neighbors' lists up to the fixpoint (unit_propagate).  Tuples
-    are taken by ascending total size of the union, ties in ascending
-    lexicographic order of the vertex to class vector (unassigned sorts
-    first).  A tuple whose propagation empties a list gives no element,
-    and a list tuple seen before is not yielded again, so the first
-    element is the propagated instance, and the stream is empty when
-    that has an empty list.
+    are taken by ascending support (total size of the union), ties in
+    ascending lexicographic order of the vertex to class vector
+    (unpinned sorts first).  A tuple whose propagation empties a list
+    gives no element, a vertex whose list is already one color is never
+    pinned (that repeats the element with it unpinned, which comes
+    earlier), and a list tuple seen before is not yielded again.  So the
+    first element is the propagated instance, and the stream is empty
+    when that has an empty list.
 
-    The current lists are propagated as each vertex is pinned and
-    restored from an undo trail on backtrack.  Propagation is monotone,
-    so an empty list cuts every completion of the prefix; a vertex whose
-    list is already one color is never pinned, since that repeats the
-    element with it unpinned, which comes earlier.
+    The stream is built one support level at a time.  An entry of level
+    s is (propagated lists, one past its last pinned vertex, class
+    sizes) for a live tuple of support s, in stream order.  Each child
+    of an entry pins one more vertex v at or past that bound, v from
+    n-1 down, each color of its list ascending; it is propagated from v
+    alone, kept for the next level when no list empties, and yielded at
+    once unless its lists were seen, so a support's first element costs
+    one entry's children, not a whole level.  This is the order above:
+    dropping a vector's last pin gives its parent, and two vectors of
+    one support compare as their parents do, or, with one parent, by
+    pin position descending and then color ascending.  All of a
+    parent's pins lie before v, so its lists are what pinning v sees,
+    and propagation is monotone, so an emptied list cuts every
+    completion.  At most two levels are held at once.
 
     Whenever the graph is r-P3-packing-free and the instance has a
     proper list coloring, some element of this stream has a frugal one.
@@ -124,51 +130,31 @@ def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
     n = g.n
     cap = min((k - 1) * cover_cap(r), n)
     adjm = g.adj_mask
-    cur = list(inst.lists)
-    if not unit_propagate(adjm, cur):
+    start = list(inst.lists)
+    if not unit_propagate(adjm, start):
         return
-    class_size = [0] * (k + 1)
-    trail: List[Tuple[int, int]] = []
-    seen: Set[Tuple[int, ...]] = set()
-
-    def choices(v: int, left: int) -> Iterator[int]:
-        """Apply each choice for v in turn, unassigned first, yielding
-        the classes still to fill; undo it before trying the next."""
-        yield left
-        mask = cur[v]
-        if left and mask & (mask - 1):
-            for c in colors_from_mask(mask):
-                if class_size[c] >= cap:
+    root = tuple(start)
+    seen: Set[Tuple[int, ...]] = {root}
+    yield Instance(g, k, root)
+    level = [(root, 0, (0,) * (k + 1))]
+    while level:
+        below: List[Tuple[Tuple[int, ...], int, Tuple[int, ...]]] = []
+        for lists, first, sizes in level:
+            for v in range(n - 1, first - 1, -1):
+                mask = lists[v]
+                if mask & (mask - 1) == 0:
                     continue
-                mark = len(trail)
-                trail.append((v, mask))
-                cur[v] = 1 << (c - 1)
-                class_size[c] += 1
-                if unit_propagate(adjm, cur, [v], trail):
-                    yield left - 1
-                class_size[c] -= 1
-                for w, m in reversed(trail[mark:]):
-                    cur[w] = m
-                del trail[mark:]
-
-    # depth-first over the choices, one stack frame per decided vertex
-    for support in range(0, min(n, k * cap) + 1):
-        stack: List[Iterator[int]] = []
-        v, left = 0, support
-        while True:
-            if left <= n - v:
-                if v == n:
-                    lists = tuple(cur)
-                    if lists not in seen:
-                        seen.add(lists)
-                        yield Instance(g, k, lists)
-                else:
-                    stack.append(choices(v, left))
-            while stack:
-                left = next(stack[-1], None)
-                if left is not None:
-                    v = len(stack)
-                    break
-                stack.pop()
-            else:
-                break
+                for c in colors_from_mask(mask):
+                    if sizes[c] >= cap:
+                        continue
+                    child = list(lists)
+                    child[v] = 1 << (c - 1)
+                    if not unit_propagate(adjm, child, [v]):
+                        continue
+                    out = tuple(child)
+                    grown = sizes[:c] + (sizes[c] + 1,) + sizes[c + 1 :]
+                    below.append((out, v + 1, grown))
+                    if out not in seen:
+                        seen.add(out)
+                        yield Instance(g, k, out)
+        level = below

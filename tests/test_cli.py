@@ -195,6 +195,16 @@ def test_usage_errors_exit_4():
     assert e.value.code == 4
 
 
+@pytest.mark.parametrize("flag", ["--count", "--size"])
+def test_bench_rejects_negative_counts(flag, capsys):
+    args = {"--count": "2", "--size": "4", flag: "-3"}
+    argv = ["bench", "--seed", "1"] + [a for kv in args.items() for a in kv]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} -3 is negative" in captured.err
+
+
 def test_oracle_matches_backtracking_order(tmp_path, capsys):
     code = main(["oracle", put(tmp_path, P3_FULL)])
     out = capsys.readouterr().out

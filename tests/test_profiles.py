@@ -16,6 +16,7 @@ from rp3color import (
     solve_exact_frugal,
     verify_coloring,
 )
+from rp3color import profiles
 from rp3color.pipeline import lift
 
 from profile_reference import (
@@ -289,4 +290,39 @@ def test_profile_order_matches_recursive_oracle():
         assert got == want
         compared += len(got)
     assert compared >= 20000
+    # whole dense streams, where many entries propagate to equal lists
+    sizes = []
+    for parts, colors in (((2, 2, 2), range(1, 6)), ((3, 3, 3), (1, 2, 3))):
+        inst = multipartite(parts, colors)
+        got = [e.lists for e in frugal_profile(inst, 2)]
+        assert got == list(propagated_rows(inst, profile_recursive(inst, 2)))
+        sizes.append(len(got))
+    assert sizes == [6946, 70]
+
+
+def multipartite(parts, colors):
+    side = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(side)
+    pairs = itertools.combinations(range(n), 2)
+    edges = [(u, v) for u, v in pairs if side[u] != side[v]]
+    return mk(n, edges, [colors] * n)
+
+
+def test_profile_is_lazy(monkeypatch):
+    """A support's first element costs one entry's children, not a
+    whole level: the first two elements of a long path with full lists
+    take at most k pins (its first level alone has 5 n)."""
+    n, k = 2000, 5
+    inst = mk(n, [(v, v + 1) for v in range(n - 1)], [range(1, k + 1)] * n, k)
+    real = profiles.unit_propagate
+    pins = 0
+
+    def counting(adj, lists, work=None):
+        nonlocal pins
+        pins += work is not None
+        return real(adj, lists, work)
+
+    monkeypatch.setattr(profiles, "unit_propagate", counting)
+    assert len(list(itertools.islice(frugal_profile(inst, 2), 2))) == 2
+    assert 1 <= pins <= k
 
