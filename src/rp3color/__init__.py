@@ -43,14 +43,7 @@ from .goodp3 import (
     good_triples,
     pivot_refinements,
 )
-from .reducer import (
-    CenterContext,
-    center_context,
-    center_context_report,
-    check_center_context,
-    reduce_once,
-    reduce_to_binary,
-)
+from .reducer import reduce_once, reduce_to_binary
 from .twosat import CnfFormula, binary_list_color, solve_2sat, to_2sat
 from .pipeline import SolveOptions, Verdict, candidate_stream, lift, solve
 from .hardness import (

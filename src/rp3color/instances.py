@@ -71,12 +71,6 @@ class Instance:
         return f"Instance(n={self.graph.n}, k={self.k})"
 
 
-def list_holders(inst: Instance, c: int) -> Tuple[int, ...]:
-    """Vertices whose list contains color ``c``, ascending."""
-    bit = 1 << (c - 1)
-    return tuple(v for v in range(inst.graph.n) if inst.lists[v] & bit)
-
-
 def list_graph(inst: Instance) -> Graph:
     """Spanning subgraph keeping only edges whose endpoint lists intersect."""
     lists = inst.lists
@@ -100,10 +94,6 @@ def is_good_triple(triple: GoodTriple) -> bool:
         and a & c != 0
         and b & c != 0
     )
-
-
-def triple_weight(triple: GoodTriple) -> int:
-    return sum(m.bit_count() for m in triple)
 
 
 def p3_list_type(inst: Instance, p3: Tuple[int, int, int]) -> GoodTriple:

@@ -24,9 +24,12 @@ from rp3color.instances import (
     Instance,
     is_good_triple,
     p3_list_type,
-    triple_weight,
 )
 from rp3color.oracle import exact_colorings
+
+
+def triple_weight(triple: GoodTriple) -> int:
+    return sum(m.bit_count() for m in triple)
 
 
 def _match_orientation(

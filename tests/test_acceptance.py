@@ -21,7 +21,6 @@ from rp3color import (
     binary_list_color,
     build_hardness_graph,
     candidate_stream,
-    center_context_report,
     lift,
     mask_from_colors,
     nae_brute,
@@ -37,6 +36,7 @@ from rp3color.profiles import frugal_profile
 
 from goodp3_reference import eliminate_good_p3
 from profile_reference import Hypergraph, cover_bound, hypergraph_stats
+from reducer_reference import center_context_report
 
 
 def random_instance(rng, max_n, include=0.6, density=0.4):

@@ -18,7 +18,7 @@ from rp3color import (
     solve_exact_frugal,
     verify_coloring,
 )
-from rp3color.instances import find_good_p3, list_holders
+from rp3color.instances import find_good_p3
 from rp3color.profiles import frugal_profile
 
 from profile_reference import is_refinement
@@ -37,18 +37,6 @@ def instances(draw, max_n=6, k=5):
         draw(st.integers(min_value=0, max_value=full_mask(k))) for _ in range(n)
     )
     return Instance(Graph(n, edges), k, lists)
-
-
-def test_list_holders():
-    inst = mk(3, [(0, 1), (1, 2)], [{1, 2, 3, 4, 5}] * 3)
-    assert list_holders(inst, 4) == (0, 1, 2)
-
-    empty = mk(2, [(0, 1)], [set(), set()])
-    assert list_holders(empty, 1) == ()
-
-    k2 = mk(2, [(0, 1)], [{1, 2}, {2, 3}])
-    assert list_holders(k2, 2) == (0, 1)
-    assert list_holders(k2, 1) == (0,)
 
 
 def test_list_graph():

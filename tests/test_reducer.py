@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -11,9 +12,7 @@ from rp3color import (
     Instance,
     InstanceError,
     binary_list_color,
-    center_context,
-    center_context_report,
-    check_center_context,
+    colors_from_mask,
     eliminate_singletons,
     mask_from_colors,
     p_value,
@@ -26,6 +25,12 @@ from rp3color import (
 from rp3color.instances import find_good_p3
 from rp3color.oracle import exact_colorings
 from rp3color.pipeline import candidate_stream, lift
+
+from reducer_reference import (
+    center_context,
+    center_context_report,
+    check_center_context,
+)
 
 
 def mk(n, edges, lists, k=5):
@@ -51,6 +56,35 @@ def step11_fixture():
         {4, 5}, {2, 5}, {1, 2}, {1, 4},
     ]
     return mk(9, edges, lists)
+
+
+def step8_fixture():
+    # a bounded-degree draw whose one round fires step 8 at center 3
+    edges = [(0, 1), (0, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)]
+    lists = [{1, 4}, {4, 5}, {1, 2}, {1, 2, 3}, {1, 4}, {2, 5}]
+    return mk(6, edges, lists)
+
+
+def step9_fixture():
+    # a bounded-degree draw whose one round fires step 9 at center 3
+    edges = [
+        (0, 1), (0, 2), (0, 4), (0, 5), (1, 4),
+        (2, 3), (2, 4), (2, 5), (3, 4), (3, 5),
+    ]
+    lists = [{1, 4}, {4, 5}, {3, 5}, {1, 2, 3}, {3, 5}, {1, 2}]
+    return mk(6, edges, lists)
+
+
+PALETTES = list(itertools.permutations(range(1, 6)))
+
+
+def permuted(inst, sigma):
+    """``inst`` with every color c renamed sigma[c - 1]."""
+    lists = tuple(
+        mask_from_colors(sigma[c - 1] for c in colors_from_mask(m))
+        for m in inst.lists
+    )
+    return Instance(inst.graph, inst.k, lists)
 
 
 def test_center_context_fixture():
@@ -215,6 +249,41 @@ def test_reduce_once_step11_contraction():
         assert verify_coloring(inst, lifted)
         outers.add((phi[3], phi[4]))
     assert outers == {(4, 4), (5, 5)}
+
+
+def test_step11_under_every_palette():
+    """Steps 6-11 name colors by role around the center, so step 11
+    fires and lifts under every renaming of the palette."""
+    base = step11_fixture()
+    for sigma in PALETTES:
+        inst = permuted(base, sigma)
+        out, trace = reduce_to_binary(inst)
+        assert [s.info.get("step") for s in trace] == [11]
+        assert all(m.bit_count() in (0, 2) for m in out.lists)
+        assert p_value(out) < p_value(inst)
+        phi = binary_list_color(out)
+        assert phi is not None
+        assert verify_coloring(inst, lift(trace, phi))
+        for phi in exact_colorings(out):
+            assert verify_coloring(inst, lift(trace, phi))
+
+
+def test_twin_steps_under_every_palette():
+    """Steps 8 and 9 under every renaming of the palette: which side is
+    the four side follows the order of the two colors outside L(u0), so
+    each fixture fires step 8 under half the renamings and step 9 under
+    the other half, and always lifts."""
+    for fixture, step in ((step8_fixture, 8), (step9_fixture, 9)):
+        assert reduce_once(fixture(), 3)[1].info["step"] == step
+        fired = Counter()
+        for sigma in PALETTES:
+            inst = permuted(fixture(), sigma)
+            assert assert_same_reduction(inst) == 1
+            out, trace = reduce_to_binary(inst)
+            fired[trace[0].info["step"]] += 1
+            phi = binary_list_color(out)
+            assert verify_coloring(inst, lift(trace, phi))
+        assert fired == {8: 60, 9: 60}
 
 
 def test_reduce_once_rejects():
