@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .goodp3 import _earliest_good, good_triple_index, pivot_refinements
-from .graphs import anticomplete_packing, bits
+from .graphs import anticomplete_packing
 from .instances import Coloring, Instance, InstanceError, coloring_defect
 from .profiles import (
     ReductionTrace,
@@ -81,9 +81,10 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
     ``trace`` is one trace or several traces joined end to end, each
     closed by its last record.  Records are undone newest-first; the
     vertices each one (re)colors are checked against their lists before
-    the step and their neighbors, and the coloring that ends a trace is
-    verified in full against the trace's input.  A defect is an internal
-    bug and raises RuntimeError.
+    the step and, walking the adjacency bitmask, against their
+    neighbors, and the coloring that ends a trace is verified in full
+    against the trace's input.  A defect is an internal bug and raises
+    RuntimeError.
     """
     source = None
     out: List[int] = []
@@ -106,12 +107,15 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
                     f"lift failed after {step.kind}: vertex {v} colored {c} "
                     "outside its list"
                 )
-            w = next((w for w in bits(g.adj_mask[v]) if out[w] == c), None)
-            if w is not None:
-                raise RuntimeError(
-                    f"lift failed after {step.kind}: edge ({v}, {w}) is "
-                    f"monochromatic in color {c}"
-                )
+            rest = g.adj_mask[v]
+            while rest:
+                w = (rest & -rest).bit_length() - 1
+                if out[w] == c:
+                    raise RuntimeError(
+                        f"lift failed after {step.kind}: edge ({v}, {w}) is "
+                        f"monochromatic in color {c}"
+                    )
+                rest &= rest - 1
     return phi if source is None else _verified(source, out)
 
 

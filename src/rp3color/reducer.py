@@ -16,13 +16,15 @@ these steps.  The lift of step 11 reads the roles off the center's list
 saved in its record.
 
 The rounds of one reduce_to_binary call all run on one WorkingInstance
-over the input's vertex ids, and leave local undo records; reduce_once
+over the input's vertex ids, and leave local undo records; a run of
+step-4 rounds is one sweep that writes the same records.  reduce_once
 is a single round on a fresh one.
 """
 
 from __future__ import annotations
 
 import logging
+from functools import partial
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
@@ -109,13 +111,7 @@ def _round(ws: WorkingInstance, u0: int) -> None:
     # is always colorable last, so drop it
     witness = ws.first_low()
     if witness is not None:
-        info = {
-            "step": 4,
-            "vertex": witness,
-            "gl_neighbors": tuple(bits(ws.gl[witness])),
-        }
-        ws.record("step4-removal", info, {witness: lists[witness]})
-        ws.kill(witness)
+        _step4(ws, witness)
         return
 
     # step 5: a vertex whose list-graph 2-ball has at most one boundary
@@ -169,6 +165,14 @@ def _round(ws: WorkingInstance, u0: int) -> None:
         return
 
     _step11(ws, roles, u0, ring, a_side, b_side, a_outer, b_outer)
+
+
+def _step4(ws: WorkingInstance, v: int) -> None:
+    """Record and drop the step-4 vertex v, for _round and for the
+    step-4 sweep of reduce_to_binary alike."""
+    info = {"step": 4, "vertex": v, "gl_neighbors": tuple(bits(ws.gl[v]))}
+    ws.record("step4-removal", info, {v: ws.lists[v]})
+    ws.kill(v)
 
 
 def _step5(ws: WorkingInstance, u: int) -> None:
@@ -271,6 +275,13 @@ def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
     the rounds in order, with the vertex ids of ``inst``.  All rounds
     run on one working instance, so a round costs time near the size of
     the neighborhood it changes, not of the whole instance.
+
+    Once no vertex is wide and one is low, the step-4 rounds that follow
+    run as one sweep (WorkingInstance.sweep_low) that writes the same
+    records.  A step-4 removal changes no list and only lowers
+    list-graph degrees, so it makes no vertex wide, no singleton and no
+    new list of three or more colors: each next round would remove the
+    lowest low vertex again, until none is low or no such list is left.
     """
     if inst.k != 5:
         raise InstanceError(f"k={inst.k}, need 5")
@@ -279,21 +290,28 @@ def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
     if all(m.bit_count() < 3 for m in inst.lists):
         return inst, []  # no round to run; skip building the list graph
     ws = WorkingInstance(inst, list_graph=True)
+    debug = log.isEnabledFor(logging.DEBUG)
     while True:
         u0 = ws.first_big()
         if u0 is None:
             return ws.finish()
+        if ws.first_wide() is None and ws.first_low() is not None:
+            removed = ws.sweep_low(partial(_step4, ws))
+            if debug:
+                log.debug("sweep: step 4 removed %d vertices", removed)
+            continue
         before = ws.potential
         fired = len(ws.trace)
         _round(ws, u0)
         ws.eliminate_singletons()
-        log.debug(
-            "round: step %d at center %d, p %d -> %d",
-            ws.trace[fired].info["step"],
-            u0,
-            before,
-            ws.potential,
-        )
+        if debug:
+            log.debug(
+                "round: step %d at center %d, p %d -> %d",
+                ws.trace[fired].info["step"],
+                u0,
+                before,
+                ws.potential,
+            )
         if ws.potential >= before:
             raise RuntimeError(
                 f"potential failed to drop: {before} -> {ws.potential}"
@@ -301,12 +319,17 @@ def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
 
 
 def lift_step4(step: LiftStep, out: List[int], g: Graph) -> None:
+    """Color the removed vertex with the smallest color of its list that
+    none of its saved list-graph neighbors took (bit c stands for color
+    c; an uncolored neighbor sets only bit 0, which no list holds)."""
     u = step.info["vertex"]
-    taken = {out[w] for w in step.info["gl_neighbors"]}
-    free = [c for c in colors_from_mask(step.lists[u]) if c not in taken]
+    taken = 0
+    for w in step.info["gl_neighbors"]:
+        taken |= 1 << out[w]
+    free = (step.lists[u] << 1) & ~taken
     if not free:
         raise RuntimeError(f"no free color when restoring vertex {u}")
-    out[u] = free[0]
+    out[u] = (free & -free).bit_length() - 1
 
 
 def lift_step5c(step: LiftStep, out: List[int], g: Graph) -> None:

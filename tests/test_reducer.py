@@ -1,6 +1,7 @@
 """The reduction rounds, their structural context, and certificate lifting."""
 
 import itertools
+import logging
 import random
 from collections import Counter
 from dataclasses import replace
@@ -22,9 +23,11 @@ from rp3color import (
     solve_exact_frugal,
     verify_coloring,
 )
+from rp3color import reducer
 from rp3color.instances import find_good_p3
 from rp3color.oracle import exact_colorings
 from rp3color.pipeline import candidate_stream, lift
+from rp3color.working import LiftStep
 
 from reducer_reference import (
     center_context,
@@ -73,6 +76,16 @@ def step9_fixture():
     ]
     lists = [{1, 4}, {4, 5}, {3, 5}, {1, 2, 3}, {3, 5}, {1, 2}]
     return mk(6, edges, lists)
+
+
+def step5c_fixture():
+    # center 0 in the K4 on 0-3, whose other three vertices also see
+    # vertex 4: the list-graph 2-ball of 0 has the one boundary vertex 4
+    edges = [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+        (2, 3), (1, 4), (2, 4), (3, 4),
+    ]
+    return mk(5, edges, [{1, 2, 3}, {1, 4}, {2, 4}, {3, 4}, {4, 5}])
 
 
 PALETTES = list(itertools.permutations(range(1, 6)))
@@ -198,11 +211,7 @@ def test_reduce_once_step5b_dead_ball():
 
 
 def test_reduce_once_step5c_local_ball():
-    edges = [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
-        (2, 3), (1, 4), (2, 4), (3, 4),
-    ]
-    inst = mk(5, edges, [{1, 2, 3}, {1, 4}, {2, 4}, {3, 4}, {4, 5}])
+    inst = step5c_fixture()
     child, step = reduce_once(inst, 0)
     assert step.kind == "step5c-removal"
     assert step.info["step"] == 5
@@ -278,7 +287,7 @@ def test_twin_steps_under_every_palette():
         fired = Counter()
         for sigma in PALETTES:
             inst = permuted(fixture(), sigma)
-            assert assert_same_reduction(inst) == 1
+            assert len(assert_same_reduction(inst)) == 1
             out, trace = reduce_to_binary(inst)
             fired[trace[0].info["step"]] += 1
             phi = binary_list_color(out)
@@ -414,13 +423,70 @@ def bounded_degree_instance(rng, n):
     return Instance(Graph(n, sorted(edges)), 5, lists)
 
 
+def disjoint_union(rng, parts):
+    """The disjoint union of the instances ``parts`` with its vertex ids
+    shuffled, so the lowest-id choices of the rounds interleave them."""
+    n = sum(p.graph.n for p in parts)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges, lists, base = [], [0] * n, 0
+    for p in parts:
+        edges += [(ids[base + u], ids[base + v]) for u, v in p.graph.edges]
+        for v, m in enumerate(p.lists):
+            lists[ids[base + v]] = m
+        base += p.graph.n
+    return Instance(Graph(n, edges), 5, tuple(lists))
+
+
+def cliques_and_star(rng, n):
+    """Disjoint K1-K4 cliques plus one star, n vertices in all: every
+    list holds at least as many colors as its clique and at least two,
+    so nearly every round is step 4."""
+    leaves = rng.randint(1, 8)
+    # at most four leaves share a color with the center, which keeps
+    # it below five list-graph neighbors (step 3)
+    star_lists = [{3, 4}] + [
+        rng.choice(({1, 2}, {1, 2, 3})) if v <= 4 else {1, 2}
+        for v in range(1, leaves + 1)
+    ]
+    star = mk(leaves + 1, [(0, v) for v in range(1, leaves + 1)], star_lists)
+    parts, left = [star], n - leaves - 1
+    while left > 0:
+        size = min(rng.randint(1, 4), left)
+        lists = [
+            rng.sample(range(1, 6), rng.randint(max(size, 2), 5))
+            for _ in range(size)
+        ]
+        parts.append(mk(size, itertools.combinations(range(size), 2), lists))
+        left -= size
+    return disjoint_union(rng, parts)
+
+
+def step4_mix(rng, n):
+    """Cliques and a star beside fixtures whose rounds fire steps 5-11;
+    those rounds leave low vertices behind, so step-4 runs stop and
+    resume."""
+    fixtures = [
+        small_center_fixture,
+        step11_fixture,
+        step8_fixture,
+        step9_fixture,
+        step5c_fixture,
+    ]
+    extra = [rng.choice(fixtures)() for _ in range(rng.randint(3, 6))]
+    return disjoint_union(rng, [cliques_and_star(rng, n)] + extra)
+
+
 def assert_same_reduction(inst):
+    """reduce_to_binary equals reduce_by_rounds on ``inst``: the same
+    rounds, output and lifted coloring.  Returns the (step, outcome,
+    singleton count) of each round."""
     try:
         out, trace = reduce_to_binary(inst)
     except (InstanceError, RuntimeError) as exc:
         with pytest.raises(type(exc)):
             reduce_by_rounds(inst)
-        return 0
+        return []
     want, rounds, per_round = reduce_by_rounds(inst)
     got = []
     for s in trace:
@@ -439,10 +505,10 @@ def assert_same_reduction(inst):
             assert find_good_p3(inst) is not None
             with pytest.raises(RuntimeError):
                 lift(per_round, phi)
-            return len(rounds)
+            return rounds
         assert lifted == lift(per_round, phi)
         assert verify_coloring(inst, lifted)
-    return len(rounds)
+    return rounds
 
 
 def test_incremental_reduction_matches_fresh_rounds():
@@ -456,10 +522,22 @@ def test_incremental_reduction_matches_fresh_rounds():
     assert cands >= 60
     rng = random.Random(77)
     rounds = sum(
-        assert_same_reduction(bounded_degree_instance(rng, rng.randint(4, 40)))
+        len(assert_same_reduction(bounded_degree_instance(rng, rng.randint(4, 40))))
         for _ in range(150)
     )
     assert rounds >= 1000
+    # step-4 sweeps: one reduce_once round per removal, also where
+    # rounds of steps 5-11 break a step-4 run and it resumes
+    rng = random.Random(14)
+    step4 = resumed = 0
+    for family in (cliques_and_star, step4_mix):
+        for _ in range(40):
+            inst = family(rng, rng.randint(20, 80))
+            steps = [r[0] for r in assert_same_reduction(inst)]
+            step4 += steps.count(4)
+            resumed += sum(5 <= a <= 11 and b == 4 for a, b in zip(steps, steps[1:]))
+    assert step4 >= 3000
+    assert resumed >= 25
 
 
 def test_corrupted_undo_record_fails_lift():
@@ -479,3 +557,61 @@ def test_corrupted_undo_record_fails_lift():
     bad = replace(step, info=dict(step.info, gl_neighbors=()))
     with pytest.raises(RuntimeError, match="monochromatic"):
         lift([bad], phi)
+    # a saved list that the saved neighbors use up
+    (w,) = step.info["gl_neighbors"]
+    bad = replace(step, lists={u: 1 << (lift(trace, phi)[w] - 1)})
+    with pytest.raises(RuntimeError, match=f"no free color when restoring vertex {u}"):
+        lift([bad], phi)
+
+
+def test_lift_step4_skips_only_taken_colors():
+    """An uncolored neighbor (color 0) takes no color: the vertex gets
+    the smallest color of its list that a colored neighbor leaves."""
+    step = LiftStep(
+        "step4-removal",
+        {"step": 4, "vertex": 0, "gl_neighbors": (1, 2)},
+        {0: mask_from_colors({2, 4, 5})},
+    )
+    for neighbors, want in (((0, 0), 2), ((0, 2), 4), ((4, 2), 5)):
+        out = [0, *neighbors]
+        reducer.lift_step4(step, out, None)
+        assert out[0] == want
+
+
+def test_step4_runs_as_one_sweep(monkeypatch):
+    """300 disjoint triangles with lists {1,2,3}: every vertex is low,
+    so reduce_to_binary removes all 900 in one sweep, not in 900
+    rounds."""
+    n = 900
+    edges = [
+        e for t in range(0, n, 3) for e in itertools.combinations(range(t, t + 3), 2)
+    ]
+    inst = mk(n, edges, [{1, 2, 3}] * n)
+    real = reducer._round
+    calls = 0
+
+    def counting(ws, u0):
+        nonlocal calls
+        calls += 1
+        real(ws, u0)
+
+    monkeypatch.setattr(reducer, "_round", counting)
+    out, trace = reduce_to_binary(inst)
+    assert out.graph.n == 0
+    assert [s.kind for s in trace] == ["step4-removal"] * n
+    assert calls <= 1
+
+
+def test_debug_log_accounts_for_every_round(caplog):
+    """At DEBUG, each sweep logs its removal count and each other round
+    its step, so the log sums to the trace's reduction rounds."""
+    rng = random.Random(3)
+    inst = step4_mix(rng, 40)
+    with caplog.at_level(logging.DEBUG, logger="rp3color"):
+        _, trace = reduce_to_binary(inst)
+    sweeps = [r.args[0] for r in caplog.records if r.message.startswith("sweep")]
+    rounds = [r.args[0] for r in caplog.records if r.message.startswith("round")]
+    steps = [s.info["step"] for s in trace if "step" in s.info]
+    assert len(sweeps) >= 2 and rounds
+    assert sum(sweeps) == steps.count(4)
+    assert sorted(rounds) == sorted(x for x in steps if x != 4)
