@@ -13,8 +13,10 @@ from rp3color import (
     pivot_refinements,
     solve_exact_frugal,
 )
+from rp3color import goodp3
 from rp3color.goodp3 import good_triple_index
 from rp3color.instances import find_good_p3
+from rp3color.oracle import colorings
 
 from goodp3_reference import (
     count_anticomplete_of_type,
@@ -255,6 +257,36 @@ def test_pivot_refinements_match_eager_sorted_patches():
         kept += len(want)
     assert compared >= 5000
     assert kept >= 1000
+
+
+def test_pivot_refinements_cuts_extensions_of_uncolorable_patches(monkeypatch):
+    # pivot 0-1-2 with lists {1,2}, {2,3}, {2,3}; vertex 3 sees only the
+    # middle and keeps {4} outside a patch, so inside one it may take
+    # only 2: the middle is then 3, the end 2, and the middle sees two
+    # neighbors colored 2 from its list.  Every patch holding 3 has no
+    # pivot-frugal coloring.  Vertices 4-6 see only 0 and always color.
+    inst = mk(
+        7,
+        [(0, 1), (1, 2), (1, 3), (0, 4), (0, 5), (0, 6)],
+        [{1, 2}, {2, 3}, {2, 3}, {2, 4}] + [{1, 2, 3, 4}] * 3,
+        k=4,
+    )
+    patches = []
+
+    def counting(adj, lists, watch):
+        patches.append(len(lists))
+        return colorings(adj, lists, watch)
+
+    monkeypatch.setattr(goodp3, "colorings", counting)
+    children = list(pivot_refinements(inst, (0, 1, 2)))
+    # free vertices 3..6: the bare pivot, all four singletons, then only
+    # patches without 3, since 3 is the smallest free vertex and so a
+    # prefix of each patch that holds it: {4,5}, {4,6}, {5,6}, {4,5,6}.
+    # Without the cut all 16 subsets would be colored.
+    assert patches == [3, 4, 4, 4, 4, 5, 5, 5, 6]
+    # 3 is never patched, so every child keeps it at {4}
+    assert children
+    assert all(child.lists[3] == 0b1000 for child in children)
 
 
 def k888(pivot_lists):
