@@ -91,12 +91,7 @@ def _cmd_solve(args) -> int:
         logging.basicConfig(
             stream=sys.stderr, level=logging.INFO, format="%(message)s"
         )
-    opts = SolveOptions(
-        r=args.r,
-        force=args.force,
-        budget=args.budget,
-        trace=args.trace,
-    )
+    opts = SolveOptions(r=args.r, force=args.force, budget=args.budget)
     if inst.k != 5:
         raise InstanceError(f"k={inst.k}, need 5")
     # past the usage checks, any exception is a bug in the search
@@ -117,14 +112,9 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = _load_instance(args.file)
     phi = solve_exact_frugal(inst) if args.frugal else solve_exact(inst)
-    if phi is None:
-        sys.stdout.write("s NOT_COLORABLE\n")
-        return 1
-    lines = ["s COLORABLE"]
-    for v, c in enumerate(phi):
-        lines.append(f"v {v + 1} {c}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    verdict = Verdict("not-colorable" if phi is None else "colorable", coloring=phi)
+    sys.stdout.write(format_certificate(verdict))
+    return _EXIT[verdict.status]
 
 
 def _cmd_check_free(args) -> int:
@@ -133,11 +123,8 @@ def _cmd_check_free(args) -> int:
     if packing is None:
         sys.stdout.write("s FREE\n")
         return 0
-    lines = ["s NOT_RP3FREE"]
-    for path in packing:
-        lines.append("w " + " ".join(str(v + 1) for v in path))
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 2
+    sys.stdout.write(format_certificate(Verdict("not-rp3-free", witness=packing)))
+    return _EXIT["not-rp3-free"]
 
 
 def _cmd_gen_hard(args) -> int:

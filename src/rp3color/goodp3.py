@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .graphs import induced_p3_stream, local_adjacency, set_neighborhood
+from .graphs import bits, induced_p3_stream, local_adjacency
 from .instances import GoodTriple, Instance, is_good_triple, p3_list_type
 from .oracle import colorings
 from .profiles import unit_propagate
@@ -93,9 +93,11 @@ def pivot_refinements(
       patch, and v is left out of patches when no other color remains.
       No other two unpropagated outputs coincide.
     - Uncolorable patches.  A patch with no such coloring has no
-      colorable superset, so each size class is a lexicographic
-      depth-first walk that cuts every extension of an uncolorable
-      prefix.  This skips patches, never outputs.
+      colorable superset, so patches are built level by level, one
+      level per size: a patch is extended only when it has a coloring,
+      by each free vertex after its last one.  Extending a level in
+      lexicographic order gives the next level in lexicographic order,
+      so this skips patches, never outputs, and keeps the order.
 
     So the stream is the unpruned one with the first of each list tuple
     kept, mapped through propagation, with the empty results dropped,
@@ -104,18 +106,21 @@ def pivot_refinements(
     """
     if not is_good_triple(p3_list_type(inst, pivot)):
         raise ValueError(f"pivot {pivot} is not a good P3")
-    g, k = inst.graph, inst.k
+    g, k, lists = inst.graph, inst.k, inst.lists
+    adj = g.adj_mask
+    inside = (1 << pivot[0]) | (1 << pivot[1]) | (1 << pivot[2])
+    near = (adj[pivot[0]] | adj[pivot[1]] | adj[pivot[2]]) & ~inside
     # base: the output lists before pinning, every neighbor at rest(v);
     # allowed: the colors each vertex may take inside a patch
-    base = list(inst.lists)
-    allowed = list(inst.lists)
+    base = list(lists)
+    allowed = list(lists)
     forced, free = [], []
-    for v in sorted(set_neighborhood(g, pivot)):
+    for v in bits(near):
         drop = 0
         for p in pivot:
-            if g.has_edge(p, v):
-                drop |= inst.lists[p]
-        rest = base[v] = inst.lists[v] & ~drop
+            if (adj[v] >> p) & 1:
+                drop |= lists[p]
+        rest = base[v] = lists[v] & ~drop
         if rest == 0:
             forced.append(v)
             continue
@@ -124,50 +129,32 @@ def pivot_refinements(
         if allowed[v]:
             free.append(v)
     cap = 3 * k - 3 - len(forced)
-    if cap < 0 or 0 in inst.lists:
+    if cap < 0 or 0 in lists:
         return iter(())
     core = pivot + tuple(forced)
     base = tuple(base)
 
     def stream() -> Iterator[Instance]:
-        # colorable[combo]: whether core plus the free vertices at the
-        # indices combo has a coloring, for each patch and prefix this
-        # size class visits; each prefix the next class visits was
-        # visited here, as a patch or a prefix, so prev answers it
-        colorable: Dict[Tuple[int, ...], bool] = {}
-        for size in range(min(cap, len(free)) + 1):
-            prev, colorable = colorable, {}
-            found = False
-            chosen: List[int] = []
-            nxt = 0
-            while True:
-                depth = len(chosen)
-                if depth == size:
-                    combo = tuple(chosen)
-                    patch = tuple(sorted(core + tuple(free[i] for i in combo)))
-                    colorable[combo] = False
-                    lists = [allowed[v] for v in patch]
-                    watch = sum(1 << i for i, v in enumerate(patch) if v in pivot)
-                    for psi in colorings(local_adjacency(g, patch), lists, watch):
-                        colorable[combo] = found = True
-                        child = _pinned_child(inst, base, patch, psi)
-                        if child is not None:
-                            yield child
-                elif nxt <= len(free) - (size - depth):
-                    chosen.append(nxt)
-                    nxt += 1
-                    if depth + 1 == size:
-                        continue
-                    combo = tuple(chosen)
-                    colorable[combo] = ok = prev[combo]
-                    if ok:
-                        continue
-                # move the last choice on to its next candidate
-                if not chosen:
-                    break
-                nxt = chosen.pop() + 1
-            if not found:
-                return  # no patch of this size, so none larger, is colorable
+        # the patches of one size, as index tuples into free, in
+        # lexicographic order
+        level: List[Tuple[int, ...]] = [()]
+        while level:
+            nxt = []
+            for combo in level:
+                patch = tuple(sorted(core + tuple(free[i] for i in combo)))
+                watch = sum(1 << i for i, v in enumerate(patch) if v in pivot)
+                found = False
+                for psi in colorings(
+                    local_adjacency(g, patch), [allowed[v] for v in patch], watch
+                ):
+                    found = True
+                    child = _pinned_child(inst, base, patch, psi)
+                    if child is not None:
+                        yield child
+                if found and len(combo) < cap:
+                    start = combo[-1] + 1 if combo else 0
+                    nxt.extend(combo + (i,) for i in range(start, len(free)))
+            level = nxt
 
     return stream()
 

@@ -95,15 +95,6 @@ def dist_neighborhood(g: Graph, v: int, d: int, closed: bool = False) -> VertexS
     return frozenset(bits(seen if closed else frontier))
 
 
-def set_neighborhood(g: Graph, xs: Iterable[int], closed: bool = False) -> VertexSet:
-    """Union of the neighborhoods of ``xs`` (``closed``: include ``xs``)."""
-    inside = out = 0
-    for x in xs:
-        inside |= 1 << x
-        out |= g.adj_mask[x]
-    return frozenset(bits(out | inside if closed else out & ~inside))
-
-
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:
     """Induced subgraph on ``keep`` plus the order-preserving old-to-new id map."""
     kept = sorted(set(keep))

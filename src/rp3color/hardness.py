@@ -48,7 +48,8 @@ def parse_nae(text: str) -> NaeInstance:
     """Parse the `p nae <n> <m>` / `c <i1> <i2> <i3>` format.
 
     Comment lines start with '#'.  Malformed input raises ParseError
-    with the offending line number.
+    with the offending line number; a clause count that does not match
+    the header names the header's line, a missing header line 1.
     """
     header: Optional[Tuple[int, int]] = None
     clauses: List[Tuple[int, int, int]] = []
@@ -68,7 +69,7 @@ def parse_nae(text: str) -> NaeInstance:
                 raise ParseError(line_no, f"bad header counts {line!r}")
             if n < 0 or m < 0:
                 raise ParseError(line_no, "negative counts")
-            header = (n, m)
+            header, header_line = (n, m), line_no
         elif parts[0] == "c":
             if header is None:
                 raise ParseError(line_no, "clause before header")
@@ -85,10 +86,10 @@ def parse_nae(text: str) -> NaeInstance:
         else:
             raise ParseError(line_no, f"unknown line type {parts[0]!r}")
     if header is None:
-        raise ParseError(0, "missing header")
+        raise ParseError(1, "missing header")
     if len(clauses) != header[1]:
         raise ParseError(
-            0, f"header claims {header[1]} clauses, found {len(clauses)}"
+            header_line, f"header claims {header[1]} clauses, found {len(clauses)}"
         )
     return NaeInstance(header[0], tuple(clauses))
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graphs import Graph, GraphError, induced_p3_stream
+from .graphs import Graph, induced_p3_stream
 
 MAX_K = 8
 
@@ -157,9 +157,11 @@ def parse_instance(text: str) -> Instance:
     Grammar: optional '#' comment lines, one header ``p glist n m k``,
     exactly m edge lines ``e u v`` (1-based), and optional list lines
     ``l v c1 c2 ...`` (a bare ``l v`` means the empty list).  Vertices
-    without a list line get the full list {1..k}.
+    without a list line get the full list {1..k}.  A ParseError names
+    the offending line; an edge count that does not match the header
+    names the header's line, a missing header line 1.
     """
-    header = None
+    header_line = None  # where the header was read
     edges: List[Tuple[int, int]] = []
     lists: Dict[int, int] = {}
     n = m = k = 0
@@ -170,7 +172,7 @@ def parse_instance(text: str) -> Instance:
         fields = line.split()
         tag = fields[0]
         if tag == "p":
-            if header is not None:
+            if header_line is not None:
                 raise ParseError(line_no, "duplicate header")
             if len(fields) != 5 or fields[1] != "glist":
                 raise ParseError(line_no, f"bad header {line!r}")
@@ -180,9 +182,9 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, f"non-integer header field in {line!r}")
             if n < 0 or m < 0 or not (1 <= k <= MAX_K):
                 raise ParseError(line_no, f"header out of range: n={n} m={m} k={k}")
-            header = (n, m, k)
+            header_line = line_no
         elif tag == "e":
-            if header is None:
+            if header_line is None:
                 raise ParseError(line_no, "edge before header")
             if len(fields) != 3:
                 raise ParseError(line_no, f"bad edge line {line!r}")
@@ -196,7 +198,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, f"loop at vertex {u}")
             edges.append((u - 1, v - 1))
         elif tag == "l":
-            if header is None:
+            if header_line is None:
                 raise ParseError(line_no, "list before header")
             if len(fields) < 2:
                 raise ParseError(line_no, "list line without vertex")
@@ -214,16 +216,14 @@ def parse_instance(text: str) -> Instance:
             lists[v - 1] = mask_from_colors(colors)
         else:
             raise ParseError(line_no, f"unknown line tag {tag!r}")
-    if header is None:
+    if header_line is None:
         raise ParseError(1, "missing header")
     if len(edges) != m:
-        raise ParseError(1, f"header promises {m} edges, found {len(edges)}")
-    try:
-        graph = Graph(n, edges)
-    except GraphError as exc:
-        raise ParseError(1, str(exc))
+        raise ParseError(
+            header_line, f"header promises {m} edges, found {len(edges)}"
+        )
     full = full_mask(k)
-    return Instance(graph, k, tuple(lists.get(v, full) for v in range(n)))
+    return Instance(Graph(n, edges), k, tuple(lists.get(v, full) for v in range(n)))
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -38,7 +38,6 @@ class SolveOptions:
     # kept only while perfbench/worker.py still passes jobs=1
     jobs: int = 1
     budget: Optional[int] = None
-    trace: bool = False
 
     def __post_init__(self):
         if self.r < 1:
@@ -199,7 +198,7 @@ def _candidates(
 
 
 def candidate_stream(
-    inst: Instance, r: int, budget: Optional[_Budget] = None, trace: bool = False
+    inst: Instance, r: int, budget: Optional[_Budget] = None
 ) -> Iterator[Tuple[Instance, ReductionTrace]]:
     """All branch candidates: singleton-free refinements with no good P3.
 
@@ -210,13 +209,15 @@ def candidate_stream(
     from the element.  The input is feasible exactly when some candidate
     is, and a candidate coloring lifts to an input coloring through the
     returned trace.  ``budget`` collects the search counters and
-    enforces its node cap; ``trace`` logs them as each element starts.
+    enforces its node cap; with INFO logging on, they are logged as each
+    element starts.
     """
     if budget is None:
         budget = _Budget()
+    info = log.isEnabledFor(logging.INFO)
     for element in frugal_profile(inst, r):
         budget.elements += 1
-        if trace:
+        if info:
             log.info(
                 "element %d (nodes=%d leaves=%d pruned=%d)",
                 budget.elements,
@@ -271,17 +272,15 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
     if not opts.force:
         packing = anticomplete_packing(inst.graph, opts.r, 3)
         if packing is not None:
-            if opts.trace:
-                log.info("packing found: %s", packing)
+            log.info("packing found: %s", packing)
             return Verdict("not-rp3-free", witness=packing, stats={})
 
     budget = _Budget(opts.budget)
     try:
-        candidates = candidate_stream(inst, opts.r, budget, opts.trace)
+        candidates = candidate_stream(inst, opts.r, budget)
         phi = _first_coloring(candidates, budget)
     except _BudgetExceeded:
-        if opts.trace:
-            log.info("budget of %d nodes exceeded", opts.budget)
+        log.info("budget of %d nodes exceeded", opts.budget)
         return Verdict("aborted", stats=budget.as_dict())
     if phi is None:
         return Verdict("not-colorable", stats=budget.as_dict())

@@ -254,6 +254,10 @@ def test_gen_hard_rejects_bad_formula(tmp_path, capsys):
     code = main(["gen-hard", put(tmp_path, "p nae 1 1\nc 1 2 3\n")])
     assert code == 4
     assert "line 2" in capsys.readouterr().err
+    text = "# two clauses promised\np nae 3 2\nc 1 2 3\n"
+    code = main(["gen-hard", put(tmp_path, text, "count.txt")])
+    assert code == 4
+    assert "line 2: header claims 2 clauses, found 1" in capsys.readouterr().err
 
 
 def test_bench_stdout_is_deterministic(capsys):

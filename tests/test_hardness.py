@@ -59,6 +59,11 @@ def test_parse_errors():
         parse_nae("# nothing here\n")
     with pytest.raises(ParseError, match="claims 2 clauses, found 1"):
         parse_nae("p nae 3 2\nc 1 2 3\n")
+    # a count mismatch names the header's line, a missing header line 1
+    with pytest.raises(ParseError, match="line 2: header claims 2 clauses"):
+        parse_nae("# formula\np nae 3 2\nc 1 2 3\n")
+    with pytest.raises(ParseError, match="line 1: missing header"):
+        parse_nae("")
 
 
 def test_nae_validation():

@@ -143,6 +143,11 @@ def test_parse_errors():
         parse_instance("p glist 2 2 5\ne 1 2\n")
     with pytest.raises(ParseError, match="loop"):
         parse_instance("p glist 2 1 5\ne 1 1\n")
+    # a count mismatch names the header's line, a missing header line 1
+    with pytest.raises(ParseError, match="line 3: header promises 2 edges"):
+        parse_instance("# one\n# two\np glist 2 2 5\ne 1 2\n")
+    with pytest.raises(ParseError, match="line 1: missing header"):
+        parse_instance("")
     err = None
     try:
         parse_instance("p glist 1 0 5\n\nl 1 9\n")

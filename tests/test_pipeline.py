@@ -148,7 +148,7 @@ def test_lift_restores_forced_colors():
 def test_trace_logging(caplog):
     inst = full(3, [(0, 1), (1, 2)])
     with caplog.at_level(logging.INFO, logger="rp3color"):
-        solve(inst, SolveOptions(trace=True))
+        solve(inst, SolveOptions())
     assert any("element" in rec.message for rec in caplog.records)
 
 
