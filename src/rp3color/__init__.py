@@ -32,13 +32,8 @@ from .instances import (
     verify_coloring,
 )
 from .oracle import frugal_colorings, solve_exact, solve_exact_frugal
-from .profiles import (
-    LiftStep,
-    ReductionTrace,
-    cover_cap,
-    eliminate_singletons,
-    frugal_profile,
-)
+from .profiles import cover_cap, frugal_profile
+from .working import LiftStep, ReductionTrace
 from .goodp3 import (
     good_triples,
     pivot_refinements,

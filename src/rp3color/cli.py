@@ -175,7 +175,10 @@ def _cmd_bench(args) -> int:
     for i in range(args.count):
         inst = random_instance(rng, args.size)
         t0 = time.perf_counter()
-        verdict = solve(inst, opts)
+        try:
+            verdict = solve(inst, opts)
+        except Exception as exc:
+            return _internal(exc)
         dt = time.perf_counter() - t0
         tally[verdict.status] += 1
         print(

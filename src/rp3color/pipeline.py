@@ -13,20 +13,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from .goodp3 import _earliest_good, good_triple_index, pivot_refinements
 from .graphs import anticomplete_packing
 from .instances import Coloring, Instance, InstanceError, coloring_defect
-from .profiles import (
-    ReductionTrace,
-    eliminate_singletons,
-    frugal_profile,
-    lift_identity,
-    lift_singleton,
-)
+from .profiles import frugal_profile
 from .reducer import lift_step4, lift_step5c, lift_step11, reduce_to_binary
 from .twosat import binary_list_color
+from .working import ReductionTrace, lift_identity, lift_singleton
 
 log = logging.getLogger("rp3color")
 
@@ -75,29 +70,25 @@ _LIFTS = {
 
 
 def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
-    """Pull a coloring of the trace's final instance back to its first.
+    """Pull a coloring of the trace's output back to its input.
 
-    ``trace`` is one trace or several traces joined end to end, each
-    closed by its last record.  Records are undone newest-first; the
+    ``trace`` is one trace, closed by its last record; an empty trace
+    lifts to ``phi`` itself.  Records are undone newest-first; the
     vertices each one (re)colors are checked against their lists before
     the step and, walking the adjacency bitmask, against their
-    neighbors, and the coloring that ends a trace is verified in full
-    against the trace's input.  A defect is an internal bug and raises
-    RuntimeError.
+    neighbors, and the lifted coloring is verified in full against the
+    trace's input.  A defect is an internal bug and raises RuntimeError.
     """
-    source = None
-    out: List[int] = []
+    if not trace:
+        return phi
+    if trace[-1].closing is None:
+        raise ValueError("trace does not end with a closing record")
+    source, keep = trace[-1].closing
+    g = source.graph
+    out = [0] * g.n
+    for child, v in enumerate(keep):
+        out[v] = phi[child]
     for step in reversed(trace):
-        if step.closing is not None:
-            if source is not None:
-                phi = _verified(source, out)
-            source, keep = step.closing
-            out = [0] * source.graph.n
-            for child, v in enumerate(keep):
-                out[v] = phi[child]
-        elif source is None:
-            raise ValueError("trace does not end with a closing record")
-        g = source.graph
         _LIFTS[step.kind](step, out, g)
         for v, mask in step.lists.items():
             c = out[v]
@@ -115,15 +106,11 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
                         f"monochromatic in color {c}"
                     )
                 rest &= rest - 1
-    return phi if source is None else _verified(source, out)
-
-
-def _verified(inst: Instance, out: List[int]) -> Coloring:
-    phi = tuple(out)
-    defect = coloring_defect(inst, phi)
+    lifted = tuple(out)
+    defect = coloring_defect(source, lifted)
     if defect is not None:
         raise RuntimeError(f"lift failed: {defect}")
-    return phi
+    return lifted
 
 
 class _BudgetExceeded(Exception):
@@ -156,10 +143,8 @@ class _Budget:
         }
 
 
-def _candidates(
-    element: Instance, budget: _Budget
-) -> Iterator[Tuple[Instance, ReductionTrace]]:
-    """Singleton-free refinements of one element with no good P3.
+def _candidates(element: Instance, budget: _Budget) -> Iterator[Instance]:
+    """Refinements of one element with no good P3: the leaves of its walk.
 
     Depth-first over pivot_refinements of the earliest good triple, with
     an explicit stack of child streams.  Every node is a unit-propagation
@@ -167,13 +152,16 @@ def _candidates(
     yields it so, each child because pivot_refinements does.  A node
     whose list tuple was already visited is skipped, still counting
     toward the budget: its subtree depends only on the instance, and was
-    explored in full.  Each leaf is handed through eliminate_singletons,
-    which leaves no empty list on a propagated instance; finals seen
-    before are dropped.  No skip can hide a feasible candidate.
+    explored in full.  A leaf is dropped when its lists with every
+    one-color list set to 0 were seen before: all leaves share the
+    element's graph and none has an empty list, and being a fixpoint,
+    a leaf's one-color lists constrain no neighbor, so that key fixes
+    the leaf's instance once they are deleted.  No skip can hide a
+    feasible leaf.
     """
     index = good_triple_index(element.k)
     seen: Set[Tuple[int, ...]] = set()
-    seen_final: Set[Instance] = set()
+    seen_final: Set[Tuple[int, ...]] = set()
     stack = [iter((element,))]
     while stack:
         cur = next(stack[-1], None)
@@ -189,28 +177,28 @@ def _candidates(
         if pivot is not None:
             stack.append(pivot_refinements(cur, pivot))
             continue
-        final, steps = eliminate_singletons(cur)
-        if final in seen_final:
+        key = tuple(m if m & (m - 1) else 0 for m in cur.lists)
+        if key in seen_final:
             budget.pruned += 1
             continue
-        seen_final.add(final)
-        yield final, steps
+        seen_final.add(key)
+        yield cur
 
 
 def candidate_stream(
     inst: Instance, r: int, budget: Optional[_Budget] = None
-) -> Iterator[Tuple[Instance, ReductionTrace]]:
-    """All branch candidates: singleton-free refinements with no good P3.
+) -> Iterator[Instance]:
+    """All branch candidates: propagated refinements with no good P3.
 
     Runs the good-P3 search under every stable-class profile element in
     turn (frugal_profile yields each propagated list tuple once, and
     nothing when propagating the input empties a list) and yields each
-    candidate together with the singleton-removal steps that lead to it
-    from the element.  The input is feasible exactly when some candidate
-    is, and a candidate coloring lifts to an input coloring through the
-    returned trace.  ``budget`` collects the search counters and
-    enforces its node cap; with INFO logging on, they are logged as each
-    element starts.
+    leaf.  Every leaf is a spanning refinement of the input, a
+    unit-propagation fixpoint with no empty list, and may keep one-color
+    lists.  The input is feasible exactly when some leaf is, and a leaf
+    coloring is an input coloring.  ``budget`` collects the search
+    counters and enforces its node cap; with INFO logging on, they are
+    logged as each element starts.
     """
     if budget is None:
         budget = _Budget()
@@ -229,20 +217,20 @@ def candidate_stream(
 
 
 def _first_coloring(
-    candidates: Iterator[Tuple[Instance, ReductionTrace]], budget: _Budget
+    candidates: Iterator[Instance], budget: _Budget
 ) -> Optional[Coloring]:
-    """Reduce and 2-SAT each candidate until one is colorable.
+    """Reduce and 2-SAT each leaf until one is colorable.
 
-    The coloring is lifted through the candidate's trace, so it colors
-    the element the candidate came from; every element has the graph
-    and vertex set of the original instance.
+    The leaf's one trace (singleton removal, then reduction rounds)
+    lifts the 2-SAT coloring to the leaf, which has the graph and vertex
+    set of the original instance.
     """
-    for final, steps in candidates:
+    for leaf in candidates:
         budget.leaves += 1
-        reduced, rounds = reduce_to_binary(final)
+        reduced, trace = reduce_to_binary(leaf)
         phi = binary_list_color(reduced)
         if phi is not None:
-            return lift(list(steps) + rounds, phi)
+            return lift(trace, phi)
     return None
 
 

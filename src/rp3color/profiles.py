@@ -1,13 +1,10 @@
-"""Refinement streams and lift bookkeeping.
+"""The frugality profile and unit propagation.
 
-Two refinement mechanisms live here: elimination of forced (singleton
-list) vertices, and the stable-class profile stream that prepares an
-instance for frugal coloring, built one support level at a time from
-the level before, together with the unit propagation (unit_propagate)
-that the profile and goodp3.pivot_refinements share.
-Elimination runs on a WorkingInstance and each deletion leaves a local
-undo record (LiftStep), so certificates can be pulled back to the
-original instance.
+The stable-class profile stream (frugal_profile) prepares an instance
+for frugal coloring, built one support level at a time from the level
+before; unit propagation (unit_propagate) is shared by the profile and
+goodp3.pivot_refinements.  Both only shrink lists on the input graph,
+so what they yield needs no lift.
 """
 
 from __future__ import annotations
@@ -15,30 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Optional, Set, Tuple
 
-from .graphs import Graph
 from .instances import Instance, colors_from_mask
-from .working import LiftStep, ReductionTrace, WorkingInstance
-
-
-def lift_singleton(step: LiftStep, out: List[int], g: Graph) -> None:
-    out[step.info["vertex"]] = step.info["color"]
-
-
-def lift_identity(step: LiftStep, out: List[int], g: Graph) -> None:
-    pass
-
-
-def eliminate_singletons(inst: Instance) -> Tuple[Instance, ReductionTrace]:
-    """Repeatedly delete the lowest-id vertex with a one-color list.
-
-    Deleting vertex v with list {c} removes c from every neighbor list;
-    the scan restarts after each deletion.  Empty lists are kept.
-    Returns the fixpoint and the singleton-removal steps in order; their
-    vertex ids are those of ``inst``.
-    """
-    work = WorkingInstance(inst)
-    work.eliminate_singletons()
-    return work.finish()
 
 
 def cover_cap(r: int) -> int:

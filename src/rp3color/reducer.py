@@ -15,10 +15,10 @@ colors in roles 4 and 5, and their attachments in u0's second ring drive
 these steps.  The lift of step 11 reads the roles off the center's list
 saved in its record.
 
-The rounds of one reduce_to_binary call all run on one WorkingInstance
-over the input's vertex ids, and leave local undo records; a run of
-step-4 rounds is one sweep that writes the same records.  reduce_once
-is a single round on a fresh one.
+A reduce_to_binary call first deletes the input's one-color lists, then
+runs its rounds, all on one WorkingInstance over the input's vertex ids,
+and leaves local undo records; a run of step-4 rounds is one sweep that
+writes the same records.  reduce_once is a single round on a fresh one.
 """
 
 from __future__ import annotations
@@ -268,13 +268,18 @@ def _step11(ws, roles, u0, ring, a_side, b_side, a_outer, b_outer) -> None:
 
 
 def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
-    """Alternate reduction rounds and singleton elimination to a fixpoint.
+    """Delete the one-color lists, then alternate reduction rounds and
+    singleton elimination to a fixpoint.
 
-    Requires k = 5 and no singleton lists; correctness assumes no good
-    P3.  The result has every list size in {0, 2} and the trace replays
-    the rounds in order, with the vertex ids of ``inst``.  All rounds
-    run on one working instance, so a round costs time near the size of
-    the neighborhood it changes, not of the whole instance.
+    Requires k = 5; correctness assumes no good P3.  An input with no
+    list of three or more colors comes back unchanged with an empty
+    trace, one-color lists and all (to_2sat reads them as forced
+    vertices).  Otherwise the result has every list size in {0, 2} and
+    the trace, in the vertex ids of ``inst``, first deletes the vertices
+    with one-color lists (WorkingInstance.eliminate_singletons) and then
+    replays the rounds in order.  All of it runs on one working
+    instance, so a round costs time near the size of the neighborhood it
+    changes, not of the whole instance.
 
     Once no vertex is wide and one is low, the step-4 rounds that follow
     run as one sweep (WorkingInstance.sweep_low) that writes the same
@@ -285,11 +290,10 @@ def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
     """
     if inst.k != 5:
         raise InstanceError(f"k={inst.k}, need 5")
-    if any(m.bit_count() == 1 for m in inst.lists):
-        raise InstanceError("singleton list present")
     if all(m.bit_count() < 3 for m in inst.lists):
         return inst, []  # no round to run; skip building the list graph
     ws = WorkingInstance(inst, list_graph=True)
+    ws.eliminate_singletons()
     debug = log.isEnabledFor(logging.DEBUG)
     while True:
         u0 = ws.first_big()

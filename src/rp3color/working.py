@@ -1,5 +1,7 @@
 """The mutable working instance behind singleton elimination and the
-reduction rounds, and the undo records they leave.
+reduction rounds, the undo records they leave, and the lifts of the two
+record kinds that need no reducer state (singleton-removal and
+spanning).
 
 A WorkingInstance runs over the vertex ids of its input Instance: the
 input graph is shared and never rebuilt, dead vertices are masked out
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .graphs import bits, induced_subgraph
+from .graphs import Graph, bits, induced_subgraph
 from .instances import Instance
 
 # LiftStep kinds, by provenance:
@@ -45,6 +47,14 @@ class LiftStep:
 
 
 ReductionTrace = List[LiftStep]
+
+
+def lift_singleton(step: LiftStep, out: List[int], g: Graph) -> None:
+    out[step.info["vertex"]] = step.info["color"]
+
+
+def lift_identity(step: LiftStep, out: List[int], g: Graph) -> None:
+    pass
 
 
 def second_ring(adj: Sequence[int], v: int) -> int:

@@ -4,7 +4,9 @@ center_context builds the second-neighborhood structure of a center
 whose list is {1, 2, 3}, and check_center_context lists the structure
 assertions it violates.  The sets are computed here from the list graph
 with plain set operations, so they share no code with the reducer's
-own context computation that they check.
+own context computation that they check.  eliminate_singletons gives
+the singleton-free instance that tests of the reduction rounds start
+from.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ from rp3color.instances import (
     find_good_p3,
     list_graph,
 )
+from rp3color.working import ReductionTrace, WorkingInstance
 
 FOUR = 1 << 3
 FIVE = 1 << 4
@@ -42,6 +45,16 @@ class CenterContext:
     five_side: Tuple[int, ...]
     four_outer: Tuple[int, ...]
     five_outer: Tuple[int, ...]
+
+
+def eliminate_singletons(inst: Instance) -> Tuple[Instance, ReductionTrace]:
+    """``inst`` with each vertex of a one-color list deleted in turn,
+    lowest id first, and its color taken from the neighbor lists
+    (WorkingInstance.eliminate_singletons): the renumbered output, which
+    may keep empty lists, and its closed singleton-removal trace."""
+    ws = WorkingInstance(inst)
+    ws.eliminate_singletons()
+    return ws.finish()
 
 
 def _neighbors(gl: Graph, v: int) -> Set[int]:

@@ -36,7 +36,7 @@ from rp3color.profiles import frugal_profile
 
 from goodp3_reference import eliminate_good_p3
 from profile_reference import Hypergraph, cover_bound, hypergraph_stats
-from reducer_reference import center_context_report
+from reducer_reference import center_context_report, eliminate_singletons
 
 
 def random_instance(rng, max_n, include=0.6, density=0.4):
@@ -154,7 +154,9 @@ def run_criteria_4_and_5():
     corpus = []
     while len(corpus) < 200:
         inst = biased_instance(rng)
-        for final, _ in itertools.islice(candidate_stream(inst, 2), 8):
+        for leaf in itertools.islice(candidate_stream(inst, 2), 8):
+            # one reduction round takes no one-color list
+            final, _ = eliminate_singletons(leaf)
             if any(m.bit_count() >= 3 for m in final.lists):
                 corpus.append(final)
                 if len(corpus) >= 200:

@@ -272,6 +272,22 @@ def test_bench_stdout_is_deterministic(capsys):
     assert "took" in first.err
 
 
+def test_bench_crash_exits_5(capsys, monkeypatch):
+    # an InstanceError raised inside the search is a bug, not the usage
+    # error that a ValueError from the command line is
+    def broken(inst, opts):
+        raise InstanceError("good P3 at (0, 1, 2)")
+
+    monkeypatch.setattr("rp3color.cli.solve", broken)
+    code = main(["bench", "--seed", "1", "--count", "2", "--size", "5"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: internal: InstanceError: good P3 at (0, 1, 2)"
+    )
+
+
 def test_trace_goes_to_stderr(tmp_path):
     script = "from rp3color.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(

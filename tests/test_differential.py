@@ -30,6 +30,7 @@ from rp3color import (
     mask_from_colors,
     solve,
 )
+from rp3color import pipeline
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
 LONG = os.environ.get("RP3COLOR_LONG_DIFFERENTIAL") == "1"
@@ -87,6 +88,25 @@ def cliques_and_star(rng, n):
         size = min(rng.randint(1, 5), n - v)
         edges += itertools.combinations(range(v, v + size), 2)
         lists += [rng.sample(range(1, 6), rng.randint(max(1, size - 1), 5)) for _ in range(size)]
+        v += size
+    return R.make(n, edges, lists)
+
+
+def singleton_star_and_cliques(rng, n):
+    """A star K_{1,s} whose leaves have one-color lists and whose centre
+    has two or three colors, beside disjoint cliques K1..K5 with lists
+    of three to five colors.  Propagation leaves the star's leaves as
+    one-color lists, so the search's leaves keep them next to the
+    cliques' lists of three or more colors."""
+    star = rng.randint(2, 5)
+    edges = [(0, leaf) for leaf in range(1, star + 1)]
+    lists = [rng.sample(range(1, 6), rng.randint(2, 3))]
+    lists += [rng.sample(range(1, 6), 1) for _ in range(star)]
+    v = star + 1
+    while v < n:
+        size = min(rng.randint(1, 5), n - v)
+        edges += itertools.combinations(range(v, v + size), 2)
+        lists += [rng.sample(range(1, 6), rng.randint(3, 5)) for _ in range(size)]
         v += size
     return R.make(n, edges, lists)
 
@@ -183,6 +203,26 @@ def test_cliques_and_star():
     assert counts["colorable"] >= 10 and counts["not-colorable"] >= 3
 
 
+def test_singleton_star_and_cliques(monkeypatch):
+    # count the leaves that reach reduce_to_binary with a one-color list
+    # beside a list of three or more colors
+    mixed = 0
+    reduce = pipeline.reduce_to_binary
+
+    def counting(leaf):
+        nonlocal mixed
+        sizes = {m.bit_count() for m in leaf.lists}
+        mixed += 1 in sizes and max(sizes) >= 3
+        return reduce(leaf)
+
+    monkeypatch.setattr(pipeline, "reduce_to_binary", counting)
+    rng = random.Random(1004)
+    draws = [singleton_star_and_cliques(rng, rng.randint(10, 20)) for _ in range(40)]
+    counts = Counter(check(ref) for ref in draws)
+    assert counts["colorable"] >= 10 and counts["not-colorable"] >= 5
+    assert mixed >= 20
+
+
 def test_singleton_heavy():
     rng = random.Random(1003)
     counts = Counter(check(singleton_heavy(rng, rng.randint(10, 16))) for _ in range(60))
@@ -209,6 +249,7 @@ def test_long_sweep():
         draws.append(random_scan_free(rng, n, rng.choice([(2, 3), (3, 4), (2, 3, 4)])))
         draws.append(cliques_and_star(rng, n))
         draws.append(singleton_heavy(rng, n))
+        draws.append(singleton_star_and_cliques(rng, n))
     for parts in ((4, 4, 4), (3, 3, 3, 3), (2, 2, 2, 2, 2), (5, 5, 5), (4, 4, 4, 4)):
         for colors in ((1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)):
             draws.append(multipartite(parts, colors))

@@ -11,10 +11,10 @@ from rp3color import (
     Graph,
     Instance,
     InstanceError,
+    LiftStep,
     SolveOptions,
     anticomplete_packing,
     candidate_stream,
-    eliminate_singletons,
     lift,
     mask_from_colors,
     solve,
@@ -30,6 +30,7 @@ from rp3color.profiles import frugal_profile, unit_propagate
 
 from goodp3_reference import eager_pivot_refinements, find_type_p3
 from profile_reference import propagated
+from reducer_reference import eliminate_singletons
 
 
 def mk(n, edges, lists, k=5):
@@ -62,20 +63,14 @@ def test_jobs_other_than_one_rejected():
 
 def test_candidate_stream_empty_graph():
     inst = full(0, [])
-    cands = list(candidate_stream(inst, 2))
-    assert len(cands) == 1
-    final, trace = cands[0]
-    assert final.graph.n == 0
-    assert lift(trace, ()) == ()
+    assert list(candidate_stream(inst, 2)) == [inst]
 
 
 def test_candidate_stream_k5_identity_first():
     inst = full(5, clique(5))
     stream = candidate_stream(inst, 2)
-    final, trace = next(stream)
-    assert final.lists == inst.lists
-    assert final.graph.edges == inst.graph.edges
-    assert list(trace) == []
+    leaf = next(stream)
+    assert leaf == inst
 
 
 def test_candidate_stream_yields_are_clean():
@@ -86,10 +81,14 @@ def test_candidate_stream_yields_are_clean():
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
         lists = [set(rng.sample(range(1, 6), rng.randint(0, 3))) for _ in range(n)]
         inst = mk(n, edges, lists)
-        for final, _ in itertools.islice(candidate_stream(inst, 2), 50):
-            assert find_good_p3(final) is None
-            assert all(m.bit_count() != 1 for m in final.lists)
-            assert 0 not in final.lists
+        for leaf in itertools.islice(candidate_stream(inst, 2), 50):
+            # a leaf is a spanning refinement at the propagation
+            # fixpoint: its one-color lists constrain no neighbor
+            assert leaf.graph is inst.graph
+            assert all(m & ~old == 0 for m, old in zip(leaf.lists, inst.lists))
+            assert find_good_p3(leaf) is None
+            assert propagated(leaf) == leaf
+            assert 0 not in leaf.lists
             checked += 1
     assert checked >= 100
 
@@ -138,11 +137,61 @@ def test_lift_empty_trace_is_identity():
     assert lift([], (3, 1, 4)) == (3, 1, 4)
 
 
+def test_lift_needs_a_closing_record():
+    with pytest.raises(ValueError, match="closing record"):
+        lift([LiftStep("spanning", {"step": 6})], (3, 1, 4))
+
+
 def test_lift_restores_forced_colors():
     inst = mk(1, [], [{3}])
     final, trace = eliminate_singletons(inst)
     assert final.graph.n == 0
     assert lift(trace, ()) == (3,)
+
+
+def verifications(monkeypatch, inst):
+    """solve's verdict on ``inst`` and its number of full coloring
+    checks (pipeline.coloring_defect calls)."""
+    real = pipeline.coloring_defect
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "coloring_defect", counting)
+    return solve(inst), calls
+
+
+def test_binary_leaf_is_verified_once(monkeypatch):
+    # no list of three colors: the leaf goes to 2-SAT as it is, one-color
+    # list and all, and only _certify checks the coloring
+    inst = mk(4, [(0, 1), (1, 2), (2, 3)], [{1}, {1, 2}, {2, 3}, {3, 4}])
+    verdict, calls = verifications(monkeypatch, inst)
+    assert verdict.status == "colorable"
+    assert calls == 1
+
+
+def test_reduced_leaf_is_verified_twice(monkeypatch):
+    # a triangle with lists {1,2,3} needs reduction rounds, and a vertex
+    # with list {4} is deleted first in the same trace: the lift checks
+    # the coloring once, then _certify checks it again
+    inst = mk(4, clique(3), [{1, 2, 3}] * 3 + [{4}])
+    rounds = []
+    reduce = pipeline.reduce_to_binary
+
+    def recording(leaf):
+        out, trace = reduce(leaf)
+        rounds.extend(s.kind for s in trace)
+        return out, trace
+
+    monkeypatch.setattr(pipeline, "reduce_to_binary", recording)
+    verdict, calls = verifications(monkeypatch, inst)
+    assert verdict.status == "colorable"
+    assert rounds[0] == "singleton-removal"
+    assert "step4-removal" in rounds
+    assert calls == 2
 
 
 def test_trace_logging(caplog):
@@ -193,7 +242,7 @@ def pruned_fold(element):
     """What the search yields under one element, rebuilt from the
     unpruned reference: the literal fold over every good triple with
     each node propagated, the first occurrence of each leaf list tuple,
-    then singleton elimination, dropping finals seen before."""
+    dropping leaves whose singleton-free final was seen before."""
     stream = [element]
     for gamma in good_triples(element.k):
         stream = [
@@ -208,9 +257,12 @@ def pruned_fold(element):
     for leaf in leaves:
         final, steps = eliminate_singletons(leaf)
         assert 0 not in final.lists
-        if final not in finals:
-            finals.add(final)
-            out.append((final, steps))
+        # vertices deleted, not renumbered: finals of one element
+        # compare as the search's dedupe key does
+        key = (final.lists, frozenset(s.info["vertex"] for s in steps))
+        if key not in finals:
+            finals.add(key)
+            out.append(leaf)
     return out
 
 

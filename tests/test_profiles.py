@@ -9,7 +9,6 @@ from rp3color import (
     Instance,
     anticomplete_packing,
     cover_cap,
-    eliminate_singletons,
     frugal_profile,
     mask_from_colors,
     solve_exact,
@@ -26,6 +25,7 @@ from profile_reference import (
     propagated,
     propagated_rows,
 )
+from reducer_reference import eliminate_singletons
 
 
 def mk(n, edges, lists, k=5):

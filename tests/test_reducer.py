@@ -14,7 +14,6 @@ from rp3color import (
     InstanceError,
     binary_list_color,
     colors_from_mask,
-    eliminate_singletons,
     mask_from_colors,
     p_value,
     reduce_once,
@@ -33,6 +32,7 @@ from reducer_reference import (
     center_context,
     center_context_report,
     check_center_context,
+    eliminate_singletons,
 )
 
 
@@ -316,6 +316,38 @@ def test_reduce_to_binary_trivial():
     assert lift(trace, ()) == (1,)
 
 
+def test_reduce_to_binary_accepts_singletons():
+    """One-color lists beside a list of three or more colors are deleted
+    first, in the same trace; without such a list the input comes back
+    as it is, one-color lists and all."""
+    binary = mk(3, [(0, 1), (1, 2)], [{1}, {2, 3}, {4}])
+    assert reduce_to_binary(binary) == (binary, [])
+    # already propagated: no neighbor of {1} or {5} holds its color
+    done = mk(
+        5,
+        [(0, 1), (1, 2), (2, 3), (3, 4)],
+        [{1}, {2, 3}, {2, 3, 4}, {3, 4}, {5}],
+    )
+    # not yet propagated: deleting 0 leaves 1 with {2}, and deleting
+    # that leaves 2 with {1, 3, 4}
+    fresh = mk(
+        4,
+        [(0, 1), (1, 2), (2, 3)],
+        [{1}, {1, 2}, {1, 2, 3, 4}, {3, 4, 5}],
+    )
+    for inst, deleted in ((done, [0, 4]), (fresh, [0, 1])):
+        out, trace = reduce_to_binary(inst)
+        assert all(m.bit_count() in (0, 2) for m in out.lists)
+        lead = [s.info["vertex"] for s in trace[: len(deleted)]]
+        assert lead == deleted
+        assert {s.kind for s in trace[: len(deleted)]} == {"singleton-removal"}
+        assert all("step" in s.info for s in trace[len(deleted) :])
+        assert len(trace) > len(deleted)
+        phi = binary_list_color(out)
+        assert phi is not None
+        assert verify_coloring(inst, lift(trace, phi))
+
+
 def test_reduce_to_binary_on_fixture():
     inst = step11_fixture()
     out, trace = reduce_to_binary(inst)
@@ -349,7 +381,7 @@ def test_reduction_contract_on_random_candidates():
     seen = 0
     for _ in range(60):
         inst = random_instance(rng, rng.randint(1, 5))
-        for cand, _ in itertools.islice(candidate_stream(inst, 2), 6):
+        for cand in itertools.islice(candidate_stream(inst, 2), 6):
             if all(m.bit_count() <= 2 for m in cand.lists):
                 continue
             seen += 1
@@ -372,7 +404,9 @@ def test_big_lists_resolve_early():
     checked = 0
     for _ in range(80):
         inst = random_instance(rng, rng.randint(1, 5))
-        for cand, _ in itertools.islice(candidate_stream(inst, 2), 4):
+        for leaf in itertools.islice(candidate_stream(inst, 2), 4):
+            # reduce_once takes no one-color list
+            cand, _ = eliminate_singletons(leaf)
             if max((m.bit_count() for m in cand.lists), default=0) < 4:
                 continue
             u0 = next(
@@ -385,26 +419,41 @@ def test_big_lists_resolve_early():
     assert checked >= 20
 
 
+def big(inst):
+    """Lowest vertex with a list of three or more colors, or None."""
+    return next(
+        (v for v in range(inst.graph.n) if inst.lists[v].bit_count() >= 3), None
+    )
+
+
 def reduce_by_rounds(inst):
-    """reduce_to_binary rebuilt from scratch every round: reduce_once on
-    a fresh instance, then eliminate_singletons on its output.  Returns
-    the final instance, (step, outcome, singleton count) per round, and
-    the joined per-round traces."""
-    cur, rounds, trace = inst, [], []
+    """reduce_to_binary rebuilt from scratch every step: eliminate_singletons
+    on the input, then each round reduce_once on a fresh instance and
+    eliminate_singletons on its output.  Returns the final instance, the
+    input's singleton count, (step, outcome, singleton count) per round,
+    and the traces of these steps in order."""
+    if big(inst) is None:
+        return inst, 0, [], []
+    cur, killed = eliminate_singletons(inst)
+    lead, rounds, traces = len(killed), [], [killed]
     while True:
-        u0 = next(
-            (v for v in range(cur.graph.n) if cur.lists[v].bit_count() >= 3),
-            None,
-        )
+        u0 = big(cur)
         if u0 is None:
-            return cur, rounds, trace
+            return cur, lead, rounds, traces
         before = p_value(cur)
         nxt, step = reduce_once(cur, u0)
         cur, killed = eliminate_singletons(nxt)
         if p_value(cur) >= before:
             raise RuntimeError("potential failed to drop")
         rounds.append((step.info["step"], step.info.get("outcome"), len(killed)))
-        trace += [step] + killed
+        traces += [[step], killed]
+
+
+def lift_each(traces, phi):
+    """``phi`` lifted through each trace in turn, the last one first."""
+    for trace in reversed(traces):
+        phi = lift(trace, phi)
+    return phi
 
 
 def bounded_degree_instance(rng, n):
@@ -479,21 +528,24 @@ def step4_mix(rng, n):
 
 def assert_same_reduction(inst):
     """reduce_to_binary equals reduce_by_rounds on ``inst``: the same
-    rounds, output and lifted coloring.  Returns the (step, outcome,
-    singleton count) of each round."""
+    singleton removals, rounds, output and lifted coloring.  Returns the
+    (step, outcome, singleton count) of each round."""
     try:
         out, trace = reduce_to_binary(inst)
     except (InstanceError, RuntimeError) as exc:
         with pytest.raises(type(exc)):
             reduce_by_rounds(inst)
         return []
-    want, rounds, per_round = reduce_by_rounds(inst)
-    got = []
+    want, lead, rounds, per_step = reduce_by_rounds(inst)
+    got, killed = [], 0
     for s in trace:
         if "step" in s.info:
             got.append((s.info["step"], s.info.get("outcome"), 0))
-        else:
+        elif got:
             got[-1] = got[-1][:2] + (got[-1][2] + 1,)
+        else:
+            killed += 1
+    assert killed == lead
     assert got == rounds
     assert out == want
     phi = binary_list_color(out)
@@ -504,9 +556,9 @@ def assert_same_reduction(inst):
             # lifting may fail only when the input has a good P3
             assert find_good_p3(inst) is not None
             with pytest.raises(RuntimeError):
-                lift(per_round, phi)
+                lift_each(per_step, phi)
             return rounds
-        assert lifted == lift(per_round, phi)
+        assert lifted == lift_each(per_step, phi)
         assert verify_coloring(inst, lifted)
     return rounds
 
@@ -516,9 +568,9 @@ def test_incremental_reduction_matches_fresh_rounds():
     cands = 0
     for _ in range(60):
         inst = random_instance(rng, rng.randint(1, 5))
-        for cand, _ in itertools.islice(candidate_stream(inst, 2), 6):
+        for leaf in itertools.islice(candidate_stream(inst, 2), 6):
             cands += 1
-            assert_same_reduction(cand)
+            assert_same_reduction(leaf)
     assert cands >= 60
     rng = random.Random(77)
     rounds = sum(

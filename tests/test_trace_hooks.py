@@ -37,12 +37,16 @@ def test_tracer_hooks_every_layer():
     finally:
         tracer.uninstall()
     assert verdict.status == "colorable"
-    assert tracer.missing == ["rp3color.reducer.eliminate_singletons"]
+    # both singleton hooks are stale: singleton removal now runs inside
+    # reduce_to_binary, so its time lands in reducer.reduce
+    assert tracer.missing == [
+        "rp3color.pipeline.eliminate_singletons",
+        "rp3color.reducer.eliminate_singletons",
+    ]
     names = {span[0] for span in tracer.spans}
     assert {
         "graphs.scan",
         "profiles.profile",
-        "profiles.singletons",
         "goodp3.detect",
         "goodp3.refine",
         "reducer.reduce",
