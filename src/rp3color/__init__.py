@@ -10,11 +10,8 @@ from .graphs import (
     Graph,
     GraphError,
     anticomplete_packing,
-    dist_neighborhood,
     induced_p3_stream,
     induced_subgraph,
-    is_clique,
-    is_stable_set,
 )
 from .instances import (
     Coloring,
@@ -24,12 +21,9 @@ from .instances import (
     coloring_defect,
     colors_from_mask,
     full_mask,
-    list_graph,
     mask_from_colors,
-    p_value,
     parse_instance,
     serialize_instance,
-    verify_coloring,
 )
 from .oracle import frugal_colorings, solve_exact, solve_exact_frugal
 from .profiles import cover_cap, frugal_profile
@@ -44,8 +38,6 @@ from .pipeline import SolveOptions, Verdict, candidate_stream, lift, solve
 from .hardness import (
     NaeInstance,
     build_hardness_graph,
-    check_construction,
-    nae_brute,
     parse_nae,
     serialize_nae,
 )

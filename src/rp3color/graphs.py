@@ -1,16 +1,15 @@
-"""Immutable simple graphs with neighborhood and induced-path machinery.
+"""Immutable simple graphs, induced subgraphs, and the induced-path
+enumeration behind the packing check and the good-P3 search.
 
 Vertices are the integers 0..n-1.  Adjacency is one integer bitmask
 per vertex (bit w of adj_mask[v] is set when vw is an edge); vertex sets
-are bitmasks inside the loops and frozensets only where they are
-returned to callers.
+are bitmasks and paths are tuples of vertex ids.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-VertexSet = FrozenSet[int]
 InducedP3 = Tuple[int, int, int]
 
 
@@ -72,29 +71,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def dist_neighborhood(g: Graph, v: int, d: int, closed: bool = False) -> VertexSet:
-    """Vertices at distance exactly ``d`` from ``v`` (``closed``: at most ``d``).
-
-    Distance is the number of edges on a shortest path; unreachable
-    vertices are at infinite distance and never included.
-    """
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex {v} out of range")
-    if d < 0:
-        raise GraphError(f"negative distance {d}")
-    adjm = g.adj_mask
-    seen = frontier = 1 << v
-    for _ in range(d):
-        reach = 0
-        for u in bits(frontier):
-            reach |= adjm[u]
-        frontier = reach & ~seen
-        if not frontier:
-            break
-        seen |= frontier
-    return frozenset(bits(seen if closed else frontier))
-
-
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:
     """Induced subgraph on ``keep`` plus the order-preserving old-to-new id map."""
     kept = sorted(set(keep))
@@ -116,24 +92,6 @@ def local_adjacency(g: Graph, keep: Sequence[int]) -> List[int]:
     pos = {v: i for i, v in enumerate(keep)}
     inside = sum(1 << v for v in keep)
     return [sum(1 << pos[w] for w in bits(g.adj_mask[v] & inside)) for v in keep]
-
-
-def is_stable_set(g: Graph, xs: Iterable[int]) -> bool:
-    """True iff no two vertices of ``xs`` are adjacent."""
-    xs = sorted(set(xs))
-    mask = sum(1 << v for v in xs)
-    return all(g.adj_mask[v] & mask == 0 for v in xs)
-
-
-def is_clique(g: Graph, xs: Iterable[int]) -> bool:
-    """True iff all pairs from ``xs`` are adjacent."""
-    xs = sorted(set(xs))
-    mask = sum(1 << v for v in xs)
-    for v in xs:
-        want = mask & ~(1 << v)
-        if g.adj_mask[v] & want != want:
-            return False
-    return True
 
 
 def induced_p3_stream(g: Graph) -> Iterator[InducedP3]:

@@ -11,11 +11,10 @@ the family a hardness frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .graphs import Graph
 from .instances import Instance, ParseError, full_mask
-from .oracle import solve_exact
 
 
 @dataclass(frozen=True)
@@ -101,27 +100,6 @@ def serialize_nae(nae: NaeInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def nae_brute(nae: NaeInstance) -> Optional[Tuple[bool, ...]]:
-    """First satisfying assignment in binary-counting order, or None.
-
-    Bit i of the counter is variable i+1, so the all-false assignment
-    comes first.  A clause is satisfied when its literals are not all
-    equal.  Exhaustive, for small n only.
-    """
-    for word in range(1 << nae.n):
-        ok = True
-        for i1, i2, i3 in nae.clauses:
-            v1 = (word >> (i1 - 1)) & 1
-            v2 = (word >> (i2 - 1)) & 1
-            v3 = (word >> (i3 - 1)) & 1
-            if v1 == v2 == v3:
-                ok = False
-                break
-        if ok:
-            return tuple(bool((word >> i) & 1) for i in range(nae.n))
-    return None
-
-
 def build_hardness_graph(nae: NaeInstance) -> Instance:
     """The gadget graph as a full-list 5-coloring instance.
 
@@ -182,25 +160,3 @@ def build_hardness_graph(nae: NaeInstance) -> Instance:
     nv = 5 + n + 8 * m
     g = Graph(nv, edges)
     return Instance(g, 5, tuple(full_mask(5) for _ in range(nv)))
-
-
-def check_construction(nae: NaeInstance) -> Dict[str, bool]:
-    """Desk-scale validation of one gadget.
-
-    Asserts the generated graph contains no two anticomplete induced
-    four-vertex paths and that exhaustive 5-colorability agrees with
-    exhaustive not-all-equal satisfiability.  Oracle-driven, so keep
-    n and m small.
-    """
-    from .graphs import anticomplete_packing
-
-    inst = build_hardness_graph(nae)
-    packing = anticomplete_packing(inst.graph, 2, 4)
-    colorable = solve_exact(inst) is not None
-    satisfiable = nae_brute(nae) is not None
-    return {
-        "p4_pair_free": packing is None,
-        "colorable": colorable,
-        "satisfiable": satisfiable,
-        "equivalent": colorable == satisfiable,
-    }

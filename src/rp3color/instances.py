@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graphs import Graph, induced_p3_stream
+from .graphs import Graph
 
 MAX_K = 8
 
@@ -71,18 +71,6 @@ class Instance:
         return f"Instance(n={self.graph.n}, k={self.k})"
 
 
-def list_graph(inst: Instance) -> Graph:
-    """Spanning subgraph keeping only edges whose endpoint lists intersect."""
-    lists = inst.lists
-    kept = [(u, v) for u, v in inst.graph.edges if lists[u] & lists[v]]
-    return Graph(inst.graph.n, kept)
-
-
-def p_value(inst: Instance) -> int:
-    """Potential |V| + sum of list sizes; every reduction round lowers it."""
-    return inst.graph.n + sum(m.bit_count() for m in inst.lists)
-
-
 def is_good_triple(triple: GoodTriple) -> bool:
     """All three sets have size at least 2 and pairwise intersect."""
     a, b, c = triple
@@ -102,26 +90,11 @@ def p3_list_type(inst: Instance, p3: Tuple[int, int, int]) -> GoodTriple:
     return (inst.lists[a], inst.lists[b], inst.lists[c])
 
 
-def find_good_p3(inst: Instance) -> Optional[Tuple[int, int, int]]:
-    """First induced P3 (stream order) whose list type is good, or None.
-
-    Goodness does not depend on the orientation of the path, so the
-    canonical orientation is checked.
-    """
-    for p3 in induced_p3_stream(inst.graph):
-        if is_good_triple(p3_list_type(inst, p3)):
-            return p3
-    return None
-
-
-def coloring_defect(
-    inst: Instance, phi: Coloring, frugal: bool = False
-) -> Optional[str]:
+def coloring_defect(inst: Instance, phi: Coloring) -> Optional[str]:
     """First violated coloring constraint, or None if ``phi`` is valid.
 
-    Checks, in order: length, color range, list membership, properness
-    along edges, and (if ``frugal``) that no vertex has two neighbors
-    sharing a color from its own list.
+    Checks, in order: length, color range, list membership, and
+    properness along edges.
     """
     g = inst.graph
     if len(phi) != g.n:
@@ -135,20 +108,7 @@ def coloring_defect(
     for u, v in g.edges:
         if phi[u] == phi[v]:
             return f"edge ({u}, {v}) is monochromatic in color {phi[u]}"
-    if frugal:
-        holders = [0] * (inst.k + 1)
-        for v, c in enumerate(phi):
-            holders[c] |= 1 << v
-        for v in range(g.n):
-            for c in colors_from_mask(inst.lists[v]):
-                seen = (g.adj_mask[v] & holders[c]).bit_count()
-                if seen >= 2:
-                    return f"vertex {v} has {seen} neighbors in its listed color {c}"
     return None
-
-
-def verify_coloring(inst: Instance, phi: Coloring, frugal: bool = False) -> bool:
-    return coloring_defect(inst, phi, frugal) is None
 
 
 def parse_instance(text: str) -> Instance:

@@ -2,9 +2,10 @@
 
 One round targets a vertex u0 with at least three allowed colors and
 either removes vertices or shrinks lists, strictly lowering the
-potential p_value.  Rounds assume k = 5, no singleton lists and no good
-P3; under those hypotheses frugal colorability survives forward and any
-coloring of the output lifts back (the lift functions at the bottom).
+potential |V| + sum of list sizes.  Rounds assume k = 5, no singleton
+lists and no good P3; under those hypotheses frugal colorability
+survives forward and any coloring of the output lifts back (the lift
+functions at the bottom).
 
 Steps 6-11 name colors by their role around u0: roles 1-3 are the three
 smallest colors of L(u0) and roles 4 and 5 the other two, each group
@@ -29,7 +30,7 @@ from itertools import combinations
 from typing import List, Sequence, Tuple
 
 from .graphs import Graph, bits, local_adjacency
-from .instances import Instance, InstanceError, colors_from_mask
+from .instances import Instance, InstanceError, colors_from_mask, mask_from_colors
 from .oracle import colorings
 from .working import LiftStep, ReductionTrace, WorkingInstance, second_ring
 
@@ -86,7 +87,7 @@ def reduce_once(inst: Instance, u0: int) -> Tuple[Instance, LiftStep]:
         raise InstanceError(f"vertex {v} has a singleton list")
     if inst.lists[u0].bit_count() < 3:
         raise InstanceError(f"center {u0} has list size below 3")
-    ws = WorkingInstance(inst, list_graph=True)
+    ws = WorkingInstance(inst)
     _round(ws, u0)
     out, trace = ws.finish()
     return out, trace[0]
@@ -170,9 +171,8 @@ def _round(ws: WorkingInstance, u0: int) -> None:
 def _step4(ws: WorkingInstance, v: int) -> None:
     """Record and drop the step-4 vertex v, for _round and for the
     step-4 sweep of reduce_to_binary alike."""
-    info = {"step": 4, "vertex": v, "gl_neighbors": tuple(bits(ws.gl[v]))}
+    info = {"step": 4, "vertex": v, "gl_neighbors": ws.kill(v)}
     ws.record("step4-removal", info, {v: ws.lists[v]})
-    ws.kill(v)
 
 
 def _step5(ws: WorkingInstance, u: int) -> None:
@@ -186,20 +186,22 @@ def _step5(ws: WorkingInstance, u: int) -> None:
     adj = local_adjacency(ws.graph, ball)
     watch = (1 << len(ball)) - 1  # frugal at every ball vertex
 
-    realized = 0
-    feasible = False
+    # the first ball coloring met for each boundary color (key 0 with
+    # no boundary): the lift of step 5c reads its coloring from here
+    by_color = {}
     if boundary:
         cpos = ball.index(boundary[0])
-        want = local[cpos]
+        size = local[cpos].bit_count()
         for phi in colorings(adj, local, watch):
-            feasible = True
-            realized |= 1 << (phi[cpos] - 1)
-            if realized == want:
+            by_color.setdefault(phi[cpos], phi)
+            if len(by_color) == size:
                 break
     else:
-        feasible = next(colorings(adj, local, watch), None) is not None
+        phi = next(colorings(adj, local, watch), None)
+        if phi is not None:
+            by_color[0] = phi
 
-    if not feasible:
+    if not by_color:
         # step 5b: the ball itself cannot be frugally colored
         info = {"step": 5, "witness": u, "outcome": "5b"}
         ws.record("spanning", info)
@@ -214,10 +216,11 @@ def _step5(ws: WorkingInstance, u: int) -> None:
         "ball": ball,
         "boundary": boundary,
         "outcome": "5c",
+        "by_color": by_color,
     }
     ws.record("step5c-removal", info, {v: lists[v] for v in ball})
     if boundary:
-        ws.set_list(boundary[0], realized)
+        ws.set_list(boundary[0], mask_from_colors(by_color))
     for v in bits(removed):
         ws.kill(v)
 
@@ -292,7 +295,7 @@ def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
         raise InstanceError(f"k={inst.k}, need 5")
     if all(m.bit_count() < 3 for m in inst.lists):
         return inst, []  # no round to run; skip building the list graph
-    ws = WorkingInstance(inst, list_graph=True)
+    ws = WorkingInstance(inst)
     ws.eliminate_singletons()
     debug = log.isEnabledFor(logging.DEBUG)
     while True:
@@ -337,21 +340,16 @@ def lift_step4(step: LiftStep, out: List[int], g: Graph) -> None:
 
 
 def lift_step5c(step: LiftStep, out: List[int], g: Graph) -> None:
-    ball = step.info["ball"]
+    """Color the deleted ball with the first local coloring that gives
+    the boundary vertex its lifted color, saved by _step5."""
     boundary = step.info["boundary"]
-    cpos = ball.index(boundary[0]) if boundary else None
-    want = out[boundary[0]] if boundary else None
-    local = [step.lists[v] for v in ball]
-    chosen = None
-    for cand in colorings(local_adjacency(g, ball), local, (1 << len(ball)) - 1):
-        if want is None or cand[cpos] == want:
-            chosen = cand
-            break
+    want = out[boundary[0]] if boundary else 0
+    chosen = step.info["by_color"].get(want)
     if chosen is None:
         raise RuntimeError(
             f"no local coloring matches the boundary color {want}"
         )
-    for v, col in zip(ball, chosen):
+    for v, col in zip(step.info["ball"], chosen):
         out[v] = col
 
 

@@ -7,9 +7,9 @@ A WorkingInstance runs over the vertex ids of its input Instance: the
 input graph is shared and never rebuilt, dead vertices are masked out
 and lists shrink in place.  Every step appends a LiftStep that holds
 only local undo data; finish() builds the one output Instance and
-closes the trace.  With the list graph tracked, the state also keeps
-list-graph adjacency, degrees and the lowest-id witnesses the reduction
-rounds ask for, each revalidated lazily on lookup.
+closes the trace.  The state also keeps list-graph adjacency, degrees
+and the lowest-id witnesses the reduction rounds ask for, each
+revalidated lazily on lookup.
 """
 
 from __future__ import annotations
@@ -79,13 +79,14 @@ def _first(heap: List[int], ok: Callable[[int], bool]) -> Optional[int]:
 class WorkingInstance:
     """A shrinking copy of an instance that records how to undo itself.
 
-    ``potential`` is p_value of the current instance.  With
-    ``list_graph`` set, ``gl[v]`` is the bitmask of the alive neighbors
-    of v whose lists meet v's, kept up to date in O(deg) per change, and
-    sweep_low runs the reducer's step-4 removals back to back.
+    ``potential`` is the number of vertices plus the sum of list sizes
+    of the current instance, which every reduction round lowers.
+    ``gl[v]`` is the bitmask of the alive neighbors of v whose lists
+    meet v's, kept up to date in O(deg) per change, and sweep_low runs
+    the reducer's step-4 removals back to back.
     """
 
-    def __init__(self, inst: Instance, list_graph: bool = False):
+    def __init__(self, inst: Instance):
         g = inst.graph
         n = g.n
         lists = list(inst.lists)
@@ -97,22 +98,18 @@ class WorkingInstance:
         self.trace: ReductionTrace = []
         # ascending id lists are valid heaps
         self._singles = [v for v in range(n) if lists[v].bit_count() == 1]
-        self.gl: Optional[List[int]] = None
         self._dirty: Optional[int] = None
-        if list_graph:
-            gl = [0] * n
-            for u, v in g.edges:
-                if lists[u] & lists[v]:
-                    gl[u] |= 1 << v
-                    gl[v] |= 1 << u
-            self.gl = gl
-            self._wide = [v for v in range(n) if gl[v].bit_count() >= 5]
-            self._low = [
-                v for v in range(n) if gl[v].bit_count() < lists[v].bit_count()
-            ]
-            self._big = [v for v in range(n) if lists[v].bit_count() >= 3]
-            self._local: List[int] = []
-            self._local_ok = bytearray(n)
+        gl = [0] * n
+        for u, v in g.edges:
+            if lists[u] & lists[v]:
+                gl[u] |= 1 << v
+                gl[v] |= 1 << u
+        self.gl = gl
+        self._wide = [v for v in range(n) if gl[v].bit_count() >= 5]
+        self._low = [v for v in range(n) if gl[v].bit_count() < lists[v].bit_count()]
+        self._big = [v for v in range(n) if lists[v].bit_count() >= 3]
+        self._local: List[int] = []
+        self._local_ok = bytearray(n)
 
     # -- changes -------------------------------------------------------
 
@@ -129,27 +126,27 @@ class WorkingInstance:
         self._mark(v)
         self.potential -= old.bit_count() - mask.bit_count()
         self.lists[v] = mask
-        gl = self.gl
-        if gl is not None:
-            lists = self.lists
-            for w in bits(gl[v]):
-                if not lists[w] & mask:
-                    gl[v] ^= 1 << w
-                    gl[w] ^= 1 << v
-                    self._changed(w)
+        gl, lists = self.gl, self.lists
+        for w in bits(gl[v]):
+            if not lists[w] & mask:
+                gl[v] ^= 1 << w
+                gl[w] ^= 1 << v
+                self._changed(w)
         self._changed(v)
 
-    def kill(self, v: int) -> None:
-        """Delete alive vertex v."""
+    def kill(self, v: int) -> Tuple[int, ...]:
+        """Delete alive vertex v, leaving its list in place; return the
+        list-graph neighbors it was unlinked from, ascending."""
         self._mark(v)
         self.alive[v] = 0
         self.potential -= 1 + self.lists[v].bit_count()
         gl = self.gl
-        if gl is not None:
-            for w in bits(gl[v]):
-                gl[w] ^= 1 << v
-                self._changed(w)
-            gl[v] = 0
+        neighbors = tuple(bits(gl[v]))
+        for w in neighbors:
+            gl[w] ^= 1 << v
+            self._changed(w)
+        gl[v] = 0
+        return neighbors
 
     def clear_lists(self) -> None:
         """Empty every alive list (a round that proves infeasibility)."""
@@ -161,7 +158,7 @@ class WorkingInstance:
         size = self.lists[v].bit_count()
         if size == 1:
             heappush(self._singles, v)
-        if self.gl is not None and self.gl[v].bit_count() < size:
+        if self.gl[v].bit_count() < size:
             heappush(self._low, v)
 
     def _mark(self, v: int) -> None:

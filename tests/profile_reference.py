@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
-from rp3color.graphs import Graph, bits, is_stable_set
+from rp3color.graphs import Graph, bits
 from rp3color.instances import Instance
+
+from instance_reference import is_stable_set
 
 
 def is_refinement(

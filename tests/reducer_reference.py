@@ -12,15 +12,15 @@ from.
 from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple
 
-from rp3color.graphs import Graph, is_clique
+from rp3color.graphs import Graph
 from rp3color.instances import (
     Instance,
     InstanceError,
     colors_from_mask,
-    find_good_p3,
-    list_graph,
 )
 from rp3color.working import ReductionTrace, WorkingInstance
+
+from instance_reference import find_good_p3, is_clique, list_graph
 
 FOUR = 1 << 3
 FIVE = 1 << 4

@@ -23,18 +23,16 @@ from rp3color import (
     candidate_stream,
     lift,
     mask_from_colors,
-    nae_brute,
-    p_value,
     reduce_once,
     solve,
     solve_exact,
     solve_exact_frugal,
-    verify_coloring,
 )
-from rp3color.instances import find_good_p3
 from rp3color.profiles import frugal_profile
 
 from goodp3_reference import eliminate_good_p3
+from hardness_reference import nae_brute
+from instance_reference import find_good_p3, p_value, verify_coloring
 from profile_reference import Hypergraph, cover_bound, hypergraph_stats
 from reducer_reference import center_context_report, eliminate_singletons
 

@@ -1,12 +1,16 @@
 """Command line behavior: certificates, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
-from rp3color import InstanceError, parse_instance, verify_coloring
+import rp3color
+from rp3color import InstanceError, parse_instance
 from rp3color.cli import main
+
+from instance_reference import verify_coloring
 
 P3_FULL = "p glist 3 2 5\ne 1 2\ne 2 3\n"
 TWO_P3 = "p glist 6 4 5\ne 1 2\ne 2 3\ne 4 5\ne 5 6\n"
@@ -290,10 +294,13 @@ def test_bench_crash_exits_5(capsys, monkeypatch):
 
 def test_trace_goes_to_stderr(tmp_path):
     script = "from rp3color.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
+    # the child imports the same rp3color as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(rp3color.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", script, "solve", "--trace", put(tmp_path, P3_FULL)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("s COLORABLE\n")

@@ -15,7 +15,6 @@ from rp3color import (
 )
 from rp3color import goodp3
 from rp3color.goodp3 import good_triple_index
-from rp3color.instances import find_good_p3
 from rp3color.oracle import colorings
 
 from goodp3_reference import (
@@ -26,6 +25,7 @@ from goodp3_reference import (
     find_type_p3,
     literal_fold,
 )
+from instance_reference import find_good_p3
 from profile_reference import is_refinement, propagated
 
 GAMMA = (0b011, 0b110, 0b101)  # ({1,2},{2,3},{1,3})

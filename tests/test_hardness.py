@@ -9,14 +9,13 @@ from rp3color import (
     ParseError,
     anticomplete_packing,
     build_hardness_graph,
-    check_construction,
     full_mask,
-    is_clique,
-    is_stable_set,
-    nae_brute,
     parse_nae,
     serialize_nae,
 )
+
+from hardness_reference import check_construction, nae_brute
+from instance_reference import is_clique, is_stable_set
 
 FIXTURE = """\
 # one mixed clause over three variables

@@ -19,9 +19,7 @@ from rp3color import (
     mask_from_colors,
     solve,
     solve_exact,
-    verify_coloring,
 )
-from rp3color.instances import find_good_p3
 from rp3color.goodp3 import good_triples
 from rp3color.oracle import exact_colorings, frugal_colorings
 from rp3color import pipeline
@@ -29,6 +27,7 @@ from rp3color.pipeline import _Budget, _candidates
 from rp3color.profiles import frugal_profile, unit_propagate
 
 from goodp3_reference import eager_pivot_refinements, find_type_p3
+from instance_reference import find_good_p3, verify_coloring
 from profile_reference import propagated
 from reducer_reference import eliminate_singletons
 

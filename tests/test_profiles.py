@@ -13,11 +13,11 @@ from rp3color import (
     mask_from_colors,
     solve_exact,
     solve_exact_frugal,
-    verify_coloring,
 )
 from rp3color import profiles
 from rp3color.pipeline import lift
 
+from instance_reference import verify_coloring
 from profile_reference import (
     hypergraph_stats,
     is_refinement,

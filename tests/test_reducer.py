@@ -15,19 +15,17 @@ from rp3color import (
     binary_list_color,
     colors_from_mask,
     mask_from_colors,
-    p_value,
     reduce_once,
     reduce_to_binary,
     solve_exact,
     solve_exact_frugal,
-    verify_coloring,
 )
 from rp3color import reducer
-from rp3color.instances import find_good_p3
 from rp3color.oracle import exact_colorings
 from rp3color.pipeline import candidate_stream, lift
 from rp3color.working import LiftStep
 
+from instance_reference import find_good_p3, p_value, verify_coloring
 from reducer_reference import (
     center_context,
     center_context_report,
@@ -86,6 +84,13 @@ def step5c_fixture():
         (2, 3), (1, 4), (2, 4), (3, 4),
     ]
     return mk(5, edges, [{1, 2, 3}, {1, 4}, {2, 4}, {3, 4}, {4, 5}])
+
+
+def step5c_closed_ball_fixture():
+    # a K4 whose lists give every vertex three colors and three
+    # list-graph neighbors: the 2-ball of 0 is the whole graph
+    edges = list(itertools.combinations(range(4), 2))
+    return mk(4, edges, [{1, 2, 3}, {1, 2, 3}, {1, 2, 4}, {3, 4, 5}])
 
 
 PALETTES = list(itertools.permutations(range(1, 6)))
@@ -226,6 +231,38 @@ def test_reduce_once_step5c_local_ball():
     assert (solve_exact(inst) is None) == (solve_exact(child) is None)
     assert solve_exact_frugal(inst) is not None
     assert solve_exact_frugal(child) is not None
+
+
+@pytest.mark.parametrize(
+    "fixture, phi", [(step5c_fixture, (5,)), (step5c_closed_ball_fixture, ())]
+)
+def test_step5c_lift_enumerates_nothing(monkeypatch, fixture, phi):
+    """Step 5 saves the first ball coloring it meets for each boundary
+    color (key 0 with no boundary), and the lift only looks it up."""
+    inst = fixture()
+    child, step = reduce_once(inst, 0)
+    assert step.kind == "step5c-removal"
+    boundary = step.info["boundary"]
+    if boundary:
+        assert set(step.info["by_color"]) == set(child.list_of(0))
+    else:
+        assert child.graph.n == 0 and set(step.info["by_color"]) == {0}
+
+    def no_enumeration(*args):
+        raise AssertionError("the lift enumerated ball colorings")
+
+    monkeypatch.setattr(reducer, "colorings", no_enumeration)
+    assert verify_coloring(inst, lift([step], phi))
+
+
+def test_step5c_lift_rejects_an_unrealized_boundary_color():
+    """A boundary color that no ball coloring realized (4 here, while
+    step 5 left the boundary the list {5}) has nothing to lift to."""
+    _, step = reduce_once(step5c_fixture(), 0)
+    with pytest.raises(
+        RuntimeError, match="no local coloring matches the boundary color 4"
+    ):
+        lift([step], (4,))
 
 
 def test_reduce_once_step11_contraction():

@@ -15,8 +15,9 @@ from rp3color import (
     solve_2sat,
     solve_exact,
     to_2sat,
-    verify_coloring,
 )
+
+from instance_reference import verify_coloring
 
 
 def mk(n, edges, lists, k=5):
