@@ -19,7 +19,7 @@ import sys
 import time
 import traceback
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .graphs import Graph, anticomplete_packing
 from .hardness import build_hardness_graph, parse_nae
@@ -62,19 +62,14 @@ def format_certificate(verdict: Verdict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse: Callable[[str], object]):
+    """``parse`` applied to the text of the file at ``path``.  A file
+    that cannot be read or parsed prints ``error: PATH: MSG`` and exits
+    with 4."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(4)
-
-
-def _load_instance(path: str) -> Instance:
-    try:
-        return parse_instance(_read(path))
-    except ParseError as exc:
+            return parse(fh.read())
+    except (OSError, ParseError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(4)
 
@@ -86,7 +81,7 @@ def _internal(exc: Exception) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = _load_instance(args.file)
+    inst = _load(args.file, parse_instance)
     if args.trace:
         logging.basicConfig(
             stream=sys.stderr, level=logging.INFO, format="%(message)s"
@@ -110,7 +105,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    inst = _load_instance(args.file)
+    inst = _load(args.file, parse_instance)
     phi = solve_exact_frugal(inst) if args.frugal else solve_exact(inst)
     verdict = Verdict("not-colorable" if phi is None else "colorable", coloring=phi)
     sys.stdout.write(format_certificate(verdict))
@@ -118,7 +113,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_free(args) -> int:
-    inst = _load_instance(args.file)
+    inst = _load(args.file, parse_instance)
     packing = anticomplete_packing(inst.graph, args.r, args.t)
     if packing is None:
         sys.stdout.write("s FREE\n")
@@ -128,11 +123,12 @@ def _cmd_check_free(args) -> int:
 
 
 def _cmd_gen_hard(args) -> int:
+    # main() returns 4 on a malformed formula but raises SystemExit(4)
+    # on a malformed instance; tests/test_cli.py pins both
     try:
-        nae = parse_nae(_read(args.file))
-    except ParseError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 4
+        nae = _load(args.file, parse_nae)
+    except SystemExit as exc:
+        return exc.code
     inst = build_hardness_graph(nae)
     sys.stdout.write(serialize_instance(inst))
     return 0
@@ -236,9 +232,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

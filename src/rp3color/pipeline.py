@@ -1,12 +1,14 @@
 """Solver orchestration: branch search, certificate lifting, verdicts.
 
 solve() runs the full decision procedure.  An optional packing check
-rejects inputs outside the supported graph class, then a depth-first
-search over candidate_stream reduces each candidate to a binary-list
-instance and hands it to 2-SAT.  The first feasible candidate is lifted
-back through its reduction trace and verified against the original
-instance, so a colorable verdict is trustworthy no matter what internal
-shortcuts the search took.
+rejects inputs outside the supported graph class.  candidate_stream
+then walks the profile elements and their good-P3 branching
+depth-first, once per solve, deduplicating nodes and leaves across the
+whole walk; each leaf is reduced to a binary-list instance and handed
+to 2-SAT.  The first feasible leaf is lifted back through its reduction
+trace and verified against the original instance, so a colorable
+verdict is trustworthy no matter what internal shortcuts the search
+took.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
     for child, v in enumerate(keep):
         out[v] = phi[child]
     for step in reversed(trace):
-        _LIFTS[step.kind](step, out, g)
+        _LIFTS[step.kind](step, out)
         for v, mask in step.lists.items():
             c = out[v]
             if not (c >= 1 and (mask >> (c - 1)) & 1):
@@ -143,31 +145,49 @@ class _Budget:
         }
 
 
-def _candidates(element: Instance, budget: _Budget) -> Iterator[Instance]:
-    """Refinements of one element with no good P3: the leaves of its walk.
+def candidate_stream(
+    inst: Instance, r: int, budget: Optional[_Budget] = None
+) -> Iterator[Instance]:
+    """All branch candidates: propagated refinements with no good P3.
 
-    Depth-first over pivot_refinements of the earliest good triple, with
-    an explicit stack of child streams.  Every node is a unit-propagation
-    fixpoint with no empty list: the element because frugal_profile
-    yields it so, each child because pivot_refinements does.  A node
-    whose list tuple was already visited is skipped, still counting
-    toward the budget: its subtree depends only on the instance, and was
-    explored in full.  A leaf is dropped when its lists with every
-    one-color list set to 0 were seen before: all leaves share the
-    element's graph and none has an empty list, and being a fixpoint,
-    a leaf's one-color lists constrain no neighbor, so that key fixes
-    the leaf's instance once they are deleted.  No skip can hide a
-    feasible leaf.
+    One depth-first walk per solve over a stack of streams: the bottom
+    one is frugal_profile (each propagated list tuple once, nothing when
+    propagating the input empties a list), each one above it the
+    pivot_refinements of a node's earliest good triple.  Every node is a
+    unit-propagation fixpoint with no empty list on the input graph.  A
+    node whose lists were visited before, under any element, is skipped
+    but counts toward the budget: its subtree was explored in full.  A
+    leaf is dropped when its lists with every one-color list set to 0
+    were seen before: at a fixpoint those lists constrain no neighbor,
+    so it reduces to the earlier leaf's instance.  No skip can hide a
+    feasible leaf.  Each leaf is a spanning refinement of the input that
+    may keep one-color lists; the input is feasible exactly when some
+    leaf is, and a leaf coloring is an input coloring.  ``budget``
+    collects the search counters and enforces its node cap; with INFO
+    logging on, they are logged as each element starts.
     """
-    index = good_triple_index(element.k)
+    if budget is None:
+        budget = _Budget()
+    info = log.isEnabledFor(logging.INFO)
+    index = good_triple_index(inst.k)
     seen: Set[Tuple[int, ...]] = set()
     seen_final: Set[Tuple[int, ...]] = set()
-    stack = [iter((element,))]
+    stack = [frugal_profile(inst, r)]
     while stack:
         cur = next(stack[-1], None)
         if cur is None:
             stack.pop()
             continue
+        if len(stack) == 1:
+            budget.elements += 1
+            if info:
+                log.info(
+                    "element %d (nodes=%d leaves=%d pruned=%d)",
+                    budget.elements,
+                    budget.nodes,
+                    budget.leaves,
+                    budget.pruned,
+                )
         budget.node()
         if cur.lists in seen:
             budget.pruned += 1
@@ -183,37 +203,6 @@ def _candidates(element: Instance, budget: _Budget) -> Iterator[Instance]:
             continue
         seen_final.add(key)
         yield cur
-
-
-def candidate_stream(
-    inst: Instance, r: int, budget: Optional[_Budget] = None
-) -> Iterator[Instance]:
-    """All branch candidates: propagated refinements with no good P3.
-
-    Runs the good-P3 search under every stable-class profile element in
-    turn (frugal_profile yields each propagated list tuple once, and
-    nothing when propagating the input empties a list) and yields each
-    leaf.  Every leaf is a spanning refinement of the input, a
-    unit-propagation fixpoint with no empty list, and may keep one-color
-    lists.  The input is feasible exactly when some leaf is, and a leaf
-    coloring is an input coloring.  ``budget`` collects the search
-    counters and enforces its node cap; with INFO logging on, they are
-    logged as each element starts.
-    """
-    if budget is None:
-        budget = _Budget()
-    info = log.isEnabledFor(logging.INFO)
-    for element in frugal_profile(inst, r):
-        budget.elements += 1
-        if info:
-            log.info(
-                "element %d (nodes=%d leaves=%d pruned=%d)",
-                budget.elements,
-                budget.nodes,
-                budget.leaves,
-                budget.pruned,
-            )
-        yield from _candidates(element, budget)
 
 
 def _first_coloring(

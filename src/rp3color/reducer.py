@@ -29,7 +29,7 @@ from functools import partial
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
-from .graphs import Graph, bits, local_adjacency
+from .graphs import bits, local_adjacency
 from .instances import Instance, InstanceError, colors_from_mask, mask_from_colors
 from .oracle import colorings
 from .working import LiftStep, ReductionTrace, WorkingInstance, second_ring
@@ -54,11 +54,10 @@ def _first_in(order: Sequence[int], mask: int) -> int:
 
 
 def _context_sets(lists, adj, u0: int, four: int, five: int):
-    """ring (u0's neighbors), second (at distance exactly two), the four
-    and five sides (ring vertices whose list holds bit ``four`` /
-    ``five``) and the four and five outer sets (second-ring vertices
-    with a neighbor on that side), all in the list graph with neighbor
-    bitmasks ``adj``."""
+    """ring (u0's neighbors), the four and five sides (ring vertices
+    whose list holds bit ``four`` / ``five``) and the four and five
+    outer sets (vertices at distance exactly two with a neighbor on that
+    side), all in the list graph with neighbor bitmasks ``adj``."""
     ring = tuple(bits(adj[u0]))
     second = tuple(bits(second_ring(adj, u0)))
     four_side = tuple(v for v in ring if lists[v] & four)
@@ -67,7 +66,7 @@ def _context_sets(lists, adj, u0: int, four: int, five: int):
     f5 = sum(1 << v for v in five_side)
     four_outer = tuple(w for w in second if adj[w] & f4)
     five_outer = tuple(w for w in second if adj[w] & f5)
-    return ring, second, four_side, five_side, four_outer, five_outer
+    return ring, four_side, five_side, four_outer, five_outer
 
 
 def reduce_once(inst: Instance, u0: int) -> Tuple[Instance, LiftStep]:
@@ -127,7 +126,7 @@ def _round(ws: WorkingInstance, u0: int) -> None:
     roles = _roles(lists[u0])
     four, five = 1 << (roles[3] - 1), 1 << (roles[4] - 1)
     sets = _context_sets(lists, ws.gl, u0, four, five)
-    ring, _, a_side, b_side, a_outer, b_outer = sets
+    ring, a_side, b_side, a_outer, b_outer = sets
 
     # step 6 / 7: two attachments on one side strip {4,5} from that side
     for step, outer, side in ((6, a_outer, a_side), (7, b_outer, b_side)):
@@ -325,7 +324,7 @@ def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
             )
 
 
-def lift_step4(step: LiftStep, out: List[int], g: Graph) -> None:
+def lift_step4(step: LiftStep, out: List[int]) -> None:
     """Color the removed vertex with the smallest color of its list that
     none of its saved list-graph neighbors took (bit c stands for color
     c; an uncolored neighbor sets only bit 0, which no list holds)."""
@@ -339,7 +338,7 @@ def lift_step4(step: LiftStep, out: List[int], g: Graph) -> None:
     out[u] = (free & -free).bit_length() - 1
 
 
-def lift_step5c(step: LiftStep, out: List[int], g: Graph) -> None:
+def lift_step5c(step: LiftStep, out: List[int]) -> None:
     """Color the deleted ball with the first local coloring that gives
     the boundary vertex its lifted color, saved by _step5."""
     boundary = step.info["boundary"]
@@ -366,7 +365,7 @@ def _smallest_pair(
     raise RuntimeError("no distinct color pair available")
 
 
-def lift_step11(step: LiftStep, out: List[int], g: Graph) -> None:
+def lift_step11(step: LiftStep, out: List[int]) -> None:
     info = step.info
     u0, a, b, c = info["center"], info["a"], info["b"], info["c"]
     roles = _roles(step.lists[u0])

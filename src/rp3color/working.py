@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, bits, induced_subgraph
+from .graphs import bits, induced_subgraph
 from .instances import Instance
 
 # LiftStep kinds, by provenance:
@@ -49,11 +49,11 @@ class LiftStep:
 ReductionTrace = List[LiftStep]
 
 
-def lift_singleton(step: LiftStep, out: List[int], g: Graph) -> None:
+def lift_singleton(step: LiftStep, out: List[int]) -> None:
     out[step.info["vertex"]] = step.info["color"]
 
 
-def lift_identity(step: LiftStep, out: List[int], g: Graph) -> None:
+def lift_identity(step: LiftStep, out: List[int]) -> None:
     pass
 
 

@@ -3,7 +3,8 @@
 Every top-level function or class of src/rp3color must be referenced
 somewhere in the package outside its own definition and __init__.py;
 code that only the tests need lives in tests/.  Two names are public
-library entry points with no caller of their own.
+library entry points with no caller of their own.  Every parameter of
+every function in the package is read in that function's body.
 """
 
 import ast
@@ -51,3 +52,54 @@ def test_scan_sees_the_package():
 def test_no_unreferenced_top_level_code():
     extra = sorted(set(unreferenced()) - ENTRY_POINTS)
     assert not extra, f"unreferenced in the package, move to tests/ or delete: {extra}"
+
+
+
+def _unread(tree):
+    """(function, parameter) for every parameter of a function in
+    ``tree`` that its body never reads.  ``self`` and ``cls`` are
+    exempt, and so is a function whose whole body is ``pass``: it keeps
+    the signature of the table it sits in."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if all(isinstance(stmt, ast.Pass) for stmt in fn.body):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs
+        params += [p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {
+            sub.id
+            for stmt in fn.body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        out += [
+            (fn.name, p.arg)
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls")
+        ]
+    return out
+
+
+def test_unread_scan_on_a_sample():
+    sample = (
+        "def f(a, b, *rest, c, **kw):\n"
+        "    def g(self):\n"
+        "        return a, kw\n"
+        "    b = 1\n"
+        "    return g\n"
+        "def table_entry(x, y):\n"
+        "    pass\n"
+    )
+    assert _unread(ast.parse(sample)) == [("f", "b"), ("f", "c"), ("f", "rest")]
+
+
+def test_every_parameter_is_read():
+    unread = [
+        (path.name, *found)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for found in _unread(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not unread, f"parameters never read, drop them: {unread}"

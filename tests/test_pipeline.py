@@ -23,7 +23,7 @@ from rp3color import (
 from rp3color.goodp3 import good_triples
 from rp3color.oracle import exact_colorings, frugal_colorings
 from rp3color import pipeline
-from rp3color.pipeline import _Budget, _candidates
+from rp3color.pipeline import _Budget
 from rp3color.profiles import frugal_profile, unit_propagate
 
 from goodp3_reference import eager_pivot_refinements, find_type_p3
@@ -75,7 +75,7 @@ def test_candidate_stream_k5_identity_first():
 def test_candidate_stream_yields_are_clean():
     rng = random.Random(314)
     checked = 0
-    for _ in range(40):
+    for _ in range(60):
         n = rng.randint(1, 6)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
         lists = [set(rng.sample(range(1, 6), rng.randint(0, 3))) for _ in range(n)]
@@ -237,37 +237,36 @@ def propagated_type_leaves(cur, triple):
         yield from propagated_type_leaves(child, triple)
 
 
-def pruned_fold(element):
-    """What the search yields under one element, rebuilt from the
-    unpruned reference: the literal fold over every good triple with
-    each node propagated, the first occurrence of each leaf list tuple,
-    dropping leaves whose singleton-free final was seen before."""
-    stream = [element]
-    for gamma in good_triples(element.k):
-        stream = [
-            leaf for cur in stream for leaf in propagated_type_leaves(cur, gamma)
-        ]
-    leaves, seen = [], set()
-    for leaf in stream:
-        if leaf.lists not in seen:
+def pruned_fold(inst, r):
+    """What the search yields, rebuilt from the unpruned reference: under
+    each profile element in turn, the literal fold over every good
+    triple with each node propagated; of those leaves, the first
+    occurrence of each list tuple in the whole stream, dropping leaves
+    whose singleton-free final was seen before under any element."""
+    seen, finals = set(), set()
+    for element in frugal_profile(inst, r):
+        stream = [element]
+        for gamma in good_triples(element.k):
+            stream = [
+                leaf for cur in stream for leaf in propagated_type_leaves(cur, gamma)
+            ]
+        for leaf in stream:
+            if leaf.lists in seen:
+                continue
             seen.add(leaf.lists)
-            leaves.append(leaf)
-    out, finals = [], set()
-    for leaf in leaves:
-        final, steps = eliminate_singletons(leaf)
-        assert 0 not in final.lists
-        # vertices deleted, not renumbered: finals of one element
-        # compare as the search's dedupe key does
-        key = (final.lists, frozenset(s.info["vertex"] for s in steps))
-        if key not in finals:
-            finals.add(key)
-            out.append(leaf)
-    return out
+            final, steps = eliminate_singletons(leaf)
+            assert 0 not in final.lists
+            # vertices deleted, not renumbered: all elements share the
+            # input graph, so finals compare as the search's dedupe key does
+            key = (final.lists, frozenset(s.info["vertex"] for s in steps))
+            if key not in finals:
+                finals.add(key)
+                yield leaf
 
 
 def test_candidates_match_pruned_literal_fold():
     # the literal fold runs every good triple, 14,186 of them at k=5,
-    # so most elements use smaller palettes; the profile yields each
+    # so most draws use smaller palettes; the profile yields each
     # propagated list tuple only once, so a draw gives few elements
     rng = random.Random(99)
     compared = 0
@@ -277,10 +276,23 @@ def test_candidates_match_pruned_literal_fold():
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
             lists = [set(rng.sample(range(1, k + 1), rng.choice([2, 2, 3]))) for _ in range(n)]
             inst = mk(n, edges, lists, k)
-            for element in itertools.islice(frugal_profile(inst, 2), per_instance):
-                assert list(_candidates(element, _Budget())) == pruned_fold(element)
-                compared += 1
+            budget = _Budget()
+            got = list(itertools.islice(candidate_stream(inst, 2, budget), per_instance))
+            assert got == list(itertools.islice(pruned_fold(inst, 2), per_instance))
+            compared += budget.elements
     assert compared >= 800
+
+
+def test_leaf_keys_are_deduped_across_elements():
+    # most of the nine profile elements reach leaves that an earlier
+    # element reached; a leaf key met under an earlier element is not
+    # yielded again (a walk restarted per element yields 9 leaves, 4 keys)
+    inst = mk(3, [(0, 1), (0, 2)], [{1, 3}, {1, 3}, {2, 5}])
+    keys = [
+        tuple(m if m & (m - 1) else 0 for m in leaf.lists)
+        for leaf in candidate_stream(inst, 2)
+    ]
+    assert len(keys) == len(set(keys)) == 4
 
 
 def propagate_singletons(inst):

@@ -663,7 +663,7 @@ def test_lift_step4_skips_only_taken_colors():
     )
     for neighbors, want in (((0, 0), 2), ((0, 2), 4), ((4, 2), 5)):
         out = [0, *neighbors]
-        reducer.lift_step4(step, out, None)
+        reducer.lift_step4(step, out)
         assert out[0] == want
 
 
