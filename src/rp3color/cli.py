@@ -64,14 +64,13 @@ def format_certificate(verdict: Verdict) -> str:
 
 def _load(path: str, parse: Callable[[str], object]):
     """``parse`` applied to the text of the file at ``path``.  A file
-    that cannot be read or parsed prints ``error: PATH: MSG`` and exits
-    with 4."""
+    that cannot be read or parsed raises ValueError("PATH: MSG"), which
+    main() prints as ``error: PATH: MSG`` and answers with 4."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
     except (OSError, ParseError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(4)
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _internal(exc: Exception) -> int:
@@ -123,13 +122,7 @@ def _cmd_check_free(args) -> int:
 
 
 def _cmd_gen_hard(args) -> int:
-    # main() returns 4 on a malformed formula but raises SystemExit(4)
-    # on a malformed instance; tests/test_cli.py pins both
-    try:
-        nae = _load(args.file, parse_nae)
-    except SystemExit as exc:
-        return exc.code
-    inst = build_hardness_graph(nae)
+    inst = build_hardness_graph(_load(args.file, parse_nae))
     sys.stdout.write(serialize_instance(inst))
     return 0
 

@@ -1,14 +1,16 @@
 """Solver orchestration: branch search, certificate lifting, verdicts.
 
 solve() runs the full decision procedure.  An optional packing check
-rejects inputs outside the supported graph class.  candidate_stream
-then walks the profile elements and their good-P3 branching
-depth-first, once per solve, deduplicating nodes and leaves across the
-whole walk; each leaf is reduced to a binary-list instance and handed
-to 2-SAT.  The first feasible leaf is lifted back through its reduction
-trace and verified against the original instance, so a colorable
-verdict is trustworthy no matter what internal shortcuts the search
-took.
+rejects inputs outside the supported graph class.  A clique Hall check
+on the input lists then refutes many uncolorable inputs at the root,
+with a refutation that is verified before it is returned.
+candidate_stream walks the profile elements and their good-P3
+branching depth-first, once per solve, deduplicating nodes and leaves
+across the whole walk; each leaf is reduced to a binary-list instance
+and handed to 2-SAT.  The first feasible leaf is lifted back through
+its reduction trace and verified against the original instance, so a
+colorable verdict is trustworthy no matter what internal shortcuts the
+search took.
 """
 
 from __future__ import annotations
@@ -19,13 +21,23 @@ from typing import Dict, Iterator, Optional, Set, Tuple
 
 from .goodp3 import _earliest_good, good_triple_index, pivot_refinements
 from .graphs import anticomplete_packing
-from .instances import Coloring, Instance, InstanceError, coloring_defect
+from .instances import (
+    Coloring,
+    Instance,
+    InstanceError,
+    coloring_defect,
+    colors_from_mask,
+)
 from .profiles import frugal_profile
 from .reducer import lift_step4, lift_step5c, lift_step11, reduce_to_binary
 from .twosat import binary_list_color
 from .working import ReductionTrace, lift_identity, lift_singleton
 
 log = logging.getLogger("rp3color")
+
+# (vertices, colors): a clique whose lists all lie inside the colors,
+# with more vertices than colors
+Refutation = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -53,12 +65,15 @@ class Verdict:
 
     status is one of "colorable", "not-colorable", "not-rp3-free",
     "aborted".  A colorable verdict carries a coloring verified against
-    the original instance; not-rp3-free carries the witness packing.
+    the original instance; not-rp3-free carries the witness packing.  A
+    not-colorable verdict decided by the root clique Hall check carries
+    its verified refutation; one decided by the search carries none.
     """
 
     status: str
     coloring: Optional[Coloring] = None
     witness: Optional[Tuple[Tuple[int, ...], ...]] = None
+    refutation: Optional[Refutation] = None
     stats: Dict[str, int] = field(default_factory=dict)
 
 
@@ -223,6 +238,110 @@ def _first_coloring(
     return None
 
 
+def clique_hall_refutation(inst: Instance) -> Optional[Refutation]:
+    """A clique Q and a color set C with every list of Q inside C and
+    more vertices than colors, read off the input lists; or None.
+
+    Such a pair proves the instance uncolorable: Q needs |Q| distinct
+    colors, all from C (Hall's condition).  The check is sound and
+    incomplete.  A member v of a violating Q has |L(v)| <= |C| < |Q| <=
+    deg(v) + 1, so only vertices with |L(v)| <= deg(v) take part.  From
+    each of them it grows one greedy maximal clique among them, lowest
+    vertex first.  A clique whose members take distinct colors greedily
+    is skipped; otherwise the members with |L(v)| >= |Q| are dropped
+    until none is left.  A clique of more than k vertices fails as a
+    whole; a smaller one is tested subset by subset, in bitmask order.
+    """
+    adj = inst.graph.adj_mask
+    lists = inst.lists
+    small = 0
+    for v, mask in enumerate(lists):
+        if mask.bit_count() <= adj[v].bit_count():
+            small |= 1 << v
+    tried: Set[int] = set()
+    rest = small
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        clique = low
+        common = adj[low.bit_length() - 1] & small
+        while common:
+            low = common & -common
+            clique |= low
+            common &= adj[low.bit_length() - 1]
+        if clique in tried:
+            continue
+        tried.add(clique)
+        # distinct colors picked greedily, one per member, rule out a
+        # violation; most cliques of colorable inputs stop here
+        used = 0
+        walk = clique
+        while walk:
+            low = walk & -walk
+            free = lists[low.bit_length() - 1] & ~used
+            if not free:
+                break
+            used |= free & -free
+            walk ^= low
+        else:
+            continue
+        members = []
+        while clique:
+            low = clique & -clique
+            members.append(low.bit_length() - 1)
+            clique ^= low
+        q = len(members)
+        while True:
+            members = [v for v in members if lists[v].bit_count() < q]
+            if len(members) == q:
+                break
+            q = len(members)
+        if q > inst.k:
+            union = 0
+            for v in members:
+                union |= lists[v]
+            return tuple(members), colors_from_mask(union)
+        unions = [0] * (1 << q)
+        for subset in range(1, 1 << q):
+            low = subset & -subset
+            union = unions[subset ^ low] | lists[members[low.bit_length() - 1]]
+            if union.bit_count() < subset.bit_count():
+                vertices = tuple(v for i, v in enumerate(members) if subset >> i & 1)
+                return vertices, colors_from_mask(union)
+            unions[subset] = union
+    return None
+
+
+def refutation_defect(inst: Instance, refutation: Refutation) -> Optional[str]:
+    """Why ``refutation`` fails to prove ``inst`` uncolorable, or None.
+
+    Checks, on the instance's own edges and lists, that the vertices
+    are distinct and pairwise adjacent, that the colors lie in 1..k and
+    hold every vertex's list, and that the vertices outnumber the
+    colors.
+    """
+    vertices, colors = refutation
+    g = inst.graph
+    if len(set(vertices)) != len(vertices):
+        return f"vertices {vertices} repeat a vertex"
+    if len(vertices) <= len(colors):
+        return f"{len(vertices)} vertices for {len(colors)} colors"
+    allowed = 0
+    for c in colors:
+        if not 1 <= c <= inst.k:
+            return f"color {c} outside 1..{inst.k}"
+        allowed |= 1 << (c - 1)
+    for i, u in enumerate(vertices):
+        if not 0 <= u < g.n:
+            return f"vertex {u} outside 0..{g.n - 1}"
+        if inst.lists[u] & ~allowed:
+            return f"list of vertex {u} is not inside colors {colors}"
+        for v in vertices[:i]:
+            if not g.has_edge(u, v):
+                return f"vertices {v} and {u} are not adjacent"
+    return None
+
+
 def _certify(inst: Instance, phi: Coloring, stats: Dict[str, int]) -> Verdict:
     defect = coloring_defect(inst, phi)
     if defect is not None:
@@ -236,9 +355,12 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
     Unless opts.force is set, the input graph is first checked for a
     packing of opts.r anticomplete induced three-vertex paths; finding
     one returns not-rp3-free with the packing as witness.  The search
-    then walks the candidate stream depth-first, identity element first.
-    A colorable verdict always carries a verified coloring of the
-    original instance.  Not-colorable is only reported after the whole
+    then runs the clique Hall check on the input lists; a refutation is
+    verified by refutation_defect and returned on a not-colorable
+    verdict with zero search counters.  Otherwise it walks the
+    candidate stream depth-first, identity element first.  A colorable
+    verdict always carries a verified coloring of the original
+    instance.  The search reports not-colorable only after the whole
     stream was exhausted; exceeding opts.budget visited nodes aborts
     instead.
     """
@@ -253,6 +375,15 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
             return Verdict("not-rp3-free", witness=packing, stats={})
 
     budget = _Budget(opts.budget)
+    refutation = clique_hall_refutation(inst)
+    if refutation is not None:
+        defect = refutation_defect(inst, refutation)
+        if defect is not None:
+            raise RuntimeError(f"refutation failed verification: {defect}")
+        log.info("clique Hall refutation: vertices %s, colors %s", *refutation)
+        return Verdict(
+            "not-colorable", refutation=refutation, stats=budget.as_dict()
+        )
     try:
         candidates = candidate_stream(inst, opts.r, budget)
         phi = _first_coloring(candidates, budget)

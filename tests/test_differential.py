@@ -5,7 +5,11 @@ and imports nothing from rp3color, so it shares no code with the
 pipeline under test.  Every family is drawn from a fixed seed with
 n = 10-20 and is free of 2 anticomplete induced P3s, so solve must
 decide it: a colorable verdict must carry a valid coloring and agree
-with the reference, and so must a not-colorable one.
+with the reference, and so must a not-colorable one.  A not-colorable
+verdict from the root clique Hall check must carry a refutation that
+holds on the reference's own edges and lists.  Most uncolorable random
+draws end at that check, so a few fixed uncolorable inputs that pass it
+keep the search's own not-colorable path covered.
 
 Tier 1 runs a sample that takes a few seconds.  The longer sweep runs
 with RP3COLOR_LONG_DIFFERENTIAL=1 in the environment; it caps each
@@ -142,39 +146,106 @@ def singleton_heavy(rng, n):
     return R.make(n, edges, lists)
 
 
+def cycle_join(rim, size, colors):
+    """An odd cycle joined to a clique of ``size`` vertices, every list
+    ``colors`` with 2 + size colors.  The cycle needs three colors and
+    the clique ``size`` more, so it is uncolorable, yet no clique has
+    more vertices than colors.  A clique vertex sees every other vertex,
+    so two anticomplete P3s would both lie in the cycle, and C_5 and
+    C_7 hold no such pair."""
+    edges = [(v, (v + 1) % rim) for v in range(rim)]
+    edges += [(u, v) for u in range(rim) for v in range(rim, rim + size)]
+    edges += itertools.combinations(range(rim, rim + size), 2)
+    return R.make(rim + size, edges, [colors] * (rim + size))
+
+
+def antihole(n, colors):
+    """The complement of the odd cycle C_n, every list ``colors``."""
+    edges = [
+        (u, v) for u, v in itertools.combinations(range(n), 2) if v - u not in (1, n - 1)
+    ]
+    return R.make(n, edges, [colors] * n)
+
+
+def refutation_defect(ref, refutation):
+    """Why a (vertices, colors) refutation fails on the reference's own
+    edges and lists, or None."""
+    vertices, colors = refutation
+    edges = set(ref.edges)
+    if len(set(vertices)) != len(vertices) or len(vertices) <= len(colors):
+        return f"{vertices} against {colors}"
+    for u, v in itertools.combinations(sorted(vertices), 2):
+        if (u, v) not in edges:
+            return f"{u + 1} and {v + 1} are not adjacent"
+    for v in vertices:
+        if not ref.lists[v] <= set(colors):
+            return f"list of {v + 1} is not inside {colors}"
+    return None
+
+
 def check(ref, budget=None):
-    """Assert that solve agrees with the reference; returns the status."""
+    """Assert that solve agrees with the reference; returns the verdict."""
     inst = to_instance(ref)
     verdict = solve(inst, SolveOptions(budget=budget))
     if verdict.status == "aborted" and budget is not None:
-        return verdict.status
+        return verdict
     expected = R.exact_coloring(ref)
     text = R.write_text(ref)
     if expected is None:
         assert verdict.status == "not-colorable", text
+        if verdict.refutation is not None:
+            assert refutation_defect(ref, verdict.refutation) is None, text
     else:
         assert verdict.status == "colorable", text
         assert R.certificate_defect(ref, verdict.coloring) is None, text
-    return verdict.status
+    return verdict
+
+
+def statuses(verdicts):
+    return Counter(verdict.status for verdict in verdicts)
 
 
 def test_random_scan_free_graphs():
-    # denser or larger draws are nearly all uncolorable, and an
-    # uncolorable input costs an exhaustive profile: those are left to
-    # the long sweep
+    # denser or larger draws are nearly all uncolorable, and nearly
+    # all of those end at the root check: they are left to the long
+    # sweep
     rng = random.Random(1001)
-    counts = Counter(check(random_scan_free(rng, 10, (2, 3))) for _ in range(8))
+    counts = statuses(check(random_scan_free(rng, 10, (2, 3))) for _ in range(8))
     assert counts["colorable"] >= 1 and counts["not-colorable"] >= 4
 
 
 def test_dense_uncolorable_random_graphs():
     # the profile was exhaustive on draws like these, and each one hit
-    # a 50,000-node budget; pruned inside the profile they take under
-    # 10,000 nodes
+    # a 50,000-node budget; pruned inside the profile they took under
+    # 10,000 nodes, and the root clique Hall check now refutes them
     rng = random.Random(1005)
     for _ in range(4):
         ref = random_scan_free(rng, rng.randint(13, 16), (3, 4))
-        assert check(ref, budget=50_000) == "not-colorable"
+        assert check(ref, budget=50_000).status == "not-colorable"
+
+
+def test_root_refutations_are_sound():
+    # any graph will do here: a refutation needs no rP3-freeness
+    rng = random.Random(1006)
+    sizes = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        p = rng.uniform(0.5, 1.0)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        lists = [rng.sample(range(1, 6), rng.choice((1, 2, 2, 3, 4))) for _ in range(n)]
+        ref = R.make(n, edges, lists)
+        inst = to_instance(ref)
+        refutation = pipeline.clique_hall_refutation(inst)
+        if refutation is None:
+            continue
+        sizes[len(refutation[0])] += 1
+        text = R.write_text(ref)
+        assert pipeline.refutation_defect(inst, refutation) is None, text
+        assert refutation_defect(ref, refutation) is None, text
+        assert R.exact_coloring(ref) is None, text
+    # refutations from the subset table and from cliques of more than
+    # k = 5 vertices both occur
+    assert sum(sizes.values()) >= 60 and min(sizes) <= 3 and max(sizes) > 5, sizes
 
 
 @pytest.mark.parametrize(
@@ -197,9 +268,24 @@ def test_complete_multipartite(parts, colors):
     check(multipartite(parts, colors))
 
 
+def test_hall_passing_uncolorable_inputs():
+    # the root check refutes none of these, so the search must
+    draws = [
+        cycle_join(5, 1, (1, 2, 3)),  # the odd wheel W_5
+        cycle_join(7, 1, (1, 2, 3)),  # W_7
+        cycle_join(5, 2, (1, 2, 3, 4)),
+        antihole(7, (1, 2, 3)),
+    ]
+    for ref in draws:
+        verdict = check(ref)
+        assert verdict.refutation is None and verdict.stats["nodes"] > 0
+
+
 def test_cliques_and_star():
     rng = random.Random(1002)
-    counts = Counter(check(cliques_and_star(rng, rng.randint(10, 20))) for _ in range(40))
+    counts = statuses(
+        check(cliques_and_star(rng, rng.randint(10, 20))) for _ in range(40)
+    )
     assert counts["colorable"] >= 10 and counts["not-colorable"] >= 3
 
 
@@ -218,21 +304,22 @@ def test_singleton_star_and_cliques(monkeypatch):
     monkeypatch.setattr(pipeline, "reduce_to_binary", counting)
     rng = random.Random(1004)
     draws = [singleton_star_and_cliques(rng, rng.randint(10, 20)) for _ in range(40)]
-    counts = Counter(check(ref) for ref in draws)
+    counts = statuses(check(ref) for ref in draws)
     assert counts["colorable"] >= 10 and counts["not-colorable"] >= 5
     assert mixed >= 20
 
 
 def test_singleton_heavy():
     rng = random.Random(1003)
-    counts = Counter(check(singleton_heavy(rng, rng.randint(10, 16))) for _ in range(60))
+    counts = statuses(check(singleton_heavy(rng, rng.randint(10, 16))) for _ in range(60))
     assert counts["colorable"] >= 10 and counts["not-colorable"] >= 10
 
 
 def test_budget_abort_is_deterministic():
-    # uncolorable, and every profile element is a walk root with no
-    # child: 40,711 nodes in all
-    inst = to_instance(multipartite((2, 2, 2, 2, 2, 2), (1, 2, 3, 4, 5)))
+    # colorable, but the first feasible leaf is the 1,195th profile
+    # element, and every element before it is a walk root with no
+    # child; no clique has five vertices, so the root check passes
+    inst = to_instance(multipartite((3, 3, 3, 3), (1, 2, 3, 4)))
     first = solve(inst, SolveOptions(budget=500))
     second = solve(inst, SolveOptions(budget=500))
     assert first.status == second.status == "aborted"
@@ -253,7 +340,7 @@ def test_long_sweep():
     for parts in ((4, 4, 4), (3, 3, 3, 3), (2, 2, 2, 2, 2), (5, 5, 5), (4, 4, 4, 4)):
         for colors in ((1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)):
             draws.append(multipartite(parts, colors))
-    counts = Counter(check(ref, budget=100_000) for ref in draws)
+    counts = statuses(check(ref, budget=100_000) for ref in draws)
     print("long sweep:", counts)
     assert counts["colorable"] + counts["not-colorable"] >= len(draws) // 2
     assert counts["aborted"] == 0

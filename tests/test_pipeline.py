@@ -44,6 +44,14 @@ def clique(n):
     return list(itertools.combinations(range(n), 2))
 
 
+def odd_wheel(rim):
+    """A hub joined to every vertex of an odd cycle, all lists {1,2,3}:
+    uncolorable, 2P3-free for rim <= 7, and no clique has more
+    vertices than colors, so the root check passes it."""
+    edges = [(v, (v + 1) % rim) for v in range(rim)] + [(rim, v) for v in range(rim)]
+    return mk(rim + 1, edges, [{1, 2, 3}] * (rim + 1))
+
+
 def test_options_validation():
     with pytest.raises(ValueError, match="r=0"):
         SolveOptions(r=0)
@@ -103,6 +111,38 @@ def test_solve_k6_is_not_colorable():
     verdict = solve(full(6, clique(6)))
     assert verdict.status == "not-colorable"
     assert verdict.coloring is None
+    # decided by the root check
+    assert verdict.refutation == ((0, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
+    assert verdict.stats == {"elements": 0, "nodes": 0, "leaves": 0, "pruned": 0}
+
+
+def test_root_check_finds_a_subset_of_a_clique():
+    # in K4, vertices 1 and 3 both have the list {2}
+    inst = mk(4, clique(4), [{1, 2, 3}, {2}, {1, 2, 3, 4, 5}, {2}])
+    assert pipeline.clique_hall_refutation(inst) == ((1, 3), (2,))
+    assert solve(inst).refutation == ((1, 3), (2,))
+
+
+def test_root_check_refutes_an_empty_list():
+    inst = mk(3, [(0, 1)], [{1, 2}, {1}, set()])
+    assert pipeline.clique_hall_refutation(inst) == ((2,), ())
+
+
+@pytest.mark.parametrize(
+    "inst, refutation, message",
+    [
+        (mk(3, [(0, 1), (1, 2)], [{1, 2}] * 3), ((0, 1, 2), (1, 2)), "not adjacent"),
+        (mk(3, clique(3), [{1, 2, 3}] * 3), ((0, 1, 2), (1, 2)), "not inside"),
+        (mk(3, clique(3), [{1}] * 3), ((0, 0, 1), (1,)), "repeat"),
+        (mk(3, clique(3), [{1}] * 3), ((0,), (1,)), "1 vertices for 1 colors"),
+        (mk(3, clique(3), [{1}] * 3), ((0, 1, 2), (0, 1)), "color 0 outside"),
+        (mk(3, clique(3), [{1}] * 3), ((0, 1, 3), (1,)), "vertex 3 outside"),
+    ],
+)
+def test_solve_rejects_a_false_refutation(monkeypatch, inst, refutation, message):
+    monkeypatch.setattr(pipeline, "clique_hall_refutation", lambda inst: refutation)
+    with pytest.raises(RuntimeError, match=f"refutation failed verification: .*{message}"):
+        solve(inst)
 
 
 def test_solve_rejects_wrong_k():
@@ -359,12 +399,9 @@ def test_walk_nodes_are_propagated(monkeypatch):
 
 
 def test_solve_leaves_few_reference_cycles():
-    # K_{2,2,2,2} with lists {1,2,3}: uncolorable, so the whole search runs
-    parts = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    edges = [
-        (u, v) for a, b in itertools.combinations(parts, 2) for u in a for v in b
-    ]
-    inst = mk(8, edges, [{1, 2, 3}] * 8)
+    # W_7 with lists {1,2,3}: uncolorable and past the root check, so
+    # the whole search runs (88 nodes)
+    inst = odd_wheel(7)
     gc.collect()
     gc.disable()
     try:
@@ -376,9 +413,9 @@ def test_solve_leaves_few_reference_cycles():
 
 
 def test_budget_abort_counts_nodes():
-    # K6 has no P3, so each element is one node and none is colorable:
-    # the search aborts at the first node past the cap
-    sad = full(6, clique(6))
+    # every profile element of W_5 with lists {1,2,3} is one node and
+    # none is colorable: the search aborts at the first node past the cap
+    sad = odd_wheel(5)
     verdict = solve(sad, SolveOptions(budget=3))
     assert verdict.status == "aborted"
     assert verdict.stats["nodes"] == 4
