@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 from .goodp3 import _earliest_good, good_triple_index, pivot_refinements
-from .graphs import anticomplete_packing
+from .graphs import anticomplete_packing, local_adjacency
 from .instances import (
     Coloring,
     Instance,
@@ -28,10 +28,11 @@ from .instances import (
     coloring_defect,
     colors_from_mask,
 )
+from .oracle import colorings
 from .profiles import frugal_profile
-from .reducer import lift_step4, lift_step5c, lift_step11, reduce_to_binary
+from .reducer import reduce_to_binary
 from .twosat import binary_list_color
-from .working import ReductionTrace, lift_identity, lift_singleton
+from .working import ReductionTrace
 
 log = logging.getLogger("rp3color")
 
@@ -77,24 +78,33 @@ class Verdict:
     stats: Dict[str, int] = field(default_factory=dict)
 
 
-_LIFTS = {
-    "singleton-removal": lift_singleton,
-    "spanning": lift_identity,
-    "step4-removal": lift_step4,
-    "step5c-removal": lift_step5c,
-    "step11-contraction": lift_step11,
-}
+def _free(adjm, out, v: int, mask: int, inside: int) -> int:
+    """The colors of ``mask`` that no neighbor of v outside the bitmask
+    ``inside`` holds in ``out``.  Bit c of ``taken`` stands for color c,
+    one above its list bit, so an uncolored neighbor blocks nothing."""
+    taken = 0
+    rest = adjm[v] & ~inside
+    while rest:
+        low = rest & -rest
+        taken |= 1 << out[low.bit_length() - 1]
+        rest ^= low
+    return mask & ~(taken >> 1)
 
 
 def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
     """Pull a coloring of the trace's output back to its input.
 
     ``trace`` is one trace, closed by its last record; an empty trace
-    lifts to ``phi`` itself.  Records are undone newest-first; the
-    vertices each one (re)colors are checked against their lists before
-    the step and, walking the adjacency bitmask, against their
-    neighbors, and the lifted coloring is verified in full against the
-    trace's input.  A defect is an internal bug and raises RuntimeError.
+    lifts to ``phi`` itself.  Records are undone newest-first by one
+    rule: the vertices in a record's ``lists`` are colored again from
+    those lists so that no two clash and none takes the color of a graph
+    neighbor outside the record (one not lifted yet holds 0).  A single
+    vertex takes its smallest free color, several the first coloring of
+    oracle.colorings; each step's lift argument says one exists.  They
+    are then checked against their lists and, walking the adjacency
+    bitmask, their neighbors, and the lifted coloring is verified in
+    full against the trace's input.  A defect is an internal bug and
+    raises RuntimeError.
     """
     if not trace:
         return phi
@@ -102,11 +112,37 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
         raise ValueError("trace does not end with a closing record")
     source, keep = trace[-1].closing
     g = source.graph
+    adjm = g.adj_mask
     out = [0] * g.n
     for child, v in enumerate(keep):
         out[v] = phi[child]
     for step in reversed(trace):
-        _LIFTS[step.kind](step, out)
+        saved = step.lists
+        if len(saved) == 1:
+            # _free inline, with every neighbor outside: nearly all
+            # records have one vertex, and the call costs a fifth more
+            ((v, mask),) = saved.items()
+            taken = 0
+            rest = adjm[v]
+            while rest:
+                low = rest & -rest
+                taken |= 1 << out[low.bit_length() - 1]
+                rest ^= low
+            free = mask & ~(taken >> 1)
+            if not free:
+                raise RuntimeError(f"no free color when restoring vertex {v}")
+            out[v] = (free & -free).bit_length()
+        elif saved:
+            vertices = tuple(saved)
+            inside = sum(1 << v for v in vertices)
+            allowed = [_free(adjm, out, v, saved[v], inside) for v in vertices]
+            colors = next(colorings(local_adjacency(g, vertices), allowed, 0), None)
+            if colors is None:
+                raise RuntimeError(
+                    f"no free coloring when restoring vertices {vertices}"
+                )
+            for v, c in zip(vertices, colors):
+                out[v] = c
         for v, mask in step.lists.items():
             c = out[v]
             if not (c >= 1 and (mask >> (c - 1)) & 1):

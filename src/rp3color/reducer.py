@@ -4,8 +4,9 @@ One round targets a vertex u0 with at least three allowed colors and
 either removes vertices or shrinks lists, strictly lowering the
 potential |V| + sum of list sizes.  Rounds assume k = 5, no singleton
 lists and no good P3; under those hypotheses frugal colorability
-survives forward and any coloring of the output lifts back (the lift
-functions at the bottom).
+survives forward and any coloring of the output lifts back: a round's
+record saves the old lists of the vertices it deletes or recolors, and
+pipeline.lift colors those again around their neighbors' colors.
 
 Steps 6-11 name colors by their role around u0: roles 1-3 are the three
 smallest colors of L(u0) and roles 4 and 5 the other two, each group
@@ -13,8 +14,7 @@ ascending.  Lists stay in the input colors; where a step takes the
 smallest color of a set, it takes the first in role order.  The ring of
 u0 in the list graph splits into a four side and a five side by the
 colors in roles 4 and 5, and their attachments in u0's second ring drive
-these steps.  The lift of step 11 reads the roles off the center's list
-saved in its record.
+these steps.
 
 A reduce_to_binary call first deletes the input's one-color lists, then
 runs its rounds, all on one WorkingInstance over the input's vertex ids,
@@ -27,10 +27,10 @@ from __future__ import annotations
 import logging
 from functools import partial
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .graphs import bits, local_adjacency
-from .instances import Instance, InstanceError, colors_from_mask, mask_from_colors
+from .instances import Instance, InstanceError, colors_from_mask
 from .oracle import colorings
 from .working import LiftStep, ReductionTrace, WorkingInstance, second_ring
 
@@ -50,7 +50,7 @@ def _first_in(order: Sequence[int], mask: int) -> int:
     for c in order:
         if (mask >> (c - 1)) & 1:
             return c
-    raise RuntimeError("color pool empty during lift")
+    raise RuntimeError("color pool empty")
 
 
 def _context_sets(lists, adj, u0: int, four: int, five: int):
@@ -170,8 +170,8 @@ def _round(ws: WorkingInstance, u0: int) -> None:
 def _step4(ws: WorkingInstance, v: int) -> None:
     """Record and drop the step-4 vertex v, for _round and for the
     step-4 sweep of reduce_to_binary alike."""
-    info = {"step": 4, "vertex": v, "gl_neighbors": ws.kill(v)}
-    ws.record("step4-removal", info, {v: ws.lists[v]})
+    ws.kill(v)
+    ws.record("step4-removal", {"step": 4, "vertex": v}, {v: ws.lists[v]})
 
 
 def _step5(ws: WorkingInstance, u: int) -> None:
@@ -185,22 +185,17 @@ def _step5(ws: WorkingInstance, u: int) -> None:
     adj = local_adjacency(ws.graph, ball)
     watch = (1 << len(ball)) - 1  # frugal at every ball vertex
 
-    # the first ball coloring met for each boundary color (key 0 with
-    # no boundary): the lift of step 5c reads its coloring from here
-    by_color = {}
-    if boundary:
-        cpos = ball.index(boundary[0])
-        size = local[cpos].bit_count()
-        for phi in colorings(adj, local, watch):
-            by_color.setdefault(phi[cpos], phi)
-            if len(by_color) == size:
-                break
-    else:
-        phi = next(colorings(adj, local, watch), None)
-        if phi is not None:
-            by_color[0] = phi
+    # the boundary colors some frugal ball coloring realizes; with no
+    # boundary, bit 0 records that the ball has one at all
+    pos = ball.index(boundary[0]) if boundary else None
+    full = 1 if pos is None else local[pos]
+    realized = 0
+    for phi in colorings(adj, local, watch):
+        realized |= 1 if pos is None else 1 << (phi[pos] - 1)
+        if realized == full:
+            break
 
-    if not by_color:
+    if not realized:
         # step 5b: the ball itself cannot be frugally colored
         info = {"step": 5, "witness": u, "outcome": "5b"}
         ws.record("spanning", info)
@@ -208,18 +203,18 @@ def _step5(ws: WorkingInstance, u: int) -> None:
         return
 
     # step 5c: delete the closed one-ball, restrict the boundary list to
-    # the colors the local enumeration realized there
+    # the colors the local enumeration realized there; the lift recolors
+    # the one-ball around the boundary's color
     info = {
         "step": 5,
         "vertex": u,
         "ball": ball,
         "boundary": boundary,
         "outcome": "5c",
-        "by_color": by_color,
     }
-    ws.record("step5c-removal", info, {v: lists[v] for v in ball})
+    ws.record("step5c-removal", info, {v: lists[v] for v in bits(removed)})
     if boundary:
-        ws.set_list(boundary[0], mask_from_colors(by_color))
+        ws.set_list(boundary[0], realized)
     for v in bits(removed):
         ws.kill(v)
 
@@ -279,9 +274,10 @@ def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
     vertices).  Otherwise the result has every list size in {0, 2} and
     the trace, in the vertex ids of ``inst``, first deletes the vertices
     with one-color lists (WorkingInstance.eliminate_singletons) and then
-    replays the rounds in order.  All of it runs on one working
-    instance, so a round costs time near the size of the neighborhood it
-    changes, not of the whole instance.
+    replays the rounds in order.  pipeline.lift reads only each
+    record's saved lists and the closing data on the last one.  All of
+    it runs on one working instance, so a round costs time near the size
+    of the neighborhood it changes, not of the whole instance.
 
     Once no vertex is wide and one is low, the step-4 rounds that follow
     run as one sweep (WorkingInstance.sweep_low) that writes the same
@@ -322,87 +318,3 @@ def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
             raise RuntimeError(
                 f"potential failed to drop: {before} -> {ws.potential}"
             )
-
-
-def lift_step4(step: LiftStep, out: List[int]) -> None:
-    """Color the removed vertex with the smallest color of its list that
-    none of its saved list-graph neighbors took (bit c stands for color
-    c; an uncolored neighbor sets only bit 0, which no list holds)."""
-    u = step.info["vertex"]
-    taken = 0
-    for w in step.info["gl_neighbors"]:
-        taken |= 1 << out[w]
-    free = (step.lists[u] << 1) & ~taken
-    if not free:
-        raise RuntimeError(f"no free color when restoring vertex {u}")
-    out[u] = (free & -free).bit_length() - 1
-
-
-def lift_step5c(step: LiftStep, out: List[int]) -> None:
-    """Color the deleted ball with the first local coloring that gives
-    the boundary vertex its lifted color, saved by _step5."""
-    boundary = step.info["boundary"]
-    want = out[boundary[0]] if boundary else 0
-    chosen = step.info["by_color"].get(want)
-    if chosen is None:
-        raise RuntimeError(
-            f"no local coloring matches the boundary color {want}"
-        )
-    for v, col in zip(step.info["ball"], chosen):
-        out[v] = col
-
-
-def _smallest_pair(
-    order: Sequence[int], amask: int, bmask: int
-) -> Tuple[int, int]:
-    """First (x, y) in ``order`` by x, then y, with x from amask, y from
-    bmask and x != y."""
-    for x in order:
-        if (amask >> (x - 1)) & 1:
-            for y in order:
-                if x != y and (bmask >> (y - 1)) & 1:
-                    return x, y
-    raise RuntimeError("no distinct color pair available")
-
-
-def lift_step11(step: LiftStep, out: List[int]) -> None:
-    info = step.info
-    u0, a, b, c = info["center"], info["a"], info["b"], info["c"]
-    roles = _roles(step.lists[u0])
-    four, five = roles[3], roles[4]
-
-    pa, pb = out[info["a_outer"]], out[info["b_outer"]]
-    if pa not in (four, five) or pb not in (four, five):
-        raise RuntimeError(f"outer colors {pa}, {pb} escape {{{four}, {five}}}")
-    if pa == four and pb == five:
-        raise RuntimeError(
-            f"outer colors {four}/{five} contradict the contraction"
-        )
-
-    la, lb, lc = (step.lists[v] for v in (a, b, c))
-    bit4, bit5 = 1 << (four - 1), 1 << (five - 1)
-    no45 = ~(bit4 | bit5)
-    if pa == four and pb == four:
-        out[b] = five
-        if lc & bit4:  # c sits on the four side
-            kk, ll = _smallest_pair(roles, la & ~bit4, lc & ~bit4)
-        else:
-            kk = _first_in(roles, la & no45)
-            ll = _first_in(roles, lc & no45 & ~(1 << (kk - 1)))
-        out[a] = kk
-        out[c] = ll
-    elif pa == five and pb == five:
-        out[a] = four
-        if lc & bit5:  # c sits on the five side
-            kk, ll = _smallest_pair(roles, lb & ~bit5, lc & ~bit5)
-        else:
-            kk = _first_in(roles, lb & no45)
-            ll = _first_in(roles, lc & no45 & ~(1 << (kk - 1)))
-        out[b] = kk
-        out[c] = ll
-    else:  # pa == five, pb == four
-        out[a] = four
-        out[b] = five
-        kk = ll = _first_in(roles, lc & no45)
-        out[c] = kk
-    out[u0] = next(x for x in roles[:3] if x not in (kk, ll))

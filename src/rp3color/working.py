@@ -1,15 +1,14 @@
 """The mutable working instance behind singleton elimination and the
-reduction rounds, the undo records they leave, and the lifts of the two
-record kinds that need no reducer state (singleton-removal and
-spanning).
+reduction rounds, and the undo records they leave.
 
 A WorkingInstance runs over the vertex ids of its input Instance: the
 input graph is shared and never rebuilt, dead vertices are masked out
 and lists shrink in place.  Every step appends a LiftStep that holds
-only local undo data; finish() builds the one output Instance and
-closes the trace.  The state also keeps list-graph adjacency, degrees
-and the lowest-id witnesses the reduction rounds ask for, each
-revalidated lazily on lookup.
+only local undo data: the lists that the vertices it removes or changes
+had before it.  finish() builds the one output Instance and closes the
+trace.  The state also keeps list-graph adjacency, degrees and the
+lowest-id witnesses the reduction rounds ask for, each revalidated
+lazily on lookup.
 """
 
 from __future__ import annotations
@@ -21,12 +20,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .graphs import bits, induced_subgraph
 from .instances import Instance
 
-# LiftStep kinds, by provenance:
+# LiftStep kinds, by provenance, and the vertices their ``lists`` hold:
 #   singleton-removal   forced vertex deleted, color pushed to neighbors
-#   spanning            same vertex set, lists shrank; lift is identity
+#   spanning            same vertex set, lists shrank; none
 #   step4-removal       low-degree vertex deleted
-#   step5c-removal      closed ball deleted after local enumeration
-#   step11-contraction  neighborhood collapsed to a three-vertex core
+#   step5c-removal      closed one-ball deleted after local enumeration
+#   step11-contraction  neighborhood collapsed to a three-vertex core;
+#                       the center and its three ring vertices
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class LiftStep:
 
     Vertex ids in ``info`` and ``lists`` are those of the trace's input.
     ``lists`` maps each vertex the lift (re)colors to its list before
-    the step.  Only the last record of a trace has ``closing``: the
+    the step.  ``info`` describes the step for tests and logs; no lift
+    reads it.  Only the last record of a trace has ``closing``: the
     trace's input Instance and the input id of every vertex of the
     trace's output, in output order.
     """
@@ -47,14 +48,6 @@ class LiftStep:
 
 
 ReductionTrace = List[LiftStep]
-
-
-def lift_singleton(step: LiftStep, out: List[int]) -> None:
-    out[step.info["vertex"]] = step.info["color"]
-
-
-def lift_identity(step: LiftStep, out: List[int]) -> None:
-    pass
 
 
 def second_ring(adj: Sequence[int], v: int) -> int:
@@ -134,19 +127,16 @@ class WorkingInstance:
                 self._changed(w)
         self._changed(v)
 
-    def kill(self, v: int) -> Tuple[int, ...]:
-        """Delete alive vertex v, leaving its list in place; return the
-        list-graph neighbors it was unlinked from, ascending."""
+    def kill(self, v: int) -> None:
+        """Delete alive vertex v, leaving its list in place."""
         self._mark(v)
         self.alive[v] = 0
         self.potential -= 1 + self.lists[v].bit_count()
         gl = self.gl
-        neighbors = tuple(bits(gl[v]))
-        for w in neighbors:
+        for w in bits(gl[v]):
             gl[w] ^= 1 << v
             self._changed(w)
         gl[v] = 0
-        return neighbors
 
     def clear_lists(self) -> None:
         """Empty every alive list (a round that proves infeasibility)."""

@@ -4,7 +4,8 @@ Every top-level function or class of src/rp3color must be referenced
 somewhere in the package outside its own definition and __init__.py;
 code that only the tests need lives in tests/.  Two names are public
 library entry points with no caller of their own.  Every parameter of
-every function in the package is read in that function's body.
+every function in the package is read in that function's body, and
+every name a module imports is used in that module.
 """
 
 import ast
@@ -58,13 +59,10 @@ def test_no_unreferenced_top_level_code():
 def _unread(tree):
     """(function, parameter) for every parameter of a function in
     ``tree`` that its body never reads.  ``self`` and ``cls`` are
-    exempt, and so is a function whose whole body is ``pass``: it keeps
-    the signature of the table it sits in."""
+    exempt."""
     out = []
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if all(isinstance(stmt, ast.Pass) for stmt in fn.body):
             continue
         a = fn.args
         params = a.posonlyargs + a.args + a.kwonlyargs
@@ -90,8 +88,6 @@ def test_unread_scan_on_a_sample():
         "        return a, kw\n"
         "    b = 1\n"
         "    return g\n"
-        "def table_entry(x, y):\n"
-        "    pass\n"
     )
     assert _unread(ast.parse(sample)) == [("f", "b"), ("f", "c"), ("f", "rest")]
 
@@ -103,3 +99,42 @@ def test_every_parameter_is_read():
         for found in _unread(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not unread, f"parameters never read, drop them: {unread}"
+
+
+def _unused_imports(tree):
+    """Names that an import in ``tree`` binds and the module never
+    loads; ``from __future__ import annotations`` is exempt."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(alias.asname or alias.name.split(".")[0])
+    loaded = {
+        sub.id
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in loaded and name != "annotations"]
+
+
+def test_unused_import_scan_on_a_sample():
+    sample = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from typing import List, Tuple\n"
+        "def f(x: Tuple[int, ...]):\n"
+        "    from math import sqrt\n"
+        "    return os.path.join(str(x))\n"
+    )
+    assert _unused_imports(ast.parse(sample)) == ["js", "List", "sqrt"]
+
+
+def test_every_import_is_used():
+    unused = [
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not unused, f"imported but never used, drop them: {unused}"

@@ -14,6 +14,8 @@ from rp3color import (
     InstanceError,
     binary_list_color,
     colors_from_mask,
+    frugal_colorings,
+    induced_subgraph,
     mask_from_colors,
     reduce_once,
     reduce_to_binary,
@@ -233,26 +235,26 @@ def test_reduce_once_step5c_local_ball():
     assert solve_exact_frugal(child) is not None
 
 
-@pytest.mark.parametrize(
-    "fixture, phi", [(step5c_fixture, (5,)), (step5c_closed_ball_fixture, ())]
-)
-def test_step5c_lift_enumerates_nothing(monkeypatch, fixture, phi):
-    """Step 5 saves the first ball coloring it meets for each boundary
-    color (key 0 with no boundary), and the lift only looks it up."""
+@pytest.mark.parametrize("fixture", [step5c_fixture, step5c_closed_ball_fixture])
+def test_step5c_boundary_keeps_the_realized_colors(fixture):
+    """Step 5c leaves the boundary exactly the colors that frugal
+    colorings of the ball give it, and each of them lifts; with no
+    boundary the whole instance is the ball, which has such a coloring."""
     inst = fixture()
     child, step = reduce_once(inst, 0)
     assert step.kind == "step5c-removal"
-    boundary = step.info["boundary"]
+    ball, boundary = step.info["ball"], step.info["boundary"]
+    sub, _ = induced_subgraph(inst.graph, ball)
+    local = frugal_colorings(Instance(sub, 5, tuple(inst.lists[v] for v in ball)))
     if boundary:
-        assert set(step.info["by_color"]) == set(child.list_of(0))
+        pos = ball.index(boundary[0])
+        realized = {phi[pos] for phi in local}
+        assert set(child.list_of(0)) == realized
+        for c in sorted(realized):
+            assert verify_coloring(inst, lift([step], (c,)))
     else:
-        assert child.graph.n == 0 and set(step.info["by_color"]) == {0}
-
-    def no_enumeration(*args):
-        raise AssertionError("the lift enumerated ball colorings")
-
-    monkeypatch.setattr(reducer, "colorings", no_enumeration)
-    assert verify_coloring(inst, lift([step], phi))
+        assert child.graph.n == 0 and next(local, None) is not None
+        assert verify_coloring(inst, lift([step], ()))
 
 
 def test_step5c_lift_rejects_an_unrealized_boundary_color():
@@ -260,7 +262,7 @@ def test_step5c_lift_rejects_an_unrealized_boundary_color():
     step 5 left the boundary the list {5}) has nothing to lift to."""
     _, step = reduce_once(step5c_fixture(), 0)
     with pytest.raises(
-        RuntimeError, match="no local coloring matches the boundary color 4"
+        RuntimeError, match=r"no free coloring when restoring vertices \(0, 1, 2, 3\)"
     ):
         lift([step], (4,))
 
@@ -563,10 +565,11 @@ def step4_mix(rng, n):
     return disjoint_union(rng, [cliques_and_star(rng, n)] + extra)
 
 
-def assert_same_reduction(inst):
+def assert_same_reduction(inst, lifted=None):
     """reduce_to_binary equals reduce_by_rounds on ``inst``: the same
     singleton removals, rounds, output and lifted coloring.  Returns the
-    (step, outcome, singleton count) of each round."""
+    (step, outcome, singleton count) of each round, and adds the kinds
+    of a trace that lifts to the Counter ``lifted``."""
     try:
         out, trace = reduce_to_binary(inst)
     except (InstanceError, RuntimeError) as exc:
@@ -588,30 +591,37 @@ def assert_same_reduction(inst):
     phi = binary_list_color(out)
     if phi is not None:
         try:
-            lifted = lift(trace, phi)
+            lifted_phi = lift(trace, phi)
         except RuntimeError:
             # lifting may fail only when the input has a good P3
             assert find_good_p3(inst) is not None
             with pytest.raises(RuntimeError):
                 lift_each(per_step, phi)
             return rounds
-        assert lifted == lift_each(per_step, phi)
-        assert verify_coloring(inst, lifted)
+        assert lifted_phi == lift_each(per_step, phi)
+        assert verify_coloring(inst, lifted_phi)
+        if lifted is not None:
+            lifted.update(s.kind for s in trace)
     return rounds
 
 
 def test_incremental_reduction_matches_fresh_rounds():
+    lifted = Counter()
     rng = random.Random(7)
     cands = 0
     for _ in range(60):
         inst = random_instance(rng, rng.randint(1, 5))
         for leaf in itertools.islice(candidate_stream(inst, 2), 6):
             cands += 1
-            assert_same_reduction(leaf)
+            assert_same_reduction(leaf, lifted)
     assert cands >= 60
     rng = random.Random(77)
     rounds = sum(
-        len(assert_same_reduction(bounded_degree_instance(rng, rng.randint(4, 40))))
+        len(
+            assert_same_reduction(
+                bounded_degree_instance(rng, rng.randint(4, 40)), lifted
+            )
+        )
         for _ in range(150)
     )
     assert rounds >= 1000
@@ -622,11 +632,34 @@ def test_incremental_reduction_matches_fresh_rounds():
     for family in (cliques_and_star, step4_mix):
         for _ in range(40):
             inst = family(rng, rng.randint(20, 80))
-            steps = [r[0] for r in assert_same_reduction(inst)]
+            steps = [r[0] for r in assert_same_reduction(inst, lifted)]
             step4 += steps.count(4)
             resumed += sum(5 <= a <= 11 and b == 4 for a, b in zip(steps, steps[1:]))
     assert step4 >= 3000
     assert resumed >= 25
+    # the multi-vertex lift path: step-5c balls and step-11 cores
+    assert lifted["step5c-removal"] >= 60
+    assert lifted["step11-contraction"] >= 35
+
+
+def test_lift_reads_only_lists_and_closing():
+    """Blanking every record's info changes no lift: the lift reads a
+    record's saved lists and, on the last one, its closing data."""
+    rng = random.Random(20)
+    kinds, steps = Counter(), set()
+    for _ in range(30):
+        inst = step4_mix(rng, rng.randint(20, 60))
+        out, trace = reduce_to_binary(inst)
+        phi = binary_list_color(out)
+        if phi is None:
+            continue
+        want = lift(trace, phi)
+        assert verify_coloring(inst, want)
+        assert lift([replace(s, info={}) for s in trace], phi) == want
+        kinds.update(s.kind for s in trace)
+        steps.update(s.info.get("step") for s in trace)
+    assert min(kinds.values()) >= 10 and len(kinds) == 5
+    assert {4, 5, 8, 9, 11} <= steps
 
 
 def test_corrupted_undo_record_fails_lift():
@@ -642,12 +675,8 @@ def test_corrupted_undo_record_fails_lift():
     bad = replace(step, lists={u: mask_from_colors({5})})
     with pytest.raises(RuntimeError, match="outside its list"):
         lift([bad], phi)
-    # a forgotten list-graph neighbor: caught when the vertex is restored
-    bad = replace(step, info=dict(step.info, gl_neighbors=()))
-    with pytest.raises(RuntimeError, match="monochromatic"):
-        lift([bad], phi)
-    # a saved list that the saved neighbors use up
-    (w,) = step.info["gl_neighbors"]
+    # a saved list that the neighbors use up
+    (w,) = (x for x in range(4) if inst.graph.has_edge(u, x))
     bad = replace(step, lists={u: 1 << (lift(trace, phi)[w] - 1)})
     with pytest.raises(RuntimeError, match=f"no free color when restoring vertex {u}"):
         lift([bad], phi)
@@ -656,15 +685,26 @@ def test_corrupted_undo_record_fails_lift():
 def test_lift_step4_skips_only_taken_colors():
     """An uncolored neighbor (color 0) takes no color: the vertex gets
     the smallest color of its list that a colored neighbor leaves."""
-    step = LiftStep(
-        "step4-removal",
-        {"step": 4, "vertex": 0, "gl_neighbors": (1, 2)},
-        {0: mask_from_colors({2, 4, 5})},
-    )
+    inst = mk(3, [(0, 1), (0, 2)], [{2, 4, 5}, {1, 3, 4}, {1, 2, 3}])
     for neighbors, want in (((0, 0), 2), ((0, 2), 4), ((4, 2), 5)):
-        out = [0, *neighbors]
-        reducer.lift_step4(step, out)
-        assert out[0] == want
+        # a neighbor at 0 is deleted by an older record, so it is still
+        # uncolored when the closing record restores vertex 0
+        pairs = list(zip((1, 2), neighbors))
+        older = [
+            LiftStep("step4-removal", {"step": 4, "vertex": w}, {w: inst.lists[w]})
+            for w, c in pairs
+            if not c
+        ]
+        keep = tuple(w for w, c in pairs if c)
+        last = LiftStep(
+            "step4-removal",
+            {"step": 4, "vertex": 0},
+            {0: inst.lists[0]},
+            closing=(inst, keep),
+        )
+        lifted = lift(older + [last], tuple(c for c in neighbors if c))
+        assert lifted[0] == want
+        assert verify_coloring(inst, lifted)
 
 
 def test_step4_runs_as_one_sweep(monkeypatch):
