@@ -112,9 +112,13 @@ def _p3_middles(g: Graph) -> int:
     adjm = g.adj_mask
     out = 0
     for v in range(g.n):
-        nbrs = adjm[v]
-        if any((adjm[w] | (1 << w)) & nbrs != nbrs for w in bits(nbrs)):
-            out |= 1 << v
+        nbrs = rest = adjm[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adjm[low.bit_length() - 1] | low) & nbrs != nbrs:
+                out |= 1 << v
+                break
     return out
 
 
@@ -183,18 +187,29 @@ def anticomplete_packing(
     Two paths are anticomplete when they are disjoint and no edge joins
     them.  The search is exhaustive, so None certifies that no packing
     exists.  The witness is the first one in depth-first order over the
-    canonical path enumeration.
+    canonical path enumeration.  For t == 3, no path is extended whose
+    remaining vertices hold no P3 middle, and when r >= 2 no first path
+    has a middle whose closed neighborhood holds every middle: only
+    paths that cannot be extended are skipped, so the witness is the
+    same.
     """
     if r < 1:
         raise GraphError(f"packing size {r} below 1")
+    adjm = g.adj_mask
     full = (1 << g.n) - 1
-    mids = _p3_middles(g) if t == 3 else full
+    mids = first = full
+    if t == 3:
+        mids = first = _p3_middles(g)
+        if r >= 2:
+            for x in bits(mids):
+                if not mids & ~(adjm[x] | 1 << x):
+                    first &= ~(1 << x)
 
     # depth-first over the paths, one stream per packed path: streams[i]
     # yields the paths anticomplete to chosen[:i], inside alive[i]
     chosen: List[Tuple[int, ...]] = []
     alive = [full]
-    streams = [_induced_paths(g, t, full, mids)]
+    streams = [_induced_paths(g, t, full, first)]
     while streams:
         p = next(streams[-1], None)
         if p is None:
@@ -207,8 +222,9 @@ def anticomplete_packing(
             return (*chosen, p)
         rest = alive[-1]
         for v in p:
-            rest &= ~((1 << v) | g.adj_mask[v])
-        chosen.append(p)
-        alive.append(rest)
-        streams.append(_induced_paths(g, t, rest, mids))
+            rest &= ~((1 << v) | adjm[v])
+        if rest & mids:
+            chosen.append(p)
+            alive.append(rest)
+            streams.append(_induced_paths(g, t, rest, mids))
     return None

@@ -1,26 +1,30 @@
-"""Solver orchestration: branch search, certificate lifting, verdicts.
+"""Solver orchestration: root checks, peeling, branch search, lifting.
 
 solve() runs the full decision procedure.  An optional packing check
 rejects inputs outside the supported graph class.  A clique Hall check
 on the input lists then refutes many uncolorable inputs at the root,
-with a refutation that is verified before it is returned.
-candidate_stream walks the profile elements and their good-P3
+with a refutation that is verified before it is returned.  Next the
+input is peeled to its list-degenerate kernel: a vertex with fewer
+list-graph neighbors than colors can always be colored last, so it is
+removed, repeatedly, and only the kernel is searched.
+candidate_stream walks the kernel's profile elements and their good-P3
 branching depth-first, once per solve, deduplicating nodes and leaves
 across the whole walk; each leaf is reduced to a binary-list instance
 and handed to 2-SAT.  The first feasible leaf is lifted back through
-its reduction trace and verified against the original instance, so a
-colorable verdict is trustworthy no matter what internal shortcuts the
-search took.
+its reduction trace, the peeled vertices are colored again in reverse
+peel order, and the result is verified against the original instance,
+so a colorable verdict is trustworthy no matter what internal shortcuts
+the search took.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .goodp3 import _earliest_good, good_triple_index, pivot_refinements
-from .graphs import anticomplete_packing, local_adjacency
+from .graphs import anticomplete_packing, induced_subgraph, local_adjacency
 from .instances import (
     Coloring,
     Instance,
@@ -91,6 +95,27 @@ def _free(adjm, out, v: int, mask: int, inside: int) -> int:
     return mask & ~(taken >> 1)
 
 
+def _color_each(
+    adjm: Tuple[int, ...], out: List[int], saved: Iterable[Tuple[int, int]]
+) -> None:
+    """Give each vertex v of the (v, list) pairs ``saved``, in order,
+    the smallest color of its list that no graph neighbor holds in
+    ``out``; an uncolored neighbor holds 0 and blocks nothing.  Bit c of
+    ``taken`` stands for color c, one above its list bit.  A vertex with
+    no free color is an internal bug and raises RuntimeError."""
+    for v, mask in saved:
+        taken = 0
+        rest = adjm[v]
+        while rest:
+            low = rest & -rest
+            taken |= 1 << out[low.bit_length() - 1]
+            rest ^= low
+        free = mask & ~(taken >> 1)
+        if not free:
+            raise RuntimeError(f"no free color when restoring vertex {v}")
+        out[v] = (free & -free).bit_length()
+
+
 def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
     """Pull a coloring of the trace's output back to its input.
 
@@ -119,19 +144,7 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
     for step in reversed(trace):
         saved = step.lists
         if len(saved) == 1:
-            # _free inline, with every neighbor outside: nearly all
-            # records have one vertex, and the call costs a fifth more
-            ((v, mask),) = saved.items()
-            taken = 0
-            rest = adjm[v]
-            while rest:
-                low = rest & -rest
-                taken |= 1 << out[low.bit_length() - 1]
-                rest ^= low
-            free = mask & ~(taken >> 1)
-            if not free:
-                raise RuntimeError(f"no free color when restoring vertex {v}")
-            out[v] = (free & -free).bit_length()
+            _color_each(adjm, out, saved.items())
         elif saved:
             vertices = tuple(saved)
             inside = sum(1 << v for v in vertices)
@@ -171,9 +184,10 @@ class _BudgetExceeded(Exception):
 
 
 class _Budget:
-    """Search counters with an optional hard cap on visited nodes."""
+    """Search counters with an optional hard cap on visited nodes, and
+    the number of vertices peeled before the search."""
 
-    __slots__ = ("limit", "elements", "nodes", "leaves", "pruned")
+    __slots__ = ("limit", "elements", "nodes", "leaves", "pruned", "peeled")
 
     def __init__(self, limit: Optional[int] = None):
         self.limit = limit
@@ -181,6 +195,7 @@ class _Budget:
         self.nodes = 0
         self.leaves = 0
         self.pruned = 0
+        self.peeled = 0
 
     def node(self):
         self.nodes += 1
@@ -193,6 +208,7 @@ class _Budget:
             "nodes": self.nodes,
             "leaves": self.leaves,
             "pruned": self.pruned,
+            "peeled": self.peeled,
         }
 
 
@@ -272,6 +288,45 @@ def _first_coloring(
         if phi is not None:
             return lift(trace, phi)
     return None
+
+
+def peel_order(inst: Instance) -> List[int]:
+    """The vertices removed by peeling the input to its list-degenerate
+    kernel, in removal order; the vertices not listed are the kernel.
+
+    A vertex is removed while it has fewer list-graph neighbors (graph
+    neighbors whose lists meet its own) left than colors in its list.
+    Colored after the kernel and after every vertex removed later, it
+    then sees fewer colored list-graph neighbors than it has colors, so
+    a free color is left for it (degree choosability, Erdős–Rubin–
+    Taylor).  A vertex with an empty list is never removed.  One pass
+    over the edges builds the list-graph bitmasks; each vertex enters
+    the stack once, when its count first drops below its list size.
+    """
+    lists = inst.lists
+    gl = [0] * len(lists)
+    for u, v in inst.graph.edges:
+        if lists[u] & lists[v]:
+            gl[u] |= 1 << v
+            gl[v] |= 1 << u
+    size = list(map(int.bit_count, lists))
+    deg = list(map(int.bit_count, gl))
+    stack = [v for v, d in enumerate(deg) if d < size[v]]
+    alive = (1 << len(lists)) - 1
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        alive ^= 1 << v
+        rest = gl[v] & alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            deg[w] -= 1
+            if deg[w] == size[w] - 1:
+                stack.append(w)
+    return order
 
 
 def clique_hall_refutation(inst: Instance) -> Optional[Refutation]:
@@ -393,12 +448,16 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
     one returns not-rp3-free with the packing as witness.  The search
     then runs the clique Hall check on the input lists; a refutation is
     verified by refutation_defect and returned on a not-colorable
-    verdict with zero search counters.  Otherwise it walks the
-    candidate stream depth-first, identity element first.  A colorable
-    verdict always carries a verified coloring of the original
-    instance.  The search reports not-colorable only after the whole
-    stream was exhausted; exceeding opts.budget visited nodes aborts
-    instead.
+    verdict with zero search counters.  Otherwise the input is peeled
+    (peel_order) and the candidate stream of its kernel, an induced
+    subgraph and so still rP3-free, is walked depth-first, identity
+    element first; an empty kernel needs no search.  The kernel's
+    coloring is extended to the peeled vertices in reverse peel order.
+    A colorable verdict always carries a verified coloring of the
+    original instance.  The search reports not-colorable only after the
+    whole stream was exhausted; exceeding opts.budget visited nodes
+    aborts instead.  stats holds the search counters and "peeled", the
+    number of vertices peeled.
     """
     if opts is None:
         opts = SolveOptions()
@@ -420,12 +479,34 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
         return Verdict(
             "not-colorable", refutation=refutation, stats=budget.as_dict()
         )
-    try:
-        candidates = candidate_stream(inst, opts.r, budget)
-        phi = _first_coloring(candidates, budget)
-    except _BudgetExceeded:
-        log.info("budget of %d nodes exceeded", opts.budget)
-        return Verdict("aborted", stats=budget.as_dict())
+
+    g = inst.graph
+    order = peel_order(inst)
+    budget.peeled = len(order)
+    log.info("peeled %d of %d vertices", len(order), g.n)
+    keep = range(g.n)
+    if order:
+        peeled = set(order)
+        keep = [v for v in keep if v not in peeled]
+    phi: Optional[Coloring] = ()
+    if keep:
+        kernel = inst
+        if order:
+            graph, _ = induced_subgraph(g, keep)
+            kernel = Instance(graph, inst.k, tuple(inst.lists[v] for v in keep))
+        try:
+            candidates = candidate_stream(kernel, opts.r, budget)
+            phi = _first_coloring(candidates, budget)
+        except _BudgetExceeded:
+            log.info("budget of %d nodes exceeded", opts.budget)
+            return Verdict("aborted", stats=budget.as_dict())
     if phi is None:
         return Verdict("not-colorable", stats=budget.as_dict())
+    if order:
+        out = [0] * g.n
+        for v, c in zip(keep, phi):
+            out[v] = c
+        lists = inst.lists
+        _color_each(g.adj_mask, out, ((v, lists[v]) for v in reversed(order)))
+        phi = tuple(out)
     return _certify(inst, phi, budget.as_dict())

@@ -167,6 +167,37 @@ def antihole(n, colors):
     return R.make(n, edges, [colors] * n)
 
 
+def hang_peelable(rng, ref, hosts):
+    """``ref`` with one to four pieces hung off vertices of ``hosts``,
+    each by one edge: a pendant path, a random tree or a small clique.
+    Path and tree lists have two or three colors and a clique of q
+    vertices has lists of q + 1 to 5 colors, so every hung vertex peels
+    and the kernel of ``ref`` is left.  Redrawn until the packing scan
+    finds no 2 anticomplete induced P3s; returns the draw and the number
+    of hung vertices."""
+    while True:
+        n, edges, lists = ref.n, list(ref.edges), list(ref.lists)
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("path", "tree", "clique"))
+            size = rng.randint(1, 4)
+            new = range(n, n + size)
+            if kind == "clique":
+                edges += itertools.combinations(new, 2)
+                edges.append((rng.choice(hosts), n))
+                lists += [rng.sample(range(1, 6), rng.randint(size + 1, 5)) for _ in new]
+            else:
+                for v in new:
+                    if v == n:
+                        parent = rng.choice(hosts)
+                    else:
+                        parent = v - 1 if kind == "path" else rng.randrange(n, v)
+                    edges.append((parent, v))
+                lists += [rng.sample(range(1, 6), rng.randint(2, 3)) for _ in new]
+            n += size
+        if anticomplete_packing(Graph(n, edges), 2, 3) is None:
+            return R.make(n, edges, lists), n - ref.n
+
+
 def refutation_defect(ref, refutation):
     """Why a (vertices, colors) refutation fails on the reference's own
     edges and lists, or None."""
@@ -281,6 +312,31 @@ def test_hall_passing_uncolorable_inputs():
         assert verdict.refutation is None and verdict.stats["nodes"] > 0
 
 
+@pytest.mark.parametrize(
+    "kernel, hosts, colorable",
+    [
+        (cycle_join(5, 1, (1, 2, 3)), (0, 5), False),  # W_5, rim and hub
+        (cycle_join(7, 1, (1, 2, 3)), (7,), False),  # W_7, hub
+        (cycle_join(5, 2, (1, 2, 3, 4)), (0, 5, 6), False),  # C_5 joined with K_2
+        (multipartite((2, 2, 2), (1, 2, 3, 4)), (0, 1), True),
+        (multipartite((3, 3), (1, 2, 3)), (0, 3), True),
+        (antihole(7, (1, 2, 3, 4)), (0,), True),
+    ],
+)
+def test_peeled_pieces_around_a_kernel(kernel, hosts, colorable):
+    # the kernels are left whole by the peel and pass the root check;
+    # everything hung off them peels, so the verdict is the kernel's
+    assert (R.exact_coloring(kernel) is not None) == colorable
+    rng = random.Random(R.write_text(kernel))
+    for _ in range(4):
+        ref, hung = hang_peelable(rng, kernel, hosts)
+        verdict = check(ref)
+        assert verdict.status == ("colorable" if colorable else "not-colorable")
+        assert verdict.refutation is None
+        assert verdict.stats["peeled"] == hung
+        assert verdict.stats["elements"] > 0
+
+
 def test_cliques_and_star():
     rng = random.Random(1002)
     counts = statuses(
@@ -290,8 +346,16 @@ def test_cliques_and_star():
 
 
 def test_singleton_star_and_cliques(monkeypatch):
+    rng = random.Random(1004)
+    draws = [singleton_star_and_cliques(rng, rng.randint(10, 20)) for _ in range(40)]
+    counts = statuses(check(ref) for ref in draws)
+    assert counts["colorable"] >= 10 and counts["not-colorable"] >= 5
+
     # count the leaves that reach reduce_to_binary with a one-color list
-    # beside a list of three or more colors
+    # beside a list of three or more colors; solve peels most of these
+    # draws away, so the search runs on the whole draws, as solve did
+    # before peeling: the candidate stream of each draw that passes the
+    # root check, up to its first colorable leaf
     mixed = 0
     reduce = pipeline.reduce_to_binary
 
@@ -302,10 +366,11 @@ def test_singleton_star_and_cliques(monkeypatch):
         return reduce(leaf)
 
     monkeypatch.setattr(pipeline, "reduce_to_binary", counting)
-    rng = random.Random(1004)
-    draws = [singleton_star_and_cliques(rng, rng.randint(10, 20)) for _ in range(40)]
-    counts = statuses(check(ref) for ref in draws)
-    assert counts["colorable"] >= 10 and counts["not-colorable"] >= 5
+    for ref in draws:
+        inst = to_instance(ref)
+        if pipeline.clique_hall_refutation(inst) is None:
+            budget = pipeline._Budget()
+            pipeline._first_coloring(pipeline.candidate_stream(inst, 2, budget), budget)
     assert mixed >= 20
 
 

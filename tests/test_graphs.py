@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,3 +237,36 @@ def test_packing_witness_matches_unfiltered_search():
             assert anticomplete_packing(g, r, 3) == want
             found += want is not None
     assert found >= 500
+
+
+def load_reference():
+    """perfbench/reference.py, which imports nothing from rp3color."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_packing_agrees_with_reference_2p3():
+    ref = load_reference()
+    rng = random.Random(1932)
+    free = 0
+    for _ in range(600):
+        n = rng.randint(4, 14)
+        p = rng.choice([0.15, 0.25, 0.4])
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        got = anticomplete_packing(Graph(n, edges), 2, 3)
+        assert (got is None) == (not ref.has_2p3(ref.make(n, edges, [()] * n)))
+        free += got is None
+    # both answers are common: 352 draws are 2P3-free
+    assert 150 <= free <= 450
+
+
+def test_packing_skips_a_first_middle_with_no_partner():
+    # middle 0 sees the other middles 2 and 5, so no second path fits
+    # beside a path through it; the witness is the P3s 1-2-3 and 4-5-6
+    g = Graph(7, [(1, 2), (2, 3), (4, 5), (5, 6), (0, 2), (0, 5)])
+    assert anticomplete_packing(g, 1, 3) == ((2, 0, 5),)
+    assert anticomplete_packing(g, 2, 3) == ((1, 2, 3), (4, 5, 6))
+    assert anticomplete_packing(g, 3, 3) is None

@@ -44,6 +44,13 @@ def clique(n):
     return list(itertools.combinations(range(n), 2))
 
 
+def four_cycle_two_colors():
+    """C_4 with lists {1,2}: each vertex has as many list-graph
+    neighbors as colors, so the peel leaves it whole; the search takes
+    two profile elements to its one leaf."""
+    return mk(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [{1, 2}] * 4)
+
+
 def odd_wheel(rim):
     """A hub joined to every vertex of an odd cycle, all lists {1,2,3}:
     uncolorable, 2P3-free for rim <= 7, and no clique has more
@@ -104,7 +111,7 @@ def test_solve_k5_is_colorable_bijectively():
     verdict = solve(full(5, clique(5)))
     assert verdict.status == "colorable"
     assert sorted(verdict.coloring) == [1, 2, 3, 4, 5]
-    assert set(verdict.stats) == {"elements", "nodes", "leaves", "pruned"}
+    assert set(verdict.stats) == {"elements", "nodes", "leaves", "pruned", "peeled"}
 
 
 def test_solve_k6_is_not_colorable():
@@ -113,7 +120,9 @@ def test_solve_k6_is_not_colorable():
     assert verdict.coloring is None
     # decided by the root check
     assert verdict.refutation == ((0, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
-    assert verdict.stats == {"elements": 0, "nodes": 0, "leaves": 0, "pruned": 0}
+    assert verdict.stats == {
+        "elements": 0, "nodes": 0, "leaves": 0, "pruned": 0, "peeled": 0
+    }
 
 
 def test_root_check_finds_a_subset_of_a_clique():
@@ -162,7 +171,7 @@ def test_packing_gate_and_force():
 
 
 def test_budget_abort_then_success():
-    inst = full(3, [(0, 1), (1, 2)])
+    inst = four_cycle_two_colors()
     verdict = solve(inst, SolveOptions(budget=1))
     assert verdict.status == "aborted"
     assert verdict.coloring is None
@@ -213,10 +222,14 @@ def test_binary_leaf_is_verified_once(monkeypatch):
 
 
 def test_reduced_leaf_is_verified_twice(monkeypatch):
-    # a triangle with lists {1,2,3} needs reduction rounds, and a vertex
-    # with list {4} is deleted first in the same trace: the lift checks
-    # the coloring once, then _certify checks it again
-    inst = mk(4, clique(3), [{1, 2, 3}] * 3 + [{4}])
+    # the wheel W_4, hub list {1,2,3,4} and rim lists {1,5}, is left
+    # whole by the peel; its feasible leaf pins the rim to one color,
+    # so the trace deletes those one-color lists first and then drops
+    # the hub by step 4: the lift checks the coloring once, then
+    # _certify checks it again
+    edges = [(0, v) for v in range(1, 5)] + [(1, 2), (2, 3), (3, 4), (4, 1)]
+    inst = mk(5, edges, [{1, 2, 3, 4}] + [{1, 5}] * 4)
+    assert pipeline.peel_order(inst) == []
     rounds = []
     reduce = pipeline.reduce_to_binary
 
@@ -234,7 +247,7 @@ def test_reduced_leaf_is_verified_twice(monkeypatch):
 
 
 def test_trace_logging(caplog):
-    inst = full(3, [(0, 1), (1, 2)])
+    inst = four_cycle_two_colors()
     with caplog.at_level(logging.INFO, logger="rp3color"):
         solve(inst, SolveOptions())
     assert any("element" in rec.message for rec in caplog.records)
@@ -449,3 +462,97 @@ def test_complete_multipartite_solves_within_budget(sizes, lists):
     assert verdict.status == "colorable"
     assert verify_coloring(inst, verdict.coloring)
     assert solve_exact(inst) is not None
+
+
+def list_graph_degree(inst, v, among):
+    """Neighbors of v in ``among`` whose lists meet v's list."""
+    return sum(
+        1
+        for w in among
+        if inst.graph.has_edge(v, w) and inst.lists[v] & inst.lists[w]
+    )
+
+
+def test_peel_order_is_valid_and_leaves_a_kernel():
+    rng = random.Random(3141)
+    peeled_some = whole = 0
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        p = rng.uniform(0.1, 0.8)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        lists = [set(rng.sample(range(1, 6), rng.randint(0, 5))) for _ in range(n)]
+        inst = mk(n, edges, lists)
+        order = pipeline.peel_order(inst)
+        assert len(set(order)) == len(order)
+        later = set(range(n))
+        for v in order:
+            later.discard(v)
+            # fewer list-graph neighbors left than colors when removed
+            assert list_graph_degree(inst, v, later) < inst.lists[v].bit_count()
+        # no kernel vertex could be removed next
+        for v in later:
+            assert list_graph_degree(inst, v, later) >= inst.lists[v].bit_count()
+        peeled_some += 0 < len(order) < n
+        whole += not order and n > 0
+    assert peeled_some >= 100 and whole >= 10
+
+
+def chain():
+    """A path whose lists {1}, {1,2}, {2,3}, {3,4}, {4,5} force the
+    coloring 1, 2, 3, 4, 5.  The peel removes it from the far end, so
+    only its reverse order colors the path greedily."""
+    return mk(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [{1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}])
+
+
+def test_chain_is_colored_in_reverse_peel_order():
+    inst = chain()
+    assert pipeline.peel_order(inst) == [4, 3, 2, 1, 0]
+    verdict = solve(inst)
+    assert verdict.status == "colorable"
+    assert verdict.coloring == (1, 2, 3, 4, 5)
+    assert verdict.stats["peeled"] == 5
+
+
+def test_wrong_peel_order_raises(monkeypatch):
+    # colored from the far end, the path leaves vertex 0 no color
+    monkeypatch.setattr(pipeline, "peel_order", lambda inst: [0, 1, 2, 3, 4])
+    with pytest.raises(RuntimeError, match="no free color when restoring vertex 0"):
+        solve(chain())
+
+
+def test_fully_peeled_input_runs_no_search(caplog):
+    # K5 and K3 with full lists, and a star K_{1,4} whose leaves have
+    # two colors: every vertex peels, so no profile element is built
+    edges = clique(5) + [(5, 6), (5, 7), (6, 7)] + [(8, v) for v in range(9, 13)]
+    lists = [set(range(1, 6))] * 8 + [{1, 2}] + [{1, 2}, {2, 3}, {1, 3}, {1, 2}]
+    inst = mk(13, edges, lists)
+    with caplog.at_level(logging.INFO, logger="rp3color"):
+        verdict = solve(inst)
+    assert verdict.status == "colorable"
+    assert verify_coloring(inst, verdict.coloring)
+    assert verdict.stats == {
+        "elements": 0, "nodes": 0, "leaves": 0, "pruned": 0, "peeled": 13
+    }
+    assert "peeled 13 of 13 vertices" in [rec.getMessage() for rec in caplog.records]
+
+
+def test_peel_leaves_the_search_only_the_kernel(monkeypatch):
+    # W_5 with lists {1,2,3} and a pendant path on its hub: the path
+    # peels, and the candidate stream sees the six wheel vertices only
+    wheel = odd_wheel(5)
+    edges = list(wheel.graph.edges) + [(5, 6), (6, 7)]
+    lists = list(wheel.lists) + [mask_from_colors({1, 4}), mask_from_colors({2, 4})]
+    inst = Instance(Graph(8, edges), 5, tuple(lists))
+    sizes = []
+    stream = pipeline.candidate_stream
+
+    def recording(kernel, r, budget):
+        sizes.append(kernel.graph.n)
+        return stream(kernel, r, budget)
+
+    monkeypatch.setattr(pipeline, "candidate_stream", recording)
+    verdict = solve(inst)
+    assert verdict.status == "not-colorable"
+    assert verdict.stats["peeled"] == 2
+    assert sizes == [6]
+    assert verdict.stats == solve(wheel).stats | {"peeled": 2}

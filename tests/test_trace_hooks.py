@@ -31,9 +31,11 @@ def test_tracer_hooks_every_layer():
     }
     tracer.install()
     try:
-        # a P3 with full lists: the walk branches on its good triple,
-        # then reduces, runs 2-SAT and lifts the coloring
-        verdict = solve(Instance(Graph(3, [(0, 1), (1, 2)]), 5, (31, 31, 31)))
+        # the octahedron K_{2,2,2} with lists {1,2,3,4}: the peel
+        # leaves it whole, the walk branches on a good triple, then
+        # reduces, runs 2-SAT and lifts the coloring
+        edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]
+        verdict = solve(Instance(Graph(6, edges), 5, (15,) * 6))
     finally:
         tracer.uninstall()
     assert verdict.status == "colorable"
