@@ -94,6 +94,28 @@ def local_adjacency(g: Graph, keep: Sequence[int]) -> List[int]:
     return [sum(1 << pos[w] for w in bits(g.adj_mask[v] & inside)) for v in keep]
 
 
+def co_components(g: Graph) -> List[int]:
+    """The vertex sets, as bitmasks, of the connected components of the
+    complement of g, lowest vertex first.  A breadth-first search on the
+    complement: each vertex reached adds its unreached non-neighbors."""
+    adj = g.adj_mask
+    rest = (1 << g.n) - 1
+    parts = []
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        part = frontier = low
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = rest & ~adj[low.bit_length() - 1]
+            rest ^= new
+            part |= new
+            frontier |= new
+        parts.append(part)
+    return parts
+
+
 def induced_p3_stream(g: Graph) -> Iterator[InducedP3]:
     """All induced 3-vertex paths as canonical triples (x1, x2, x3).
 

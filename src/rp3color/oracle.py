@@ -65,8 +65,11 @@ def colorings(
 
     Depth-first with an explicit cursor per vertex, so the depth is not
     bounded by the interpreter's recursion limit: tried[v] is the index
-    of the next list color to try at v, and holders[c] the mask of the
-    vertices before the current one colored c.
+    of the next list color to try at v, holders[c] the mask of the
+    vertices before the current one colored c and sees[c] the union of
+    their neighbor masks, so a watched neighbor of v that lists c sees a
+    c exactly when it is in sees[c].  saved[v] is sees[phi[v]] from
+    before v took its color, restored when v gives it back.
     """
     n = len(lists)
     options = [colors_from_mask(m) for m in lists]
@@ -78,6 +81,8 @@ def colorings(
         for c in options[v]:
             listed[c] |= 1 << v
     holders = [0] * (top + 1)
+    sees = [0] * (top + 1)
+    saved = [0] * n
     phi = [0] * n
     tried = [0] * n
     v = 0
@@ -88,6 +93,7 @@ def colorings(
             continue
         if phi[v]:  # back at v: take its color away before the next one
             holders[phi[v]] ^= 1 << v
+            sees[phi[v]] = saved[v]
             phi[v] = 0
         while tried[v] < len(options[v]):
             c = options[v][tried[v]]
@@ -95,11 +101,12 @@ def colorings(
             if earlier[v] & holders[c]:
                 continue
             # frugal: no watched neighbor listing c already sees a c
-            near = adj[v] & listed[c]
-            if near and any(adj[w] & holders[c] for w in bits(near)):
+            if adj[v] & listed[c] & sees[c]:
                 continue
             phi[v] = c
             holders[c] |= 1 << v
+            saved[v] = sees[c]
+            sees[c] |= adj[v]
             break
         if phi[v]:
             v += 1

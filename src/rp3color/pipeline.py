@@ -6,15 +6,19 @@ on the input lists then refutes many uncolorable inputs at the root,
 with a refutation that is verified before it is returned.  Next the
 input is peeled to its list-degenerate kernel: a vertex with fewer
 list-graph neighbors than colors can always be colored last, so it is
-removed, repeatedly, and only the kernel is searched.
+removed, repeatedly, and only the kernel is searched.  A kernel whose
+complement is disconnected is a join of its co-components, which must
+take pairwise disjoint color sets; it is split, and each co-component is
+decided on its own color set by the same path, one level deeper.
 candidate_stream walks the kernel's profile elements and their good-P3
-branching depth-first, once per solve, deduplicating nodes and leaves
-across the whole walk; each leaf is reduced to a binary-list instance
-and handed to 2-SAT.  The first feasible leaf is lifted back through
-its reduction trace, the peeled vertices are colored again in reverse
-peel order, and the result is verified against the original instance,
-so a colorable verdict is trustworthy no matter what internal shortcuts
-the search took.
+branching depth-first, once per searched kernel, deduplicating nodes and
+leaves across the whole walk; each leaf is reduced to a binary-list
+instance and handed to 2-SAT.  The first feasible leaf is lifted back
+through its reduction trace, the co-components' colorings are put
+together, the peeled vertices are colored again in reverse peel order,
+and the result is verified against the original instance, so a
+colorable verdict is trustworthy no matter what internal shortcuts the
+search took.
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .goodp3 import _earliest_good, good_triple_index, pivot_refinements
-from .graphs import anticomplete_packing, induced_subgraph, local_adjacency
+from .graphs import (
+    anticomplete_packing,
+    bits,
+    co_components,
+    induced_subgraph,
+    local_adjacency,
+)
 from .instances import (
     Coloring,
     Instance,
@@ -72,7 +82,8 @@ class Verdict:
     "aborted".  A colorable verdict carries a coloring verified against
     the original instance; not-rp3-free carries the witness packing.  A
     not-colorable verdict decided by the root clique Hall check carries
-    its verified refutation; one decided by the search carries none.
+    its verified refutation; one decided by the search or the split of a
+    join kernel carries none.
     """
 
     status: str
@@ -184,10 +195,11 @@ class _BudgetExceeded(Exception):
 
 
 class _Budget:
-    """Search counters with an optional hard cap on visited nodes, and
-    the number of vertices peeled before the search."""
+    """Search counters with an optional hard cap on visited nodes, the
+    number of vertices peeled before the search and the number of
+    co-component sub-solves."""
 
-    __slots__ = ("limit", "elements", "nodes", "leaves", "pruned", "peeled")
+    __slots__ = ("limit", "elements", "nodes", "leaves", "pruned", "peeled", "split")
 
     def __init__(self, limit: Optional[int] = None):
         self.limit = limit
@@ -196,6 +208,7 @@ class _Budget:
         self.leaves = 0
         self.pruned = 0
         self.peeled = 0
+        self.split = 0
 
     def node(self):
         self.nodes += 1
@@ -209,6 +222,7 @@ class _Budget:
             "leaves": self.leaves,
             "pruned": self.pruned,
             "peeled": self.peeled,
+            "split": self.split,
         }
 
 
@@ -217,7 +231,7 @@ def candidate_stream(
 ) -> Iterator[Instance]:
     """All branch candidates: propagated refinements with no good P3.
 
-    One depth-first walk per solve over a stack of streams: the bottom
+    One depth-first walk per searched kernel over a stack of streams: the bottom
     one is frugal_profile (each propagated list tuple once, nothing when
     propagating the input empties a list), each one above it the
     pivot_refinements of a node's earliest good triple.  Every node is a
@@ -440,6 +454,141 @@ def _certify(inst: Instance, phi: Coloring, stats: Dict[str, int]) -> Verdict:
     return Verdict("colorable", coloring=tuple(phi), stats=stats)
 
 
+def _decide(
+    inst: Instance, r: int, budget: _Budget, depth: int = 0
+) -> Optional[Coloring]:
+    """A coloring of ``inst``, which passed the clique Hall check, or
+    None when it has none.
+
+    The input is peeled (peel_order) to its kernel, an induced subgraph
+    and so still rP3-free.  A kernel with two or more co-components is
+    split (_split); any other nonempty kernel is searched through its
+    candidate stream, identity element first.  The kernel's coloring is
+    extended to the peeled vertices in reverse peel order.  ``depth``
+    counts the splits above this call; the root call (depth 0) records
+    and logs the number of vertices peeled.
+    """
+    g = inst.graph
+    order = peel_order(inst)
+    if not depth:
+        budget.peeled = len(order)
+        log.info("peeled %d of %d vertices", len(order), g.n)
+    keep = range(g.n)
+    if order:
+        peeled = set(order)
+        keep = [v for v in keep if v not in peeled]
+    phi: Optional[Coloring] = ()
+    if keep:
+        kernel = inst
+        if order:
+            graph, _ = induced_subgraph(g, keep)
+            kernel = Instance(graph, inst.k, tuple(inst.lists[v] for v in keep))
+        parts = co_components(kernel.graph)
+        if len(parts) > 1:
+            phi = _split(kernel, parts, r, budget, depth)
+        else:
+            phi = _first_coloring(candidate_stream(kernel, r, budget), budget)
+    if phi is None or not order:
+        return phi
+    out = [0] * g.n
+    for v, c in zip(keep, phi):
+        out[v] = c
+    lists = inst.lists
+    _color_each(g.adj_mask, out, ((v, lists[v]) for v in reversed(order)))
+    return tuple(out)
+
+
+def _split(
+    kernel: Instance, parts: List[int], r: int, budget: _Budget, depth: int
+) -> Optional[Coloring]:
+    """Color a kernel whose complement has the components ``parts``
+    (vertex bitmasks), or return None when it has no coloring.
+
+    Every vertex of one part is adjacent to every vertex of another, so
+    the parts take pairwise disjoint color sets: the kernel is colorable
+    exactly when some disjoint sets S_i let each part be colored from
+    its lists cut to S_i.  Deciding one part on one set is a sub-solve:
+    the part's induced instance (still rP3-free) with its lists cut to
+    S goes through the clique Hall check and then _decide one level
+    deeper.  Sub-solves are memoized on (part, S).
+
+    Parts go by size, ties by lowest vertex, so the largest comes last.
+    An earlier part needs only its minimal feasible sets: subsets of its
+    list union are tested in (size, mask) order, skipping supersets of a
+    set found feasible and sets that leave fewer colors than there are
+    other parts.  A depth-first choice of pairwise disjoint sets stops at
+    the first one under which the last part, given every color the
+    others leave, is colorable.  Each sub-solve's colors are a proper
+    subset of the kernel's, so splits nest at most k deep.
+    """
+    lists = kernel.lists
+    colors = 0
+    for mask in lists:
+        colors |= mask
+    parts = sorted(parts, key=lambda q: (q.bit_count(), q & -q))
+    log.info(
+        "split kernel of %d vertices into %d co-components",
+        kernel.graph.n,
+        len(parts),
+    )
+    members = [tuple(bits(q)) for q in parts]
+    graphs = [induced_subgraph(kernel.graph, vs)[0] for vs in members]
+    memo: Dict[Tuple[int, int], Optional[Coloring]] = {}
+
+    def sub(i: int, mask: int) -> Optional[Coloring]:
+        if (i, mask) not in memo:
+            cut = tuple(lists[v] & mask for v in members[i])
+            phi = None
+            if all(cut):
+                budget.split += 1
+                part = Instance(graphs[i], kernel.k, cut)
+                if clique_hall_refutation(part) is None:
+                    phi = _decide(part, r, budget, depth + 1)
+            memo[i, mask] = phi
+        return memo[i, mask]
+
+    def minimal(i: int) -> List[int]:
+        union = 0
+        for v in members[i]:
+            union |= lists[v]
+        widest = colors.bit_count() - (len(parts) - 1)
+        subsets = [s for s in range(1, union + 1) if not s & ~union]
+        found: List[int] = []
+        for s in sorted(subsets, key=lambda s: (s.bit_count(), s)):
+            if s.bit_count() > widest:
+                break
+            if not any(f & ~s == 0 for f in found) and sub(i, s) is not None:
+                found.append(s)
+        return found
+
+    last = len(parts) - 1
+    feasible: Dict[int, List[int]] = {}
+
+    def pick(i: int, used: int) -> Optional[List[Coloring]]:
+        if i == last:
+            phi = sub(i, colors & ~used)
+            return None if phi is None else [phi]
+        if i not in feasible:
+            feasible[i] = minimal(i)
+        for s in feasible[i]:
+            left = colors & ~(used | s)
+            if s & used or left.bit_count() < last - i:
+                continue
+            rest = pick(i + 1, used | s)
+            if rest is not None:
+                return [memo[i, s]] + rest
+        return None
+
+    chosen = pick(0, 0)
+    if chosen is None:
+        return None
+    out = [0] * kernel.graph.n
+    for vs, phi in zip(members, chosen):
+        for v, c in zip(vs, phi):
+            out[v] = c
+    return tuple(out)
+
+
 def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
     """Decide list-5-colorability and certify the answer.
 
@@ -448,16 +597,14 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
     one returns not-rp3-free with the packing as witness.  The search
     then runs the clique Hall check on the input lists; a refutation is
     verified by refutation_defect and returned on a not-colorable
-    verdict with zero search counters.  Otherwise the input is peeled
-    (peel_order) and the candidate stream of its kernel, an induced
-    subgraph and so still rP3-free, is walked depth-first, identity
-    element first; an empty kernel needs no search.  The kernel's
-    coloring is extended to the peeled vertices in reverse peel order.
-    A colorable verdict always carries a verified coloring of the
-    original instance.  The search reports not-colorable only after the
-    whole stream was exhausted; exceeding opts.budget visited nodes
-    aborts instead.  stats holds the search counters and "peeled", the
-    number of vertices peeled.
+    verdict with zero search counters.  Otherwise _decide peels the
+    input, splits a kernel with two or more co-components and searches
+    the rest.  A colorable verdict always carries a verified coloring of
+    the original instance.  The search reports not-colorable only after
+    every stream was exhausted; exceeding opts.budget visited nodes,
+    counted over all sub-solves, aborts instead.  stats holds the search
+    counters, "peeled", the number of vertices peeled at the root, and
+    "split", the number of co-component sub-solves.
     """
     if opts is None:
         opts = SolveOptions()
@@ -480,33 +627,11 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
             "not-colorable", refutation=refutation, stats=budget.as_dict()
         )
 
-    g = inst.graph
-    order = peel_order(inst)
-    budget.peeled = len(order)
-    log.info("peeled %d of %d vertices", len(order), g.n)
-    keep = range(g.n)
-    if order:
-        peeled = set(order)
-        keep = [v for v in keep if v not in peeled]
-    phi: Optional[Coloring] = ()
-    if keep:
-        kernel = inst
-        if order:
-            graph, _ = induced_subgraph(g, keep)
-            kernel = Instance(graph, inst.k, tuple(inst.lists[v] for v in keep))
-        try:
-            candidates = candidate_stream(kernel, opts.r, budget)
-            phi = _first_coloring(candidates, budget)
-        except _BudgetExceeded:
-            log.info("budget of %d nodes exceeded", opts.budget)
-            return Verdict("aborted", stats=budget.as_dict())
+    try:
+        phi = _decide(inst, opts.r, budget)
+    except _BudgetExceeded:
+        log.info("budget of %d nodes exceeded", opts.budget)
+        return Verdict("aborted", stats=budget.as_dict())
     if phi is None:
         return Verdict("not-colorable", stats=budget.as_dict())
-    if order:
-        out = [0] * g.n
-        for v, c in zip(keep, phi):
-            out[v] = c
-        lists = inst.lists
-        _color_each(g.adj_mask, out, ((v, lists[v]) for v in reversed(order)))
-        phi = tuple(out)
     return _certify(inst, phi, budget.as_dict())

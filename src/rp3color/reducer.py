@@ -18,14 +18,13 @@ these steps.
 
 A reduce_to_binary call first deletes the input's one-color lists, then
 runs its rounds, all on one WorkingInstance over the input's vertex ids,
-and leaves local undo records; a run of step-4 rounds is one sweep that
-writes the same records.  reduce_once is a single round on a fresh one.
+and leaves local undo records.  reduce_once is a single round on a fresh
+one.
 """
 
 from __future__ import annotations
 
 import logging
-from functools import partial
 from itertools import combinations
 from typing import Sequence, Tuple
 
@@ -111,7 +110,12 @@ def _round(ws: WorkingInstance, u0: int) -> None:
     # is always colorable last, so drop it
     witness = ws.first_low()
     if witness is not None:
-        _step4(ws, witness)
+        ws.kill(witness)
+        ws.record(
+            "step4-removal",
+            {"step": 4, "vertex": witness},
+            {witness: lists[witness]},
+        )
         return
 
     # step 5: a vertex whose list-graph 2-ball has at most one boundary
@@ -165,13 +169,6 @@ def _round(ws: WorkingInstance, u0: int) -> None:
         return
 
     _step11(ws, roles, u0, ring, a_side, b_side, a_outer, b_outer)
-
-
-def _step4(ws: WorkingInstance, v: int) -> None:
-    """Record and drop the step-4 vertex v, for _round and for the
-    step-4 sweep of reduce_to_binary alike."""
-    ws.kill(v)
-    ws.record("step4-removal", {"step": 4, "vertex": v}, {v: ws.lists[v]})
 
 
 def _step5(ws: WorkingInstance, u: int) -> None:
@@ -278,13 +275,6 @@ def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
     record's saved lists and the closing data on the last one.  All of
     it runs on one working instance, so a round costs time near the size
     of the neighborhood it changes, not of the whole instance.
-
-    Once no vertex is wide and one is low, the step-4 rounds that follow
-    run as one sweep (WorkingInstance.sweep_low) that writes the same
-    records.  A step-4 removal changes no list and only lowers
-    list-graph degrees, so it makes no vertex wide, no singleton and no
-    new list of three or more colors: each next round would remove the
-    lowest low vertex again, until none is low or no such list is left.
     """
     if inst.k != 5:
         raise InstanceError(f"k={inst.k}, need 5")
@@ -297,11 +287,6 @@ def reduce_to_binary(inst: Instance) -> Tuple[Instance, ReductionTrace]:
         u0 = ws.first_big()
         if u0 is None:
             return ws.finish()
-        if ws.first_wide() is None and ws.first_low() is not None:
-            removed = ws.sweep_low(partial(_step4, ws))
-            if debug:
-                log.debug("sweep: step 4 removed %d vertices", removed)
-            continue
         before = ws.potential
         fired = len(ws.trace)
         _round(ws, u0)

@@ -75,8 +75,7 @@ class WorkingInstance:
     ``potential`` is the number of vertices plus the sum of list sizes
     of the current instance, which every reduction round lowers.
     ``gl[v]`` is the bitmask of the alive neighbors of v whose lists
-    meet v's, kept up to date in O(deg) per change, and sweep_low runs
-    the reducer's step-4 removals back to back.
+    meet v's, kept up to date in O(deg) per change.
     """
 
     def __init__(self, inst: Instance):
@@ -184,28 +183,6 @@ class WorkingInstance:
         return _first(
             self._low, lambda v: alive[v] and gl[v].bit_count() < lists[v].bit_count()
         )
-
-    def sweep_low(self, remove: Callable[[int], None]) -> int:
-        """Call ``remove`` on the lowest low vertex (fewer list-graph
-        neighbors than colors) while one is left and some list has three
-        or more colors, with the heap checks of first_big and first_low
-        inline; return the number of calls.  ``remove`` must kill the
-        vertex and change no list.
-        """
-        alive, gl, lists = self.alive, self.gl, self.lists
-        big, low = self._big, self._low
-        removed = 0
-        while True:
-            while big and not (alive[big[0]] and lists[big[0]].bit_count() >= 3):
-                heappop(big)
-            while low and not (
-                alive[low[0]] and gl[low[0]].bit_count() < lists[low[0]].bit_count()
-            ):
-                heappop(low)
-            if not (big and low):
-                return removed
-            remove(low[0])
-            removed += 1
 
     def first_local(self) -> Optional[int]:
         """Lowest vertex with at most one vertex at list-graph distance two.

@@ -13,12 +13,13 @@ from rp3color.cli import main
 from instance_reference import verify_coloring
 
 P3_FULL = "p glist 3 2 5\ne 1 2\ne 2 3\n"
-# a 4-cycle with lists {1,2}: each vertex has as many list-graph
-# neighbors as colors, so the peel leaves it whole and the search runs
-# (two profile elements, one leaf)
-C4_TWO = "p glist 4 4 5\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n" + "".join(
-    f"l {v} 1 2\n" for v in range(1, 5)
-)
+# a 6-cycle with lists {1,2}: each vertex has as many list-graph
+# neighbors as colors, so the peel leaves it whole, and its complement is
+# connected, so it does not split; the search runs (two profile
+# elements, one leaf)
+C6_TWO = "p glist 6 6 5\n" + "".join(
+    f"e {v} {v % 6 + 1}\n" for v in range(1, 7)
+) + "".join(f"l {v} 1 2\n" for v in range(1, 7))
 TWO_P3 = "p glist 6 4 5\ne 1 2\ne 2 3\ne 4 5\ne 5 6\n"
 K6 = "p glist 6 15 5\n" + "".join(
     f"e {u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7)
@@ -74,7 +75,7 @@ def test_solve_force_prints_caveat(tmp_path, capsys):
 
 
 def test_solve_budget_abort(tmp_path, capsys):
-    code = main(["solve", "--budget", "1", put(tmp_path, C4_TWO)])
+    code = main(["solve", "--budget", "1", put(tmp_path, C6_TWO)])
     assert code == 3
     assert capsys.readouterr().out == "s ABORTED\n"
 
@@ -100,7 +101,7 @@ def test_solve_internal_value_error_exits_5(tmp_path, capsys, monkeypatch):
         raise InstanceError("good P3 at (0, 1, 2)")
 
     monkeypatch.setattr("rp3color.pipeline.reduce_to_binary", broken)
-    code = main(["solve", put(tmp_path, C4_TWO)])
+    code = main(["solve", put(tmp_path, C6_TWO)])
     captured = capsys.readouterr()
     assert code == 5
     assert captured.out == ""
@@ -301,7 +302,7 @@ def test_trace_goes_to_stderr(tmp_path):
     # the child imports the same rp3color as the tests, installed or not
     src = os.path.dirname(os.path.dirname(rp3color.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", script, "solve", "--trace", put(tmp_path, C4_TWO)],
+        [sys.executable, "-c", script, "solve", "--trace", put(tmp_path, C6_TWO)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
@@ -309,4 +310,4 @@ def test_trace_goes_to_stderr(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("s COLORABLE\n")
     assert "element" in proc.stderr
-    assert "peeled 0 of 4 vertices" in proc.stderr
+    assert "peeled 0 of 6 vertices" in proc.stderr

@@ -160,11 +160,42 @@ def cycle_join(rim, size, colors):
 
 
 def antihole(n, colors):
-    """The complement of the odd cycle C_n, every list ``colors``."""
+    """The complement of the cycle C_n, every list ``colors``.  Two
+    anticomplete P3s would need each vertex of one adjacent in C_n to
+    all three of the other, so it is 2P3-free; its complement C_n is
+    connected, so solve does not split it."""
     edges = [
         (u, v) for u, v in itertools.combinations(range(n), 2) if v - u not in (1, n - 1)
     ]
     return R.make(n, edges, [colors] * n)
+
+
+def cycle(n, colors):
+    """The cycle C_n, every list ``colors``."""
+    return R.make(n, [(v, (v + 1) % n) for v in range(n)], [colors] * n)
+
+
+def random_join(rng, parts):
+    """The join of ``parts`` random graphs on two to five vertices each,
+    lists of two to four colors.  Two anticomplete induced P3s of a join
+    lie inside one part, so the parts are redrawn until the packing scan
+    passes.  Its complement is disconnected, so solve splits the kernel
+    whenever the peel leaves vertices of two parts."""
+    while True:
+        n, edges, groups = 0, [], []
+        for _ in range(parts):
+            size = rng.randint(2, 5)
+            p = rng.uniform(0.2, 0.8)
+            new = range(n, n + size)
+            edges += [e for e in itertools.combinations(new, 2) if rng.random() < p]
+            groups.append(new)
+            n += size
+        edges += [
+            (u, v) for a, b in itertools.combinations(groups, 2) for u in a for v in b
+        ]
+        if anticomplete_packing(Graph(n, edges), 2, 3) is None:
+            lists = [rng.sample(range(1, 6), rng.randint(2, 4)) for _ in range(n)]
+            return R.make(n, edges, lists)
 
 
 def hang_peelable(rng, ref, hosts):
@@ -318,14 +349,15 @@ def test_hall_passing_uncolorable_inputs():
         (cycle_join(5, 1, (1, 2, 3)), (0, 5), False),  # W_5, rim and hub
         (cycle_join(7, 1, (1, 2, 3)), (7,), False),  # W_7, hub
         (cycle_join(5, 2, (1, 2, 3, 4)), (0, 5, 6), False),  # C_5 joined with K_2
-        (multipartite((2, 2, 2), (1, 2, 3, 4)), (0, 1), True),
-        (multipartite((3, 3), (1, 2, 3)), (0, 3), True),
+        (antihole(6, (1, 2, 3)), (0, 1), True),  # the prism
+        (cycle(6, (1, 2)), (0, 3), True),
         (antihole(7, (1, 2, 3, 4)), (0,), True),
     ],
 )
 def test_peeled_pieces_around_a_kernel(kernel, hosts, colorable):
     # the kernels are left whole by the peel and pass the root check;
-    # everything hung off them peels, so the verdict is the kernel's
+    # everything hung off them peels, so the verdict is the kernel's.
+    # The colorable kernels do not split, so their search runs
     assert (R.exact_coloring(kernel) is not None) == colorable
     rng = random.Random(R.write_text(kernel))
     for _ in range(4):
@@ -381,15 +413,44 @@ def test_singleton_heavy():
 
 
 def test_budget_abort_is_deterministic():
-    # colorable, but the first feasible leaf is the 1,195th profile
+    # colorable, but the first feasible leaf is the 7,316th profile
     # element, and every element before it is a walk root with no
-    # child; no clique has five vertices, so the root check passes
-    inst = to_instance(multipartite((3, 3, 3, 3), (1, 2, 3, 4)))
+    # child; no clique has five vertices, so the root check passes,
+    # and the complement C_9 is connected, so nothing splits
+    inst = to_instance(antihole(9, (1, 2, 3, 4, 5)))
     first = solve(inst, SolveOptions(budget=500))
     second = solve(inst, SolveOptions(budget=500))
     assert first.status == second.status == "aborted"
     assert first.stats == second.stats
     assert first.stats["nodes"] == 501
+
+
+def test_random_joins():
+    rng = random.Random(1007)
+    verdicts = [check(random_join(rng, rng.randint(2, 3))) for _ in range(300)]
+    assert min(statuses(verdicts).values()) >= 100
+    # the split itself decides many draws both ways
+    split = statuses(v for v in verdicts if v.stats["split"])
+    assert split["colorable"] >= 60 and split["not-colorable"] >= 10
+
+
+def test_split_nests_at_most_k_deep(monkeypatch):
+    # every split level hands each co-component a proper subset of the
+    # kernel's colors, so at most k = 5 levels nest
+    decide = pipeline._decide
+    depths = Counter()
+
+    def recording(inst, r, budget, depth=0):
+        depths[depth] += 1
+        return decide(inst, r, budget, depth)
+
+    monkeypatch.setattr(pipeline, "_decide", recording)
+    rng = random.Random(1008)
+    for _ in range(300):
+        check(random_join(rng, rng.randint(2, 4)))
+    for parts in ((3, 3, 3, 3), (2, 2, 2, 2, 2), (4, 4, 4), (1, 1, 2, 2, 3)):
+        check(multipartite(parts, (1, 2, 3, 4, 5)))
+    assert depths[2] > 0 and max(depths) <= 5
 
 
 @long_only
@@ -405,6 +466,7 @@ def test_long_sweep():
     for parts in ((4, 4, 4), (3, 3, 3, 3), (2, 2, 2, 2, 2), (5, 5, 5), (4, 4, 4, 4)):
         for colors in ((1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5)):
             draws.append(multipartite(parts, colors))
+    draws += [random_join(rng, rng.randint(2, 4)) for _ in range(1500)]
     counts = statuses(check(ref, budget=100_000) for ref in draws)
     print("long sweep:", counts)
     assert counts["colorable"] + counts["not-colorable"] >= len(draws) // 2

@@ -14,6 +14,8 @@ from rp3color import (
     induced_subgraph,
 )
 
+from rp3color.graphs import co_components
+
 from instance_reference import is_clique, is_stable_set
 
 
@@ -84,6 +86,37 @@ def test_induced_subgraph_keeps_inside_edges(g):
         if u in remap and v in remap
     }
     assert set(sub.edges) == expect
+
+
+def test_co_components_examples():
+    # K_{2,3}: its two sides; C_4 = K_{2,2}: the two diagonals
+    k23 = Graph(5, [(u, v) for u in range(2) for v in range(2, 5)])
+    assert co_components(k23) == [0b00011, 0b11100]
+    assert co_components(cycle(4)) == [0b0101, 0b1010]
+    assert co_components(clique(3)) == [1, 2, 4]
+    assert co_components(cycle(5)) == [0b11111]
+    assert co_components(Graph(0, [])) == []
+
+
+@given(graphs())
+def test_co_components_split_a_join(g):
+    parts = co_components(g)
+    assert sum(parts) == (1 << g.n) - 1 and sum(map(int.bit_count, parts)) == g.n
+    part_of = {v: i for i, q in enumerate(parts) for v in range(g.n) if q >> v & 1}
+    for u, v in itertools.combinations(range(g.n), 2):
+        if part_of[u] != part_of[v]:
+            assert g.has_edge(u, v)
+    # each part is connected in the complement
+    for q in parts:
+        members = [v for v in range(g.n) if q >> v & 1]
+        reached, todo = {members[0]}, [members[0]]
+        while todo:
+            u = todo.pop()
+            for w in members:
+                if w not in reached and w != u and not g.has_edge(u, w):
+                    reached.add(w)
+                    todo.append(w)
+        assert len(reached) == len(members)
 
 
 def test_stable_and_clique():

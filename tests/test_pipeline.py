@@ -44,19 +44,22 @@ def clique(n):
     return list(itertools.combinations(range(n), 2))
 
 
-def four_cycle_two_colors():
-    """C_4 with lists {1,2}: each vertex has as many list-graph
-    neighbors as colors, so the peel leaves it whole; the search takes
-    two profile elements to its one leaf."""
-    return mk(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [{1, 2}] * 4)
+def six_cycle_two_colors():
+    """C_6 with lists {1,2}: each vertex has as many list-graph
+    neighbors as colors, so the peel leaves it whole, and its complement
+    is connected, so it does not split; the search takes two profile
+    elements to its one leaf."""
+    return mk(6, [(v, (v + 1) % 6) for v in range(6)], [{1, 2}] * 6)
 
 
-def odd_wheel(rim):
-    """A hub joined to every vertex of an odd cycle, all lists {1,2,3}:
-    uncolorable, 2P3-free for rim <= 7, and no clique has more
-    vertices than colors, so the root check passes it."""
-    edges = [(v, (v + 1) % rim) for v in range(rim)] + [(rim, v) for v in range(rim)]
-    return mk(rim + 1, edges, [{1, 2, 3}] * (rim + 1))
+def seven_anticycle():
+    """The complement of C_7, all lists {1,2,3}: 2P3-free, uncolorable
+    (a color class is an edge of C_7, so it needs four colors), and no
+    clique has more vertices than colors, so the root check passes it.
+    Each vertex has four list-graph neighbors, so nothing peels, and its
+    complement C_7 is connected, so nothing splits."""
+    edges = [(u, v) for u, v in clique(7) if v - u not in (1, 6)]
+    return mk(7, edges, [{1, 2, 3}] * 7)
 
 
 def test_options_validation():
@@ -111,7 +114,9 @@ def test_solve_k5_is_colorable_bijectively():
     verdict = solve(full(5, clique(5)))
     assert verdict.status == "colorable"
     assert sorted(verdict.coloring) == [1, 2, 3, 4, 5]
-    assert set(verdict.stats) == {"elements", "nodes", "leaves", "pruned", "peeled"}
+    assert set(verdict.stats) == {
+        "elements", "nodes", "leaves", "pruned", "peeled", "split"
+    }
 
 
 def test_solve_k6_is_not_colorable():
@@ -121,7 +126,7 @@ def test_solve_k6_is_not_colorable():
     # decided by the root check
     assert verdict.refutation == ((0, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
     assert verdict.stats == {
-        "elements": 0, "nodes": 0, "leaves": 0, "pruned": 0, "peeled": 0
+        "elements": 0, "nodes": 0, "leaves": 0, "pruned": 0, "peeled": 0, "split": 0
     }
 
 
@@ -171,7 +176,7 @@ def test_packing_gate_and_force():
 
 
 def test_budget_abort_then_success():
-    inst = four_cycle_two_colors()
+    inst = six_cycle_two_colors()
     verdict = solve(inst, SolveOptions(budget=1))
     assert verdict.status == "aborted"
     assert verdict.coloring is None
@@ -222,13 +227,13 @@ def test_binary_leaf_is_verified_once(monkeypatch):
 
 
 def test_reduced_leaf_is_verified_twice(monkeypatch):
-    # the wheel W_4, hub list {1,2,3,4} and rim lists {1,5}, is left
-    # whole by the peel; its feasible leaf pins the rim to one color,
-    # so the trace deletes those one-color lists first and then drops
-    # the hub by step 4: the lift checks the coloring once, then
-    # _certify checks it again
-    edges = [(0, v) for v in range(1, 5)] + [(1, 2), (2, 3), (3, 4), (4, 1)]
-    inst = mk(5, edges, [{1, 2, 3, 4}] + [{1, 5}] * 4)
+    # C_6 with rim lists {1,5} and a hub 6 on five of its vertices,
+    # hub list {1,2,3,4}, is left whole by the peel and does not split;
+    # its feasible leaf pins the rim to one color, so the trace deletes
+    # those one-color lists first and then drops the hub by step 4: the
+    # lift checks the coloring once, then _certify checks it again
+    edges = [(v, (v + 1) % 6) for v in range(6)] + [(6, v) for v in range(1, 6)]
+    inst = mk(7, edges, [{1, 5}] * 6 + [{1, 2, 3, 4}])
     assert pipeline.peel_order(inst) == []
     rounds = []
     reduce = pipeline.reduce_to_binary
@@ -247,7 +252,7 @@ def test_reduced_leaf_is_verified_twice(monkeypatch):
 
 
 def test_trace_logging(caplog):
-    inst = four_cycle_two_colors()
+    inst = six_cycle_two_colors()
     with caplog.at_level(logging.INFO, logger="rp3color"):
         solve(inst, SolveOptions())
     assert any("element" in rec.message for rec in caplog.records)
@@ -412,9 +417,9 @@ def test_walk_nodes_are_propagated(monkeypatch):
 
 
 def test_solve_leaves_few_reference_cycles():
-    # W_7 with lists {1,2,3}: uncolorable and past the root check, so
-    # the whole search runs (88 nodes)
-    inst = odd_wheel(7)
+    # uncolorable and past the root check, so the whole search runs
+    # (43 nodes)
+    inst = seven_anticycle()
     gc.collect()
     gc.disable()
     try:
@@ -426,9 +431,10 @@ def test_solve_leaves_few_reference_cycles():
 
 
 def test_budget_abort_counts_nodes():
-    # every profile element of W_5 with lists {1,2,3} is one node and
-    # none is colorable: the search aborts at the first node past the cap
-    sad = odd_wheel(5)
+    # every profile element of the complement of C_7 with lists {1,2,3}
+    # is one node and none is colorable: the search aborts at the first
+    # node past the cap
+    sad = seven_anticycle()
     verdict = solve(sad, SolveOptions(budget=3))
     assert verdict.status == "aborted"
     assert verdict.stats["nodes"] == 4
@@ -462,6 +468,55 @@ def test_complete_multipartite_solves_within_budget(sizes, lists):
     assert verdict.status == "colorable"
     assert verify_coloring(inst, verdict.coloring)
     assert solve_exact(inst) is not None
+
+
+def cycle_join(a, b):
+    """C_a joined with C_b, full lists: each odd cycle needs three
+    colors and the two share none, so it is uncolorable, while no
+    clique has more than four vertices."""
+    edges = [(v, (v + 1) % a) for v in range(a)]
+    edges += [(a + v, a + (v + 1) % b) for v in range(b)]
+    edges += [(u, v) for u in range(a) for v in range(a, a + b)]
+    return full(a + b, edges)
+
+
+FULL = set(range(1, 6))
+
+
+@pytest.mark.parametrize(
+    "inst, colorable",
+    [
+        (multipartite((3, 3, 3, 3), FULL), True),
+        (multipartite((4, 4, 4), FULL), True),
+        (multipartite((2, 2, 2, 2, 2), FULL), True),
+        (cycle_join(5, 5), False),
+        (cycle_join(7, 5), False),
+    ],
+    ids=["K3333", "K444", "K22222", "C5+C5", "C7+C5"],
+)
+def test_joins_split_within_budget(inst, colorable):
+    # searched whole, these took from 6,409 nodes (K_{4,4,4}) to more
+    # than 200,000 (C_7 joined with C_5); split, each part is decided
+    # on its own color set
+    verdict = solve(inst, SolveOptions(budget=2000))
+    assert verdict.status == ("colorable" if colorable else "not-colorable")
+    assert verdict.stats["split"] > 0
+    if colorable:
+        assert verify_coloring(inst, verdict.coloring)
+
+
+def test_split_is_counted_and_logged(caplog):
+    # K_{4,4,4} with full lists: three stable parts of four vertices.
+    # Parts 0 and 1 each try the five one-color sets, and part 2 then
+    # gets the three colors they leave, once
+    inst = multipartite((4, 4, 4), FULL)
+    with caplog.at_level(logging.INFO, logger="rp3color"):
+        verdict = solve(inst)
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert "split kernel of 12 vertices into 3 co-components" in messages
+    assert verdict.stats["split"] == 11
+    assert verdict.stats["peeled"] == 0
+    assert verdict.stats["nodes"] == 0
 
 
 def list_graph_degree(inst, v, among):
@@ -531,18 +586,19 @@ def test_fully_peeled_input_runs_no_search(caplog):
     assert verdict.status == "colorable"
     assert verify_coloring(inst, verdict.coloring)
     assert verdict.stats == {
-        "elements": 0, "nodes": 0, "leaves": 0, "pruned": 0, "peeled": 13
+        "elements": 0, "nodes": 0, "leaves": 0, "pruned": 0, "peeled": 13, "split": 0
     }
     assert "peeled 13 of 13 vertices" in [rec.getMessage() for rec in caplog.records]
 
 
 def test_peel_leaves_the_search_only_the_kernel(monkeypatch):
-    # W_5 with lists {1,2,3} and a pendant path on its hub: the path
-    # peels, and the candidate stream sees the six wheel vertices only
-    wheel = odd_wheel(5)
-    edges = list(wheel.graph.edges) + [(5, 6), (6, 7)]
-    lists = list(wheel.lists) + [mask_from_colors({1, 4}), mask_from_colors({2, 4})]
-    inst = Instance(Graph(8, edges), 5, tuple(lists))
+    # the complement of C_7 with lists {1,2,3} and a pendant path on
+    # vertex 0: the path peels, and the candidate stream sees the seven
+    # kernel vertices only
+    kernel = seven_anticycle()
+    edges = list(kernel.graph.edges) + [(0, 7), (7, 8)]
+    lists = list(kernel.lists) + [mask_from_colors({1, 4}), mask_from_colors({2, 4})]
+    inst = Instance(Graph(9, edges), 5, tuple(lists))
     sizes = []
     stream = pipeline.candidate_stream
 
@@ -554,5 +610,5 @@ def test_peel_leaves_the_search_only_the_kernel(monkeypatch):
     verdict = solve(inst)
     assert verdict.status == "not-colorable"
     assert verdict.stats["peeled"] == 2
-    assert sizes == [6]
-    assert verdict.stats == solve(wheel).stats | {"peeled": 2}
+    assert sizes == [7]
+    assert verdict.stats == solve(kernel).stats | {"peeled": 2}

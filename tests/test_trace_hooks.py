@@ -31,11 +31,11 @@ def test_tracer_hooks_every_layer():
     }
     tracer.install()
     try:
-        # the octahedron K_{2,2,2} with lists {1,2,3,4}: the peel
-        # leaves it whole, the walk branches on a good triple, then
-        # reduces, runs 2-SAT and lifts the coloring
-        edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]
-        verdict = solve(Instance(Graph(6, edges), 5, (15,) * 6))
+        # the complement of C_7 with lists {1,2,3,4}: the peel leaves
+        # it whole and it does not split, the walk branches on a good
+        # triple, then reduces, runs 2-SAT and lifts the coloring
+        edges = [(u, v) for u in range(7) for v in range(u + 2, 7) if v - u != 6]
+        verdict = solve(Instance(Graph(7, edges), 5, (15,) * 7))
     finally:
         tracer.uninstall()
     assert verdict.status == "colorable"
