@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .graphs import bits, induced_p3_stream, local_adjacency
+from .graphs import InducedP3, bits, local_adjacency
 from .instances import GoodTriple, Instance, is_good_triple, p3_list_type
 from .oracle import colorings
 from .profiles import unit_propagate
@@ -189,14 +189,16 @@ def good_triple_index(k: int) -> Dict[GoodTriple, int]:
 
 
 def _earliest_good(
-    cur: Instance, index: Dict[GoodTriple, int]
-) -> Tuple[Optional[int], Optional[Tuple[int, int, int]]]:
+    cur: Instance, index: Dict[GoodTriple, int], p3s: Tuple[InducedP3, ...]
+) -> Tuple[Optional[int], Optional[InducedP3]]:
     """Smallest triple rank with a matching P3, and the first matching
-    P3 (stream order) for that rank; (None, None) when no good P3
-    exists.  The scan stops at rank 0, which nothing can beat."""
+    P3 of ``p3s`` for that rank; (None, None) when no good P3 exists.
+    ``p3s`` is induced_p3_stream of cur's graph, built once per walk
+    since every node of a walk shares its graph.  The scan stops at
+    rank 0, which nothing can beat."""
     best = pivot = None
     lists = cur.lists
-    for p3 in induced_p3_stream(cur.graph):
+    for p3 in p3s:
         i = index.get((lists[p3[0]], lists[p3[1]], lists[p3[2]]))
         if i is not None and (best is None or i < best):
             best, pivot = i, p3

@@ -89,9 +89,19 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Tuple[Graph, Dict[int, in
 def local_adjacency(g: Graph, keep: Sequence[int]) -> List[int]:
     """Neighbor bitmasks of the subgraph of g induced on ``keep``, by
     position in ``keep``."""
-    pos = {v: i for i, v in enumerate(keep)}
-    inside = sum(1 << v for v in keep)
-    return [sum(1 << pos[w] for w in bits(g.adj_mask[v] & inside)) for v in keep]
+    pos = {1 << v: 1 << i for i, v in enumerate(keep)}  # vertex bit -> position bit
+    inside = sum(pos)
+    adjm = g.adj_mask
+    out = []
+    for v in keep:
+        rest = adjm[v] & inside
+        local = 0
+        while rest:
+            low = rest & -rest
+            local |= pos[low]
+            rest ^= low
+        out.append(local)
+    return out
 
 
 def co_components(g: Graph) -> List[int]:

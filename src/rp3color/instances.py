@@ -36,8 +36,17 @@ def mask_from_colors(colors: Iterable[int]) -> int:
     return out
 
 
+# the colors of every list mask a valid Instance can hold, by mask
+_COLORS: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(c + 1 for c in range(mask.bit_length()) if (mask >> c) & 1)
+    for mask in range(1 << MAX_K)
+)
+
+
 def colors_from_mask(mask: int) -> Tuple[int, ...]:
-    return tuple(c + 1 for c in range(mask.bit_length()) if (mask >> c) & 1)
+    """The colors of the list ``mask``, ascending; ``mask`` must be below
+    2**MAX_K."""
+    return _COLORS[mask]
 
 
 def full_mask(k: int) -> int:

@@ -29,9 +29,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .goodp3 import _earliest_good, good_triple_index, pivot_refinements
 from .graphs import (
+    Graph,
     anticomplete_packing,
     bits,
     co_components,
+    induced_p3_stream,
     induced_subgraph,
     local_adjacency,
 )
@@ -197,7 +199,8 @@ class _BudgetExceeded(Exception):
 class _Budget:
     """Search counters with an optional hard cap on visited nodes, the
     number of vertices peeled before the search and the number of
-    co-component sub-solves."""
+    (co-component, color set) pairs a split decided with no empty cut
+    list."""
 
     __slots__ = ("limit", "elements", "nodes", "leaves", "pruned", "peeled", "split")
 
@@ -251,6 +254,7 @@ def candidate_stream(
         budget = _Budget()
     info = log.isEnabledFor(logging.INFO)
     index = good_triple_index(inst.k)
+    p3s = tuple(induced_p3_stream(inst.graph))
     seen: Set[Tuple[int, ...]] = set()
     seen_final: Set[Tuple[int, ...]] = set()
     stack = [frugal_profile(inst, r)]
@@ -274,7 +278,7 @@ def candidate_stream(
             budget.pruned += 1
             continue
         seen.add(cur.lists)
-        _, pivot = _earliest_good(cur, index)
+        _, pivot = _earliest_good(cur, index, p3s)
         if pivot is not None:
             stack.append(pivot_refinements(cur, pivot))
             continue
@@ -507,20 +511,25 @@ def _split(
     Every vertex of one part is adjacent to every vertex of another, so
     the parts take pairwise disjoint color sets: the kernel is colorable
     exactly when some disjoint sets S_i let each part be colored from
-    its lists cut to S_i.  Deciding one part on one set is a sub-solve:
-    the part's induced instance (still rP3-free) with its lists cut to
-    S goes through the clique Hall check and then _decide one level
-    deeper.  Sub-solves are memoized on (part, S).
+    its lists cut to S_i.  Deciding one part on one set is memoized on
+    (part, S).  A part with no internal edge is colorable from S exactly
+    when every cut list is nonempty, and takes the lowest color of each.
+    Any other part is a sub-solve: its induced instance (still rP3-free,
+    built when first needed) with its lists cut to S goes through the
+    clique Hall check and then _decide one level deeper.
 
     Parts go by size, ties by lowest vertex, so the largest comes last.
-    An earlier part needs only its minimal feasible sets: subsets of its
-    list union are tested in (size, mask) order, skipping supersets of a
-    set found feasible and sets that leave fewer colors than there are
-    other parts.  A depth-first choice of pairwise disjoint sets stops at
-    the first one under which the last part, given every color the
-    others leave, is colorable.  Each sub-solve's colors are a proper
-    subset of the kernel's, so splits nest at most k deep.
+    A depth-first choice of pairwise disjoint sets stops at the first
+    one under which the last part, given every color the others leave,
+    is colorable.  An earlier part, given the colors ``used`` before it,
+    tries the subsets of its list union in (size, mask) order, skipping
+    those that meet ``used``, leave fewer colors than there are parts
+    after it, or hold a set it already found feasible; so it takes
+    exactly its minimal feasible sets disjoint from ``used``, and
+    recurses on each as soon as it is found.  Each sub-solve's colors
+    are a proper subset of the kernel's, so splits nest at most k deep.
     """
+    g = kernel.graph
     lists = kernel.lists
     colors = 0
     for mask in lists:
@@ -528,11 +537,14 @@ def _split(
     parts = sorted(parts, key=lambda q: (q.bit_count(), q & -q))
     log.info(
         "split kernel of %d vertices into %d co-components",
-        kernel.graph.n,
+        g.n,
         len(parts),
     )
     members = [tuple(bits(q)) for q in parts]
-    graphs = [induced_subgraph(kernel.graph, vs)[0] for vs in members]
+    edgeless = [
+        not any(g.adj_mask[v] & q for v in vs) for q, vs in zip(parts, members)
+    ]
+    graphs: Dict[int, Graph] = {}
     memo: Dict[Tuple[int, int], Optional[Coloring]] = {}
 
     def sub(i: int, mask: int) -> Optional[Coloring]:
@@ -541,48 +553,52 @@ def _split(
             phi = None
             if all(cut):
                 budget.split += 1
-                part = Instance(graphs[i], kernel.k, cut)
-                if clique_hall_refutation(part) is None:
-                    phi = _decide(part, r, budget, depth + 1)
+                if edgeless[i]:
+                    phi = tuple((m & -m).bit_length() for m in cut)
+                else:
+                    if i not in graphs:
+                        graphs[i] = induced_subgraph(g, members[i])[0]
+                    part = Instance(graphs[i], kernel.k, cut)
+                    if clique_hall_refutation(part) is None:
+                        phi = _decide(part, r, budget, depth + 1)
             memo[i, mask] = phi
         return memo[i, mask]
 
-    def minimal(i: int) -> List[int]:
-        union = 0
-        for v in members[i]:
-            union |= lists[v]
-        widest = colors.bit_count() - (len(parts) - 1)
-        subsets = [s for s in range(1, union + 1) if not s & ~union]
-        found: List[int] = []
-        for s in sorted(subsets, key=lambda s: (s.bit_count(), s)):
-            if s.bit_count() > widest:
-                break
-            if not any(f & ~s == 0 for f in found) and sub(i, s) is not None:
-                found.append(s)
-        return found
-
+    by_size = sorted(
+        (s for s in range(1, colors + 1) if not s & ~colors),
+        key=lambda s: (s.bit_count(), s),
+    )
     last = len(parts) - 1
-    feasible: Dict[int, List[int]] = {}
+    candidates = []
+    for vs in members[:last]:
+        union = 0
+        for v in vs:
+            union |= lists[v]
+        candidates.append([s for s in by_size if not s & ~union])
 
     def pick(i: int, used: int) -> Optional[List[Coloring]]:
         if i == last:
             phi = sub(i, colors & ~used)
             return None if phi is None else [phi]
-        if i not in feasible:
-            feasible[i] = minimal(i)
-        for s in feasible[i]:
-            left = colors & ~(used | s)
-            if s & used or left.bit_count() < last - i:
+        room = (colors & ~used).bit_count() - (last - i)
+        found: List[int] = []
+        for s in candidates[i]:
+            if s.bit_count() > room:
+                break
+            if s & used or any(not f & ~s for f in found):
                 continue
-            rest = pick(i + 1, used | s)
-            if rest is not None:
-                return [memo[i, s]] + rest
+            phi = sub(i, s)
+            if phi is not None:
+                found.append(s)
+                rest = pick(i + 1, used | s)
+                if rest is not None:
+                    return [phi] + rest
         return None
 
     chosen = pick(0, 0)
     if chosen is None:
         return None
-    out = [0] * kernel.graph.n
+    out = [0] * g.n
     for vs, phi in zip(members, chosen):
         for v, c in zip(vs, phi):
             out[v] = c
@@ -604,7 +620,8 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
     every stream was exhausted; exceeding opts.budget visited nodes,
     counted over all sub-solves, aborts instead.  stats holds the search
     counters, "peeled", the number of vertices peeled at the root, and
-    "split", the number of co-component sub-solves.
+    "split", the number of (co-component, color set) pairs decided with
+    no empty cut list, inline or by a sub-solve.
     """
     if opts is None:
         opts = SolveOptions()

@@ -139,7 +139,8 @@ def eliminate_good_p3(inst: Instance, r: int) -> Iterator[Instance]:
 
 
 def _good_leaves(cur: Instance) -> Iterator[Instance]:
-    best, pivot = _earliest_good(cur, good_triple_index(cur.k))
+    p3s = tuple(induced_p3_stream(cur.graph))
+    best, pivot = _earliest_good(cur, good_triple_index(cur.k), p3s)
     if best is None:
         yield cur
         return

@@ -450,7 +450,26 @@ def test_split_nests_at_most_k_deep(monkeypatch):
         check(random_join(rng, rng.randint(2, 4)))
     for parts in ((3, 3, 3, 3), (2, 2, 2, 2, 2), (4, 4, 4), (1, 1, 2, 2, 3)):
         check(multipartite(parts, (1, 2, 3, 4, 5)))
+    # the parts above are edgeless or peel away, so none of them nests;
+    # this one splits into {1} and a part that splits again
+    check(nesting_join())
     assert depths[2] > 0 and max(depths) <= 5
+
+
+def nesting_join():
+    """A colorable 2P3-free graph on seven vertices, none of which
+    peels, with co-components {1} and {0, 2, 3, 4, 5, 6}.  The larger
+    part, cut to the colors vertex 1 leaves, peels one vertex and its
+    kernel splits into three co-components."""
+    edges = [
+        (0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4),
+        (1, 5), (1, 6), (2, 5), (2, 6), (3, 4), (4, 5), (4, 6), (5, 6),
+    ]
+    lists = [
+        (1, 3, 4, 5), (1, 3, 4, 5), (1, 2, 3), (3, 4, 5), (1, 2, 3), (2, 3, 4),
+        (3, 4, 5),
+    ]
+    return R.make(7, edges, lists)
 
 
 @long_only

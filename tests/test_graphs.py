@@ -14,7 +14,7 @@ from rp3color import (
     induced_subgraph,
 )
 
-from rp3color.graphs import co_components
+from rp3color.graphs import co_components, local_adjacency
 
 from instance_reference import is_clique, is_stable_set
 
@@ -117,6 +117,22 @@ def test_co_components_split_a_join(g):
                     reached.add(w)
                     todo.append(w)
         assert len(reached) == len(members)
+
+
+def test_local_adjacency_matches_dict_reference():
+    # keep in drawn order: positions follow keep, not vertex ids
+    rng = random.Random(4242)
+    unsorted = 0
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        g = Graph(n, edges)
+        keep = rng.sample(range(n), rng.randint(0, n))
+        unsorted += keep != sorted(keep)
+        pos = {v: i for i, v in enumerate(keep)}
+        expected = [sum(1 << pos[w] for w in keep if g.has_edge(v, w)) for v in keep]
+        assert local_adjacency(g, keep) == expected
+    assert unsorted >= 150
 
 
 def test_stable_and_clique():

@@ -8,6 +8,7 @@ from rp3color import (
     Instance,
     ParseError,
     coloring_defect,
+    colors_from_mask,
     full_mask,
     mask_from_colors,
     parse_instance,
@@ -15,6 +16,7 @@ from rp3color import (
     solve_exact,
     solve_exact_frugal,
 )
+from rp3color.instances import MAX_K
 from rp3color.profiles import frugal_profile
 
 from instance_reference import (
@@ -118,6 +120,12 @@ def test_parse_fixture():
     assert inst.list_of(0) == (1, 2, 3, 4, 5)
     assert inst.list_of(1) == (1, 3)
     assert inst.list_of(2) == ()
+
+
+def test_colors_from_mask_covers_every_list():
+    for mask in range(1 << MAX_K):
+        expected = tuple(c for c in range(1, MAX_K + 1) if mask >> (c - 1) & 1)
+        assert colors_from_mask(mask) == expected
 
 
 def test_roundtrip():

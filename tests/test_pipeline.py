@@ -30,6 +30,8 @@ from goodp3_reference import eager_pivot_refinements, find_type_p3
 from instance_reference import find_good_p3, verify_coloring
 from profile_reference import propagated
 from reducer_reference import eliminate_singletons
+from split_reference import eager_split
+from test_differential import random_join, to_instance
 
 
 def mk(n, edges, lists, k=5):
@@ -395,12 +397,12 @@ def test_walk_nodes_are_propagated(monkeypatch):
     detect = pipeline._earliest_good
     checked = 0
 
-    def checking(cur, index):
+    def checking(cur, index, p3s):
         nonlocal checked
         assert 0 not in cur.lists
         assert propagated(cur) == cur
         checked += 1
-        return detect(cur, index)
+        return detect(cur, index, p3s)
 
     monkeypatch.setattr(pipeline, "_earliest_good", checking)
     insts = [multipartite((2, 2, 2), {1, 2, 3})]
@@ -414,6 +416,27 @@ def test_walk_nodes_are_propagated(monkeypatch):
         for _ in candidate_stream(inst, 2):
             pass
     assert checked >= 5000
+
+
+def test_walk_enumerates_p3s_once(monkeypatch):
+    # every node of one walk shares the input's graph, so its induced
+    # P3s are listed once per candidate_stream call, not once per node
+    calls = 0
+    stream = pipeline.induced_p3_stream
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return stream(g)
+
+    monkeypatch.setattr(pipeline, "induced_p3_stream", counting)
+    inst = multipartite((2, 2, 2), {1, 2, 3})
+    for repeat in (1, 2):
+        budget = _Budget()
+        for _ in candidate_stream(inst, 2, budget):
+            pass
+        assert calls == repeat
+        assert budget.nodes > 1
 
 
 def test_solve_leaves_few_reference_cycles():
@@ -483,16 +506,17 @@ def cycle_join(a, b):
 FULL = set(range(1, 6))
 
 
+JOINS = [
+    (multipartite((3, 3, 3, 3), FULL), True),
+    (multipartite((4, 4, 4), FULL), True),
+    (multipartite((2, 2, 2, 2, 2), FULL), True),
+    (cycle_join(5, 5), False),
+    (cycle_join(7, 5), False),
+]
+
+
 @pytest.mark.parametrize(
-    "inst, colorable",
-    [
-        (multipartite((3, 3, 3, 3), FULL), True),
-        (multipartite((4, 4, 4), FULL), True),
-        (multipartite((2, 2, 2, 2, 2), FULL), True),
-        (cycle_join(5, 5), False),
-        (cycle_join(7, 5), False),
-    ],
-    ids=["K3333", "K444", "K22222", "C5+C5", "C7+C5"],
+    "inst, colorable", JOINS, ids=["K3333", "K444", "K22222", "C5+C5", "C7+C5"]
 )
 def test_joins_split_within_budget(inst, colorable):
     # searched whole, these took from 6,409 nodes (K_{4,4,4}) to more
@@ -507,16 +531,34 @@ def test_joins_split_within_budget(inst, colorable):
 
 def test_split_is_counted_and_logged(caplog):
     # K_{4,4,4} with full lists: three stable parts of four vertices.
-    # Parts 0 and 1 each try the five one-color sets, and part 2 then
-    # gets the three colors they leave, once
+    # Part 0 takes {1}, part 1 takes {2}, and part 2 gets {3,4,5}
     inst = multipartite((4, 4, 4), FULL)
     with caplog.at_level(logging.INFO, logger="rp3color"):
         verdict = solve(inst)
     messages = [rec.getMessage() for rec in caplog.records]
     assert "split kernel of 12 vertices into 3 co-components" in messages
-    assert verdict.stats["split"] == 11
+    assert verdict.stats["split"] == 3
     assert verdict.stats["peeled"] == 0
     assert verdict.stats["nodes"] == 0
+
+
+def test_split_choice_matches_eager_reference(monkeypatch):
+    # the on-demand split must choose the sets the eager enumeration of
+    # every part's minimal feasible sets chose, so every coloring stays;
+    # the draws are those of test_differential::test_random_joins
+    rng = random.Random(1007)
+    insts = [to_instance(random_join(rng, rng.randint(2, 3))) for _ in range(300)]
+    insts += [inst for inst, _ in JOINS]
+    insts.append(multipartite((1, 1, 2, 2, 3), FULL))
+    fast = [solve(inst) for inst in insts]
+    monkeypatch.setattr(pipeline, "_split", eager_split)
+    split = 0
+    for inst, verdict in zip(insts, fast):
+        eager = solve(inst)
+        assert (verdict.status, verdict.coloring) == (eager.status, eager.coloring)
+        assert verdict.stats["split"] <= eager.stats["split"]
+        split += verdict.stats["split"] > 0
+    assert split >= 100
 
 
 def list_graph_degree(inst, v, among):
