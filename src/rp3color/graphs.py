@@ -139,18 +139,29 @@ def _p3_middles(g: Graph) -> int:
     """Mask of the vertices whose neighborhood is not a clique.
 
     Any subset of a clique is a clique, so no other vertex is the middle
-    of an induced P3 in any induced subgraph of g.
+    of an induced P3 in any induced subgraph of g.  When every neighbor
+    of a vertex shares its closed neighborhood, that set is a clique
+    component, none of whose members is a middle: it is settled at its
+    lowest member, and the others are not tested.
     """
     adjm = g.adj_mask
-    out = 0
+    out = settled = 0
     for v in range(g.n):
+        if settled and settled >> v & 1:
+            continue
         nbrs = rest = adjm[v]
+        closed = nbrs | 1 << v
         while rest:
             low = rest & -rest
             rest ^= low
-            if (adjm[low.bit_length() - 1] | low) & nbrs != nbrs:
-                out |= 1 << v
-                break
+            near = adjm[low.bit_length() - 1] | low
+            if near != closed:
+                if near & nbrs != nbrs:
+                    out |= 1 << v
+                    break
+                closed = 0  # not a clique component
+        else:
+            settled |= closed
     return out
 
 
@@ -233,9 +244,12 @@ def anticomplete_packing(
     if t == 3:
         mids = first = _p3_middles(g)
         if r >= 2:
-            for x in bits(mids):
-                if not mids & ~(adjm[x] | 1 << x):
-                    first &= ~(1 << x)
+            rest = mids
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not mids & ~(adjm[low.bit_length() - 1] | low):
+                    first ^= low
 
     # depth-first over the paths, one stream per packed path: streams[i]
     # yields the paths anticomplete to chosen[:i], inside alive[i]

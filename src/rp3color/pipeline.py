@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .goodp3 import _earliest_good, good_triple_index, pivot_refinements
 from .graphs import (
@@ -108,25 +108,25 @@ def _free(adjm, out, v: int, mask: int, inside: int) -> int:
     return mask & ~(taken >> 1)
 
 
-def _color_each(
-    adjm: Tuple[int, ...], out: List[int], saved: Iterable[Tuple[int, int]]
-) -> None:
-    """Give each vertex v of the (v, list) pairs ``saved``, in order,
-    the smallest color of its list that no graph neighbor holds in
-    ``out``; an uncolored neighbor holds 0 and blocks nothing.  Bit c of
+def _color_each(adjm, out, vertices: Iterable[int], lists, colored: int) -> None:
+    """Give each of ``vertices``, in order, the smallest color of
+    lists[v] that no graph neighbor in the bitmask ``colored`` holds in
+    ``out``, and add it to ``colored``; with -1 every neighbor is
+    walked, and an uncolored one holds 0 and blocks nothing.  Bit c of
     ``taken`` stands for color c, one above its list bit.  A vertex with
     no free color is an internal bug and raises RuntimeError."""
-    for v, mask in saved:
+    for v in vertices:
         taken = 0
-        rest = adjm[v]
+        rest = adjm[v] & colored
         while rest:
             low = rest & -rest
             taken |= 1 << out[low.bit_length() - 1]
             rest ^= low
-        free = mask & ~(taken >> 1)
+        free = lists[v] & ~(taken >> 1)
         if not free:
             raise RuntimeError(f"no free color when restoring vertex {v}")
         out[v] = (free & -free).bit_length()
+        colored |= 1 << v
 
 
 def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
@@ -157,7 +157,7 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
     for step in reversed(trace):
         saved = step.lists
         if len(saved) == 1:
-            _color_each(adjm, out, saved.items())
+            _color_each(adjm, out, saved, saved, -1)
         elif saved:
             vertices = tuple(saved)
             inside = sum(1 << v for v in vertices)
@@ -318,32 +318,41 @@ def peel_order(inst: Instance) -> List[int]:
     then sees fewer colored list-graph neighbors than it has colors, so
     a free color is left for it (degree choosability, Erdős–Rubin–
     Taylor).  A vertex with an empty list is never removed.  One pass
-    over the edges builds the list-graph bitmasks; each vertex enters
-    the stack once, when its count first drops below its list size.
+    over the edges counts the list-graph neighbors; no list-graph
+    bitmask is built.  Each vertex enters the stack once, when its count
+    first drops below its list size, and no count is read after that,
+    so a removal walks only the graph neighbors still ``waiting`` to
+    enter it and skips those already on the stack or removed.
     """
     lists = inst.lists
-    gl = [0] * len(lists)
+    adj = inst.graph.adj_mask
+    size = list(map(int.bit_count, lists))
+    deg = [0] * len(lists)
     for u, v in inst.graph.edges:
         if lists[u] & lists[v]:
-            gl[u] |= 1 << v
-            gl[v] |= 1 << u
-    size = list(map(int.bit_count, lists))
-    deg = list(map(int.bit_count, gl))
-    stack = [v for v, d in enumerate(deg) if d < size[v]]
-    alive = (1 << len(lists)) - 1
+            deg[u] += 1
+            deg[v] += 1
+    stack = []
+    waiting = 0
+    for v, d in enumerate(deg):
+        if d < size[v]:
+            stack.append(v)
+        else:
+            waiting |= 1 << v
     order = []
     while stack:
         v = stack.pop()
         order.append(v)
-        alive ^= 1 << v
-        rest = gl[v] & alive
+        rest = adj[v] & waiting
         while rest:
             low = rest & -rest
             rest ^= low
             w = low.bit_length() - 1
-            deg[w] -= 1
-            if deg[w] == size[w] - 1:
-                stack.append(w)
+            if lists[w] & lists[v]:
+                deg[w] -= 1
+                if deg[w] < size[w]:
+                    stack.append(w)
+                    waiting ^= low
     return order
 
 
@@ -468,23 +477,25 @@ def _decide(
     and so still rP3-free.  A kernel with two or more co-components is
     split (_split); any other nonempty kernel is searched through its
     candidate stream, identity element first.  The kernel's coloring is
-    extended to the peeled vertices in reverse peel order.  ``depth``
-    counts the splits above this call; the root call (depth 0) records
-    and logs the number of vertices peeled.
+    extended to the peeled vertices in reverse peel order; a vertex then
+    walks only its neighbors in the kernel or peeled after it, since no
+    other holds a color yet.  When every vertex peeled, no kernel is
+    built.  ``depth`` counts the splits above this call; the root call
+    (depth 0) records and logs the number of vertices peeled.
     """
     g = inst.graph
     order = peel_order(inst)
     if not depth:
         budget.peeled = len(order)
         log.info("peeled %d of %d vertices", len(order), g.n)
-    keep = range(g.n)
-    if order:
-        peeled = set(order)
-        keep = [v for v in keep if v not in peeled]
+    keep: Sequence[int] = ()
     phi: Optional[Coloring] = ()
-    if keep:
+    if len(order) < g.n:
+        keep = range(g.n)
         kernel = inst
         if order:
+            peeled = set(order)
+            keep = [v for v in keep if v not in peeled]
             graph, _ = induced_subgraph(g, keep)
             kernel = Instance(graph, inst.k, tuple(inst.lists[v] for v in keep))
         parts = co_components(kernel.graph)
@@ -495,10 +506,11 @@ def _decide(
     if phi is None or not order:
         return phi
     out = [0] * g.n
+    colored = 0
     for v, c in zip(keep, phi):
         out[v] = c
-    lists = inst.lists
-    _color_each(g.adj_mask, out, ((v, lists[v]) for v in reversed(order)))
+        colored |= 1 << v
+    _color_each(g.adj_mask, out, reversed(order), inst.lists, colored)
     return tuple(out)
 
 

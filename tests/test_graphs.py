@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from rp3color import (
     induced_subgraph,
 )
 
-from rp3color.graphs import co_components, local_adjacency
+from rp3color.graphs import _p3_middles, co_components, local_adjacency
 
 from instance_reference import is_clique, is_stable_set
 
@@ -310,6 +311,91 @@ def test_packing_agrees_with_reference_2p3():
         free += got is None
     # both answers are common: 352 draws are 2P3-free
     assert 150 <= free <= 450
+
+
+def p3_middles_brute(g):
+    """The definition: v is a middle when two of its neighbors are not
+    adjacent."""
+    out = 0
+    for v in range(g.n):
+        nbrs = [w for w in range(g.n) if g.has_edge(v, w)]
+        if any(not g.has_edge(a, b) for a, b in itertools.combinations(nbrs, 2)):
+            out |= 1 << v
+    return out
+
+
+def packing_dfs(g, r, t):
+    """The first of r pairwise anticomplete induced t-vertex paths in
+    depth-first order over the paths in ascending lexicographic order,
+    the enumeration order of anticomplete_packing for t != 3."""
+    paths = induced_paths_brute(g, t)
+
+    def search(alive, need):
+        if need == 0:
+            return []
+        for p in paths:
+            if all(alive >> v & 1 for v in p):
+                closed = 0
+                for v in p:
+                    closed |= (1 << v) | g.adj_mask[v]
+                rest = search(alive & ~closed, need - 1)
+                if rest is not None:
+                    return [p] + rest
+        return None
+
+    found = search((1 << g.n) - 1, r)
+    return tuple(found) if found is not None else None
+
+
+def middle_scan_graphs():
+    """Graphs for the middle scan: the empty graph, isolated vertices,
+    K_2 components, K_4 with a pendant vertex (its simplicial vertices'
+    neighbors are not all twins), seeded disjoint unions of cliques,
+    some with a pendant vertex or an edge between two cliques, all
+    relabelled, and seeded random graphs."""
+    yield Graph(0, [])
+    yield Graph(4, [])
+    yield Graph(6, [(0, 1), (2, 3), (4, 5)])
+    yield Graph(5, list(itertools.combinations(range(4), 2)) + [(3, 4)])
+    rng = random.Random(1934)
+    for _ in range(300):
+        n, edges, groups = 0, [], []
+        for _ in range(rng.randint(1, 5)):
+            size = rng.randint(1, 4)
+            edges += itertools.combinations(range(n, n + size), 2)
+            groups.append(range(n, n + size))
+            n += size
+        roll = rng.random()
+        if roll < 0.3:
+            edges.append((rng.randrange(n), n))
+            n += 1
+        elif roll < 0.5 and len(groups) > 1:
+            a, b = rng.sample(groups, 2)
+            edges.append((rng.choice(a), rng.choice(b)))
+        perm = rng.sample(range(n), n)
+        yield Graph(n, [(perm[u], perm[v]) for u, v in edges])
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        p = rng.choice([0.15, 0.3, 0.5, 0.7])
+        yield Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def test_p3_middles_match_the_definition():
+    ref = load_reference()
+    kinds = Counter()
+    for g in middle_scan_graphs():
+        mids = _p3_middles(g)
+        assert mids == p3_middles_brute(g)
+        kinds[mids == 0] += 1
+        if g.n > 10:
+            continue
+        for r in (1, 2, 3):
+            assert anticomplete_packing(g, r, 3) == packing_unfiltered(g, r)
+            assert anticomplete_packing(g, r, 4) == packing_dfs(g, r, 4)
+        has = ref.has_2p3(ref.make(g.n, g.edges, [()] * g.n))
+        assert (anticomplete_packing(g, 2, 3) is not None) == has
+    # both clique forests with no middle and graphs with middles
+    assert kinds[True] >= 100 and kinds[False] >= 200
 
 
 def test_packing_skips_a_first_middle_with_no_partner():

@@ -23,11 +23,13 @@ from rp3color import (
 from rp3color.goodp3 import good_triples
 from rp3color.oracle import exact_colorings, frugal_colorings
 from rp3color import pipeline
+from rp3color.cli import random_instance
 from rp3color.pipeline import _Budget
 from rp3color.profiles import frugal_profile, unit_propagate
 
 from goodp3_reference import eager_pivot_refinements, find_type_p3
 from instance_reference import find_good_p3, verify_coloring
+from peel_reference import edge_loop_peel_order
 from profile_reference import propagated
 from reducer_reference import eliminate_singletons
 from split_reference import eager_split
@@ -570,15 +572,22 @@ def list_graph_degree(inst, v, among):
     )
 
 
-def test_peel_order_is_valid_and_leaves_a_kernel():
+def peel_draws():
+    """300 seeded random graphs on up to 12 vertices, edge density 0.1
+    to 0.8, lists of 0 to 5 colors."""
     rng = random.Random(3141)
-    peeled_some = whole = 0
     for _ in range(300):
         n = rng.randint(0, 12)
         p = rng.uniform(0.1, 0.8)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
         lists = [set(rng.sample(range(1, 6), rng.randint(0, 5))) for _ in range(n)]
-        inst = mk(n, edges, lists)
+        yield mk(n, edges, lists)
+
+
+def test_peel_order_is_valid_and_leaves_a_kernel():
+    peeled_some = whole = 0
+    for inst in peel_draws():
+        n = inst.graph.n
         order = pipeline.peel_order(inst)
         assert len(set(order)) == len(order)
         later = set(range(n))
@@ -592,6 +601,53 @@ def test_peel_order_is_valid_and_leaves_a_kernel():
         peeled_some += 0 < len(order) < n
         whole += not order and n > 0
     assert peeled_some >= 100 and whole >= 10
+
+
+def hang_paths(rng, inst, pieces):
+    """``inst`` beside the instances ``pieces``, with one to four pendant
+    paths of one to four vertices, lists of one to three colors, hung
+    off vertices of the pieces."""
+    n = inst.graph.n
+    edges = list(inst.graph.edges)
+    lists = list(inst.lists)
+    hosts = []
+    for piece in pieces:
+        edges += [(u + n, v + n) for u, v in piece.graph.edges]
+        lists += piece.lists
+        hosts += range(n, n + piece.graph.n)
+        n += piece.graph.n
+    for _ in range(rng.randint(1, 4)):
+        end = rng.choice(hosts)
+        for _ in range(rng.randint(1, 4)):
+            edges.append((end, n))
+            lists.append(mask_from_colors(rng.sample(range(1, 6), rng.randint(1, 3))))
+            end = n
+            n += 1
+    return Instance(Graph(n, edges), 5, tuple(lists))
+
+
+def test_peel_order_matches_edge_loop_reference():
+    # the clique forests of cli.random_instance peel away whole; W_5 and
+    # the complement of C_7 with lists {1,2,3} stay in the kernel, and
+    # the paths hung off them peel from their far ends
+    insts = list(peel_draws())
+    rng = random.Random(2718)
+    wheel = [(v, (v + 1) % 5) for v in range(5)] + [(v, 5) for v in range(5)]
+    pieces = [mk(6, wheel, [{1, 2, 3}] * 6), seven_anticycle()]
+    for n in (100, 250, 500, 1000, 2000):
+        for _ in range(2):
+            inst = random_instance(rng, n)
+            insts += [inst, hang_paths(rng, inst, pieces)]
+    # empty and one-color lists; an empty list meets no other list
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        lists = [set(rng.sample(range(1, 6), rng.choice((0, 1, 1, 2)))) for _ in range(n)]
+        insts.append(mk(n, edges, lists))
+    for inst in insts:
+        order = pipeline.peel_order(inst)
+        assert order == edge_loop_peel_order(inst)
+        assert all(inst.lists[v] for v in order)
 
 
 def chain():
