@@ -73,9 +73,6 @@ class Instance:
             if mask & ~full:
                 raise InstanceError(f"list of vertex {v} exceeds 1..{self.k}")
 
-    def list_of(self, v: int) -> Tuple[int, ...]:
-        return colors_from_mask(self.lists[v])
-
     def __repr__(self) -> str:
         return f"Instance(n={self.graph.n}, k={self.k})"
 

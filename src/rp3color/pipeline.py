@@ -48,7 +48,7 @@ from .oracle import colorings
 from .profiles import frugal_profile
 from .reducer import reduce_to_binary
 from .twosat import binary_list_color
-from .working import ReductionTrace
+from .working import LiftStep, ReductionTrace
 
 log = logging.getLogger("rp3color")
 
@@ -129,6 +129,11 @@ def _color_each(adjm, out, vertices: Iterable[int], lists, colored: int) -> None
         colored |= 1 << v
 
 
+def _name(step: LiftStep) -> str:
+    """``step 11`` for a reduction round, ``singleton removal`` otherwise."""
+    return f"step {step.info['step']}" if "step" in step.info else "singleton removal"
+
+
 def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
     """Pull a coloring of the trace's output back to its input.
 
@@ -173,7 +178,7 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
             c = out[v]
             if not (c >= 1 and (mask >> (c - 1)) & 1):
                 raise RuntimeError(
-                    f"lift failed after {step.kind}: vertex {v} colored {c} "
+                    f"lift failed after {_name(step)}: vertex {v} colored {c} "
                     "outside its list"
                 )
             rest = g.adj_mask[v]
@@ -181,7 +186,7 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
                 w = (rest & -rest).bit_length() - 1
                 if out[w] == c:
                     raise RuntimeError(
-                        f"lift failed after {step.kind}: edge ({v}, {w}) is "
+                        f"lift failed after {_name(step)}: edge ({v}, {w}) is "
                         f"monochromatic in color {c}"
                     )
                 rest &= rest - 1

@@ -102,7 +102,7 @@ def _round(ws: WorkingInstance, u0: int) -> None:
     # step 3: a vertex with five list-graph neighbors forces failure
     witness = ws.first_wide()
     if witness is not None:
-        ws.record("spanning", {"step": 3, "witness": witness})
+        ws.record({"step": 3})
         ws.clear_lists()
         return
 
@@ -111,11 +111,7 @@ def _round(ws: WorkingInstance, u0: int) -> None:
     witness = ws.first_low()
     if witness is not None:
         ws.kill(witness)
-        ws.record(
-            "step4-removal",
-            {"step": 4, "vertex": witness},
-            {witness: lists[witness]},
-        )
+        ws.record({"step": 4}, {witness: lists[witness]})
         return
 
     # step 5: a vertex whose list-graph 2-ball has at most one boundary
@@ -135,7 +131,7 @@ def _round(ws: WorkingInstance, u0: int) -> None:
     # step 6 / 7: two attachments on one side strip {4,5} from that side
     for step, outer, side in ((6, a_outer, a_side), (7, b_outer, b_side)):
         if len(outer) >= 2:
-            ws.record("spanning", {"step": step, "center": u0})
+            ws.record({"step": step})
             for v in side:
                 ws.set_list(v, lists[v] & ~(four | five))
             return
@@ -145,23 +141,18 @@ def _round(ws: WorkingInstance, u0: int) -> None:
         (8, a_side, a_outer, four),
         (9, b_side, b_outer, five),
     ):
-        pair = next(
-            (
-                (v1, v2)
-                for v1, v2 in combinations(side, 2)
-                if lists[v1] == lists[v2] and lists[v1].bit_count() == 2
-            ),
-            None,
-        )
-        if pair is not None:
-            ws.record("spanning", {"step": step, "center": u0, "twins": pair})
+        if any(
+            lists[v1] == lists[v2] and lists[v1].bit_count() == 2
+            for v1, v2 in combinations(side, 2)
+        ):
+            ws.record({"step": step})
             for w in outer:
                 ws.set_list(w, lists[w] & ~bit)
             return
 
     # step 10: four or more ring vertices pin both outer attachments
     if len(ring) >= 4:
-        ws.record("spanning", {"step": 10, "center": u0})
+        ws.record({"step": 10})
         for w in a_outer:
             ws.set_list(w, lists[w] & ~four)
         for w in b_outer:
@@ -194,22 +185,14 @@ def _step5(ws: WorkingInstance, u: int) -> None:
 
     if not realized:
         # step 5b: the ball itself cannot be frugally colored
-        info = {"step": 5, "witness": u, "outcome": "5b"}
-        ws.record("spanning", info)
+        ws.record({"step": 5})
         ws.clear_lists()
         return
 
     # step 5c: delete the closed one-ball, restrict the boundary list to
     # the colors the local enumeration realized there; the lift recolors
     # the one-ball around the boundary's color
-    info = {
-        "step": 5,
-        "vertex": u,
-        "ball": ball,
-        "boundary": boundary,
-        "outcome": "5c",
-    }
-    ws.record("step5c-removal", info, {v: lists[v] for v in bits(removed)})
+    ws.record({"step": 5}, {v: lists[v] for v in bits(removed)})
     if boundary:
         ws.set_list(boundary[0], realized)
     for v in bits(removed):
@@ -243,18 +226,7 @@ def _step11(ws, roles, u0, ring, a_side, b_side, a_outer, b_outer) -> None:
         raise InstanceError(f"ring {ring} minus anchors is {third}")
     c = third[0]
 
-    info = {
-        "step": 11,
-        "center": u0,
-        "a": a,
-        "b": b,
-        "c": c,
-        "a_outer": a_outer[0],
-        "b_outer": b_outer[0],
-        "i": i,
-        "j": j,
-    }
-    ws.record("step11-contraction", info, {v: lists[v] for v in (u0, a, b, c)})
+    ws.record({"step": 11}, {v: lists[v] for v in (u0, a, b, c)})
     ws.kill(c)
     ws.set_list(u0, (1 << (i - 1)) | (1 << (j - 1)))
     ws.set_list(a, (1 << (i - 1)) | (1 << (roles[3] - 1)))

@@ -4,11 +4,11 @@ reduction rounds, and the undo records they leave.
 A WorkingInstance runs over the vertex ids of its input Instance: the
 input graph is shared and never rebuilt, dead vertices are masked out
 and lists shrink in place.  Every step appends a LiftStep that holds
-only local undo data: the lists that the vertices it removes or changes
-had before it.  finish() builds the one output Instance and closes the
-trace.  The state also keeps list-graph adjacency, degrees and the
-lowest-id witnesses the reduction rounds ask for, each revalidated
-lazily on lookup.
+its step number and only local undo data: the lists that the vertices
+it removes or recolors had before it.  finish() builds the one output
+Instance and closes the trace.  The state also keeps list-graph
+adjacency, degrees and the lowest-id witnesses the reduction rounds ask
+for, each revalidated lazily on lookup.
 """
 
 from __future__ import annotations
@@ -20,28 +20,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .graphs import bits, induced_subgraph
 from .instances import Instance
 
-# LiftStep kinds, by provenance, and the vertices their ``lists`` hold:
-#   singleton-removal   forced vertex deleted, color pushed to neighbors
-#   spanning            same vertex set, lists shrank; none
-#   step4-removal       low-degree vertex deleted
-#   step5c-removal      closed one-ball deleted after local enumeration
-#   step11-contraction  neighborhood collapsed to a three-vertex core;
-#                       the center and its three ring vertices
-
 
 @dataclass(frozen=True)
 class LiftStep:
     """One reduction or singleton step as a local undo record.
 
-    Vertex ids in ``info`` and ``lists`` are those of the trace's input.
-    ``lists`` maps each vertex the lift (re)colors to its list before
-    the step.  ``info`` describes the step for tests and logs; no lift
-    reads it.  Only the last record of a trace has ``closing``: the
-    trace's input Instance and the input id of every vertex of the
-    trace's output, in output order.
+    ``lists`` maps each vertex the lift (re)colors, by its id in the
+    trace's input, to its list before the step; a round that only
+    shrinks lists saves none.  ``info`` is ``{"step": n}`` for a round
+    that fired step n (3 to 11) and ``{}`` for a singleton removal; only
+    logs and counters read it, among them the benchmark's round counter,
+    which tests ``"step" in info`` and so needs a dict.  Only the last
+    record of a trace has ``closing``: the trace's input Instance and
+    the input id of every vertex of the trace's output, in output order.
     """
 
-    kind: str
     info: dict = field(default_factory=dict)
     lists: Dict[int, int] = field(default_factory=dict)
     closing: Optional[Tuple[Instance, Tuple[int, ...]]] = None
@@ -105,10 +98,8 @@ class WorkingInstance:
 
     # -- changes -------------------------------------------------------
 
-    def record(
-        self, kind: str, info: dict, lists: Optional[Dict[int, int]] = None
-    ) -> None:
-        self.trace.append(LiftStep(kind, info, lists or {}))
+    def record(self, info: dict, lists: Optional[Dict[int, int]] = None) -> None:
+        self.trace.append(LiftStep(info, lists or {}))
 
     def set_list(self, v: int, mask: int) -> None:
         """Shrink the list of alive vertex v to ``mask``."""
@@ -228,8 +219,7 @@ class WorkingInstance:
                 return
             bit = lists[v]
             neighbors = [w for w in bits(adjm[v]) if alive[w]]
-            info = {"vertex": v, "color": bit.bit_length()}
-            self.record("singleton-removal", info, {v: bit})
+            self.record({}, {v: bit})
             self.kill(v)
             for w in neighbors:
                 if lists[w] & bit:

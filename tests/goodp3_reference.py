@@ -22,6 +22,7 @@ from rp3color.instances import (
     Coloring,
     GoodTriple,
     Instance,
+    colors_from_mask,
     is_good_triple,
     p3_list_type,
 )
@@ -197,6 +198,6 @@ def pivot_frugal_colorings(
         if all(
             sum(1 for w in patch if inst.graph.has_edge(p, w) and color[w] == c) <= 1
             for p in pivot
-            for c in inst.list_of(p)
+            for c in colors_from_mask(inst.lists[p])
         ):
             yield psi

@@ -7,10 +7,16 @@ with plain set operations, so they share no code with the reducer's
 own context computation that they check.  eliminate_singletons gives
 the singleton-free instance that tests of the reduction rounds start
 from.
+
+An undo record holds only its step number and the lists it saved.
+record_kind, record_vertex, outcome, step5_ball and step11_roles read
+back from those, and from the instance the round ran on, what tests ask
+of a record: its provenance, the vertex it deletes, the step-5 outcome,
+ball and boundary, and the step-11 roles.
 """
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from rp3color.graphs import Graph
 from rp3color.instances import (
@@ -18,7 +24,7 @@ from rp3color.instances import (
     InstanceError,
     colors_from_mask,
 )
-from rp3color.working import ReductionTrace, WorkingInstance
+from rp3color.working import LiftStep, ReductionTrace, WorkingInstance
 
 from instance_reference import find_good_p3, is_clique, list_graph
 
@@ -179,3 +185,95 @@ def center_context_report(inst: Instance, u0: int):
     except InstanceError as exc:
         return "skipped", str(exc)
     return "checked", check_center_context(ctx, inst)
+
+
+# the step numbers of records that only shrink lists and save none
+SPANNING = {3, 6, 7, 8, 9, 10}
+SAVES = {4: 1, 11: 4}  # saved lists of a step-4 or step-11 record
+
+
+def record_kind(step: LiftStep) -> str:
+    """The provenance of an undo record, read off its step number and
+    whether it saved lists: 'singleton-removal', 'spanning' (steps 3,
+    5b and 6-10), 'step4-removal', 'step5c-removal' or
+    'step11-contraction'.  Raises AssertionError on a record whose saved
+    lists do not fit its step."""
+    n = step.info.get("step")
+    saved = len(step.lists)
+    if n is None:
+        assert step.info == {} and saved == 1, step
+        return "singleton-removal"
+    assert n in SPANNING | {4, 5, 11}, step
+    if n in SPANNING or (n == 5 and not saved):
+        assert not saved, step
+        return "spanning"
+    assert saved and saved == SAVES.get(n, saved), step
+    return {4: "step4-removal", 5: "step5c-removal", 11: "step11-contraction"}[n]
+
+
+def record_vertex(step: LiftStep) -> int:
+    """The vertex a singleton or step-4 record deletes: the one vertex
+    whose list it saved."""
+    (v,) = step.lists
+    return v
+
+
+def outcome(step: LiftStep):
+    """'5b' for a step-5 record that saved no lists (the ball has no
+    frugal coloring), '5c' for one that did, None for any other step."""
+    if step.info.get("step") != 5:
+        return None
+    return "5c" if step.lists else "5b"
+
+
+def _closed(gl: Graph, v: int) -> Set[int]:
+    return _neighbors(gl, v) | {v}
+
+
+def step5_ball(inst: Instance, step: LiftStep) -> Tuple[Tuple[int, ...], ...]:
+    """(ball, boundary) of a step-5c record on ``inst``, the instance
+    its round ran on.  The record saved the closed list-graph one-ball
+    of its vertex; the ball is that vertex's closed two-ball and the
+    boundary its vertices at distance exactly two."""
+    gl = list_graph(inst)
+    removed = set(step.lists)
+    if not any(_closed(gl, u) == removed for u in removed):
+        raise AssertionError(f"{sorted(removed)} is no closed one-ball")
+    ball = set().union(*(_closed(gl, v) for v in removed))
+    return tuple(sorted(ball)), tuple(sorted(ball - removed))
+
+
+def step11_roles(inst: Instance, step: LiftStep) -> Dict[str, int]:
+    """The center, anchors a and b, third ring vertex c, outer vertices
+    a_outer and b_outer, and anchor colors i and j of a step-11 record on
+    ``inst``, the instance its round ran on, whose center list must be
+    {1, 2, 3}.  The center is the saved vertex list-adjacent to the
+    other three; the rest follows from its CenterContext by the role
+    rule: i (j) is the smallest color the center shares with its four
+    (five) side, a (b) the lowest vertex of that side whose list holds
+    it, and c the ring vertex left over."""
+    gl = list_graph(inst)
+    saved = set(step.lists)
+    (center,) = [v for v in saved if saved - {v} <= _neighbors(gl, v)]
+    ctx = center_context(inst, center)
+    lists = inst.lists
+
+    def anchor(side):
+        color = min(
+            c for v in side for c in colors_from_mask(lists[v] & lists[center])
+        )
+        return color, min(v for v in side if (lists[v] >> (color - 1)) & 1)
+
+    (i, a), (j, b) = anchor(ctx.four_side), anchor(ctx.five_side)
+    (c,) = set(ctx.ring) - {a, b}
+    (a_outer,), (b_outer,) = ctx.four_outer, ctx.five_outer
+    return {
+        "center": center,
+        "a": a,
+        "b": b,
+        "c": c,
+        "a_outer": a_outer,
+        "b_outer": b_outer,
+        "i": i,
+        "j": j,
+    }

@@ -3,16 +3,21 @@
 Every top-level function or class of src/rp3color must be referenced
 somewhere in the package outside its own definition and __init__.py;
 code that only the tests need lives in tests/.  Two names are public
-library entry points with no caller of their own.  Every parameter of
+library entry points with no caller of their own.  The same holds for
+every method of a package class, dunders and one argparse override
+aside.  Every parameter of
 every function in the package is read in that function's body, and
 every name a module imports is used in that module.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "rp3color"
 ENTRY_POINTS = {"reduce_once", "serialize_nae"}
+# argparse calls ArgumentParser.error itself
+CALLED_BY_LIBRARY = {("cli.py", "_Parser", "error")}
 
 
 def _definitions_and_references():
@@ -54,6 +59,61 @@ def test_no_unreferenced_top_level_code():
     extra = sorted(set(unreferenced()) - ENTRY_POINTS)
     assert not extra, f"unreferenced in the package, move to tests/ or delete: {extra}"
 
+
+
+def _uses(node):
+    """How often each name is loaded or read as an attribute in ``node``."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def _unreferenced_methods(trees):
+    """(module, class, method) for every method of a top-level class in
+    the modules ``trees`` (file name to tree) whose name appears nowhere
+    outside the method's own body; dunders are exempt."""
+    total = sum((_uses(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                dunder = fn.name.startswith("__") and fn.name.endswith("__")
+                if not dunder and total[fn.name] == _uses(fn)[fn.name]:
+                    out.append((module, cls.name, fn.name))
+    return out
+
+
+def test_method_scan_on_a_sample():
+    sample = (
+        "class A:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def used(self):\n"
+        "        return self.rec()\n"
+        "    def rec(self):\n"
+        "        return self.rec()\n"
+        "    def unused(self):\n"
+        "        return self.used()\n"
+    )
+    other = "def f(a):\n    return a.used()\n"
+    trees = {"a.py": ast.parse(sample), "b.py": ast.parse(other)}
+    assert _unreferenced_methods(trees) == [("a.py", "A", "unused")]
+
+
+def test_no_unreferenced_method():
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    extra = sorted(set(_unreferenced_methods(trees)) - CALLED_BY_LIBRARY)
+    assert not extra, f"methods nothing in the package calls, delete them: {extra}"
 
 
 def _unread(tree):

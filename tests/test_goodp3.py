@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rp3color import (
     Graph,
     Instance,
+    colors_from_mask,
     good_triples,
     mask_from_colors,
     pivot_refinements,
@@ -92,7 +93,7 @@ def test_find_type_p3_orientation():
 
 def test_pivot_refinements_isolated_pivot():
     bare = mk(3, [(0, 1), (1, 2)], [{1, 2}, {2, 3}, {1, 3}])
-    got = [tuple(e.list_of(v) for v in range(3)) for e in
+    got = [tuple(colors_from_mask(e.lists[v]) for v in range(3)) for e in
            pivot_refinements(bare, (0, 1, 2))]
     assert got == [
         ((1,), (2,), (1,)),
@@ -109,8 +110,8 @@ def test_pivot_refinements_strips_outside_neighbor():
         [{1, 2}, {2, 3}, {1, 3}, {1, 2, 3}],
     )
     first = next(iter(pivot_refinements(inst, (0, 1, 2))))
-    assert first.list_of(3) == (3,)
-    assert first.list_of(0) == (1,)
+    assert colors_from_mask(first.lists[3]) == (3,)
+    assert colors_from_mask(first.lists[0]) == (1,)
 
 
 def test_pivot_refinements_rejects_non_good_pivot():

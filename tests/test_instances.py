@@ -117,9 +117,9 @@ def test_parse_fixture():
     assert inst.graph.n == 3
     assert inst.graph.edges == ((0, 1), (1, 2))
     assert inst.k == 5
-    assert inst.list_of(0) == (1, 2, 3, 4, 5)
-    assert inst.list_of(1) == (1, 3)
-    assert inst.list_of(2) == ()
+    assert colors_from_mask(inst.lists[0]) == (1, 2, 3, 4, 5)
+    assert colors_from_mask(inst.lists[1]) == (1, 3)
+    assert colors_from_mask(inst.lists[2]) == ()
 
 
 def test_colors_from_mask_covers_every_list():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rp3color import (
     Graph,
     Instance,
+    colors_from_mask,
     cover_cap,
     frugal_colorings,
     mask_from_colors,
@@ -32,13 +33,13 @@ def valid_direct(inst, phi, watch=()):
     """Proper list coloring, frugal at the vertices in ``watch``."""
     g = inst.graph
     for v in range(g.n):
-        if phi[v] not in inst.list_of(v):
+        if phi[v] not in colors_from_mask(inst.lists[v]):
             return False
     for u, v in g.edges:
         if phi[u] == phi[v]:
             return False
     for v in watch:
-        for c in inst.list_of(v):
+        for c in colors_from_mask(inst.lists[v]):
             if sum(1 for w in range(g.n) if g.has_edge(v, w) and phi[w] == c) > 1:
                 return False
     return True

@@ -31,7 +31,7 @@ from goodp3_reference import eager_pivot_refinements, find_type_p3
 from instance_reference import find_good_p3, verify_coloring
 from peel_reference import edge_loop_peel_order
 from profile_reference import propagated
-from reducer_reference import eliminate_singletons
+from reducer_reference import eliminate_singletons, record_kind, record_vertex
 from split_reference import eager_split
 from test_differential import random_join, to_instance
 
@@ -196,7 +196,7 @@ def test_lift_empty_trace_is_identity():
 
 def test_lift_needs_a_closing_record():
     with pytest.raises(ValueError, match="closing record"):
-        lift([LiftStep("spanning", {"step": 6})], (3, 1, 4))
+        lift([LiftStep({"step": 6})], (3, 1, 4))
 
 
 def test_lift_restores_forced_colors():
@@ -244,7 +244,7 @@ def test_reduced_leaf_is_verified_twice(monkeypatch):
 
     def recording(leaf):
         out, trace = reduce(leaf)
-        rounds.extend(s.kind for s in trace)
+        rounds.extend(record_kind(s) for s in trace)
         return out, trace
 
     monkeypatch.setattr(pipeline, "reduce_to_binary", recording)
@@ -320,7 +320,7 @@ def pruned_fold(inst, r):
             assert 0 not in final.lists
             # vertices deleted, not renumbered: all elements share the
             # input graph, so finals compare as the search's dedupe key does
-            key = (final.lists, frozenset(s.info["vertex"] for s in steps))
+            key = (final.lists, frozenset(record_vertex(s) for s in steps))
             if key not in finals:
                 finals.add(key)
                 yield leaf

@@ -25,7 +25,7 @@ from profile_reference import (
     propagated,
     propagated_rows,
 )
-from reducer_reference import eliminate_singletons
+from reducer_reference import eliminate_singletons, record_kind
 
 
 def mk(n, edges, lists, k=5):
@@ -48,7 +48,7 @@ def test_eliminate_singletons_cascade():
     reduced, trace = eliminate_singletons(inst)
     assert reduced.graph.n == 0
     assert len(trace) == 2
-    assert all(s.kind == "singleton-removal" for s in trace)
+    assert all(record_kind(s) == "singleton-removal" for s in trace)
     assert lift(trace, ()) == (1, 2)
 
 

@@ -12,26 +12,35 @@ from rp3color import (
     Graph,
     Instance,
     InstanceError,
+    SolveOptions,
     binary_list_color,
+    coloring_defect,
     colors_from_mask,
     frugal_colorings,
     induced_subgraph,
     mask_from_colors,
     reduce_once,
     reduce_to_binary,
+    solve,
     solve_exact,
     solve_exact_frugal,
 )
+from rp3color import pipeline
 from rp3color.oracle import exact_colorings
 from rp3color.pipeline import candidate_stream, lift
 from rp3color.working import LiftStep
 
-from instance_reference import find_good_p3, p_value, verify_coloring
+from instance_reference import find_good_p3, list_graph, p_value, verify_coloring
 from reducer_reference import (
     center_context,
     center_context_report,
     check_center_context,
     eliminate_singletons,
+    outcome,
+    record_kind,
+    record_vertex,
+    step5_ball,
+    step11_roles,
 )
 
 
@@ -182,9 +191,11 @@ def test_reduce_once_step3_star():
     lists = [{1, 2, 3}, {1, 4}, {1, 5}, {2, 4}, {2, 5}, {3, 4}]
     inst = mk(6, edges, lists)
     child, step = reduce_once(inst, 0)
-    assert step.kind == "spanning"
-    assert step.info["step"] == 3
-    assert step.info["witness"] == 0
+    assert record_kind(step) == "spanning"
+    assert step.info == {"step": 3}
+    # the step-3 witness: the one vertex with five list-graph neighbors
+    gl = list_graph(inst)
+    assert [v for v in range(6) if gl.adj_mask[v].bit_count() >= 5] == [0]
     assert child.graph == inst.graph
     assert child.lists == (0,) * 6
     assert p_value(child) < p_value(inst)
@@ -193,9 +204,9 @@ def test_reduce_once_step3_star():
 def test_reduce_once_step4_isolated_center():
     inst = mk(3, [(1, 2)], [{1, 2, 3}, {4, 5}, {4, 5}])
     child, step = reduce_once(inst, 0)
-    assert step.kind == "step4-removal"
-    assert step.info["step"] == 4
-    assert step.info["vertex"] == 0
+    assert record_kind(step) == "step4-removal"
+    assert step.info == {"step": 4}
+    assert record_vertex(step) == 0
     assert child.graph.n == 2
     assert child.lists == (mask_from_colors({4, 5}),) * 2
     lifted = lift([step], (4, 5))
@@ -210,8 +221,8 @@ def test_reduce_once_step5b_dead_ball():
         [{1, 2, 3}, {1, 2}, {1, 3}, {2, 3}],
     )
     child, step = reduce_once(inst, 0)
-    assert step.info["step"] == 5
-    assert step.info["outcome"] == "5b"
+    assert step.info == {"step": 5}
+    assert outcome(step) == "5b"
     assert child.lists == (0,) * 4
     assert solve_exact_frugal(inst) is None
 
@@ -219,13 +230,12 @@ def test_reduce_once_step5b_dead_ball():
 def test_reduce_once_step5c_local_ball():
     inst = step5c_fixture()
     child, step = reduce_once(inst, 0)
-    assert step.kind == "step5c-removal"
-    assert step.info["step"] == 5
-    assert step.info["outcome"] == "5c"
-    assert step.info["ball"] == (0, 1, 2, 3, 4)
-    assert step.info["boundary"] == (4,)
+    assert record_kind(step) == "step5c-removal"
+    assert step.info == {"step": 5}
+    assert outcome(step) == "5c"
+    assert step5_ball(inst, step) == ((0, 1, 2, 3, 4), (4,))
     assert child.graph.n == 1
-    assert child.list_of(0) == (5,)
+    assert colors_from_mask(child.lists[0]) == (5,)
 
     lifted = lift([step], (5,))
     assert verify_coloring(inst, lifted)
@@ -241,14 +251,14 @@ def test_step5c_boundary_keeps_the_realized_colors(fixture):
     boundary the whole instance is the ball, which has such a coloring."""
     inst = fixture()
     child, step = reduce_once(inst, 0)
-    assert step.kind == "step5c-removal"
-    ball, boundary = step.info["ball"], step.info["boundary"]
+    assert record_kind(step) == "step5c-removal"
+    ball, boundary = step5_ball(inst, step)
     sub, _ = induced_subgraph(inst.graph, ball)
     local = frugal_colorings(Instance(sub, 5, tuple(inst.lists[v] for v in ball)))
     if boundary:
         pos = ball.index(boundary[0])
         realized = {phi[pos] for phi in local}
-        assert set(child.list_of(0)) == realized
+        assert set(colors_from_mask(child.lists[0])) == realized
         for c in sorted(realized):
             assert verify_coloring(inst, lift([step], (c,)))
     else:
@@ -272,18 +282,20 @@ def test_reduce_once_step11_contraction():
     assert center_context_report(inst, 0) == ("checked", [])
 
     child, step = reduce_once(inst, 0)
-    assert step.kind == "step11-contraction"
-    assert step.info["step"] == 11
-    assert step.info["center"] == 0
-    assert step.info["a"] == 1 and step.info["b"] == 2
-    assert step.info["c"] == 3
-    assert step.info["a_outer"] == 4 and step.info["b_outer"] == 5
-    assert step.info["i"] == 1 and step.info["j"] == 3
+    assert record_kind(step) == "step11-contraction"
+    assert step.info == {"step": 11}
+    assert step.lists == {v: inst.lists[v] for v in (0, 1, 2, 3)}
+    roles = step11_roles(inst, step)
+    assert roles["center"] == 0
+    assert roles["a"] == 1 and roles["b"] == 2
+    assert roles["c"] == 3
+    assert roles["a_outer"] == 4 and roles["b_outer"] == 5
+    assert roles["i"] == 1 and roles["j"] == 3
 
     assert child.graph.n == 8
-    assert child.list_of(0) == (1, 3)
-    assert child.list_of(1) == (1, 4)
-    assert child.list_of(2) == (3, 5)
+    assert colors_from_mask(child.lists[0]) == (1, 3)
+    assert colors_from_mask(child.lists[1]) == (1, 4)
+    assert colors_from_mask(child.lists[2]) == (3, 5)
     assert p_value(child) < p_value(inst)
 
     assert (solve_exact(inst) is None) == (solve_exact(child) is None)
@@ -298,9 +310,21 @@ def test_reduce_once_step11_contraction():
     assert outers == {(4, 4), (5, 5)}
 
 
-def test_step11_under_every_palette():
+def test_step11_under_every_palette(monkeypatch):
     """Steps 6-11 name colors by role around the center, so step 11
-    fires and lifts under every renaming of the palette."""
+    fires and lifts under every renaming of the palette, and a forced
+    solve (the fixture is not 2P3-free) reaches exactly one step-11
+    round and certifies its coloring."""
+    real = pipeline.reduce_to_binary
+    step11 = 0
+
+    def counting(leaf):
+        nonlocal step11
+        out, trace = real(leaf)
+        step11 += sum(s.info.get("step") == 11 for s in trace)
+        return out, trace
+
+    monkeypatch.setattr(pipeline, "reduce_to_binary", counting)
     base = step11_fixture()
     for sigma in PALETTES:
         inst = permuted(base, sigma)
@@ -313,6 +337,11 @@ def test_step11_under_every_palette():
         assert verify_coloring(inst, lift(trace, phi))
         for phi in exact_colorings(out):
             assert verify_coloring(inst, lift(trace, phi))
+        step11 = 0
+        verdict = solve(inst, SolveOptions(force=True))
+        assert verdict.status == "colorable"
+        assert coloring_defect(inst, verdict.coloring) is None
+        assert step11 == 1
 
 
 def test_twin_steps_under_every_palette():
@@ -376,9 +405,9 @@ def test_reduce_to_binary_accepts_singletons():
     for inst, deleted in ((done, [0, 4]), (fresh, [0, 1])):
         out, trace = reduce_to_binary(inst)
         assert all(m.bit_count() in (0, 2) for m in out.lists)
-        lead = [s.info["vertex"] for s in trace[: len(deleted)]]
+        lead = [record_vertex(s) for s in trace[: len(deleted)]]
         assert lead == deleted
-        assert {s.kind for s in trace[: len(deleted)]} == {"singleton-removal"}
+        assert {record_kind(s) for s in trace[: len(deleted)]} == {"singleton-removal"}
         assert all("step" in s.info for s in trace[len(deleted) :])
         assert len(trace) > len(deleted)
         phi = binary_list_color(out)
@@ -483,7 +512,7 @@ def reduce_by_rounds(inst):
         cur, killed = eliminate_singletons(nxt)
         if p_value(cur) >= before:
             raise RuntimeError("potential failed to drop")
-        rounds.append((step.info["step"], step.info.get("outcome"), len(killed)))
+        rounds.append((step.info["step"], outcome(step), len(killed)))
         traces += [[step], killed]
 
 
@@ -579,7 +608,7 @@ def assert_same_reduction(inst, lifted=None):
     got, killed = [], 0
     for s in trace:
         if "step" in s.info:
-            got.append((s.info["step"], s.info.get("outcome"), 0))
+            got.append((s.info["step"], outcome(s), 0))
         elif got:
             got[-1] = got[-1][:2] + (got[-1][2] + 1,)
         else:
@@ -600,7 +629,7 @@ def assert_same_reduction(inst, lifted=None):
         assert lifted_phi == lift_each(per_step, phi)
         assert verify_coloring(inst, lifted_phi)
         if lifted is not None:
-            lifted.update(s.kind for s in trace)
+            lifted.update(record_kind(s) for s in trace)
     return rounds
 
 
@@ -655,7 +684,7 @@ def test_lift_reads_only_lists_and_closing():
         want = lift(trace, phi)
         assert verify_coloring(inst, want)
         assert lift([replace(s, info={}) for s in trace], phi) == want
-        kinds.update(s.kind for s in trace)
+        kinds.update(record_kind(s) for s in trace)
         steps.update(s.info.get("step") for s in trace)
     assert min(kinds.values()) >= 10 and len(kinds) == 5
     assert {4, 5, 8, 9, 11} <= steps
@@ -669,7 +698,7 @@ def test_corrupted_undo_record_fails_lift():
     assert verify_coloring(inst, lift(trace, phi))
 
     step = trace[0]
-    u = step.info["vertex"]
+    u = record_vertex(step)
     # a saved list the vertex never had: caught by the final check
     bad = replace(step, lists={u: mask_from_colors({5})})
     with pytest.raises(RuntimeError, match="outside its list"):
@@ -690,17 +719,12 @@ def test_lift_step4_skips_only_taken_colors():
         # uncolored when the closing record restores vertex 0
         pairs = list(zip((1, 2), neighbors))
         older = [
-            LiftStep("step4-removal", {"step": 4, "vertex": w}, {w: inst.lists[w]})
+            LiftStep({"step": 4}, {w: inst.lists[w]})
             for w, c in pairs
             if not c
         ]
         keep = tuple(w for w, c in pairs if c)
-        last = LiftStep(
-            "step4-removal",
-            {"step": 4, "vertex": 0},
-            {0: inst.lists[0]},
-            closing=(inst, keep),
-        )
+        last = LiftStep({"step": 4}, {0: inst.lists[0]}, closing=(inst, keep))
         lifted = lift(older + [last], tuple(c for c in neighbors if c))
         assert lifted[0] == want
         assert verify_coloring(inst, lifted)
@@ -716,7 +740,7 @@ def test_step4_removes_every_low_vertex():
     inst = mk(n, edges, [{1, 2, 3}] * n)
     out, trace = reduce_to_binary(inst)
     assert out.graph.n == 0
-    assert [s.kind for s in trace] == ["step4-removal"] * n
+    assert [record_kind(s) for s in trace] == ["step4-removal"] * n
 
 
 def test_debug_log_accounts_for_every_round(caplog):
