@@ -1,9 +1,12 @@
 """Immutable simple graphs, induced subgraphs, and the induced-path
 enumeration behind the packing check and the good-P3 search.
 
-Vertices are the integers 0..n-1.  Adjacency is one integer bitmask
-per vertex (bit w of adj_mask[v] is set when vw is an edge); vertex sets
-are bitmasks and paths are tuples of vertex ids.
+Vertices are the integers 0..n-1.  Adjacency is kept twice per
+vertex: an integer bitmask (bit w of adj_mask[v] is set when vw is an
+edge) for the set algebra of the search, and an ascending tuple of
+neighbor ids (neighbors[v]) for the passes over a whole input, where a
+walk over a bitmask as long as the vertex id would cost more.  Vertex
+sets are bitmasks and paths are tuples of vertex ids.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ class Graph:
     """A simple undirected graph, immutable after construction.
 
     Parallel edges are collapsed; loops and out-of-range endpoints are
-    rejected.
+    rejected.  adj_mask[v] and neighbors[v] hold the same neighbors, as
+    a bitmask and as an ascending tuple.
     """
 
-    __slots__ = ("n", "edges", "adj_mask")
+    __slots__ = ("n", "edges", "adj_mask", "neighbors")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
@@ -44,13 +48,24 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             seen.add((u, v) if u < v else (v, u))
+        self._fill(n, tuple(sorted(seen)))
+
+    def _fill(self, n: int, edges: Tuple[Tuple[int, int], ...]) -> None:
+        """Store n and ``edges``, pairs u < v inside 0..n-1, sorted and
+        without repeats, and build both adjacency forms from them."""
         self.n = n
-        self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted(seen))
+        self.edges = edges
         adj = [0] * n
-        for u, v in self.edges:
+        nbrs: List[List[int]] = [[] for _ in range(n)]
+        # sorted edges give each vertex its lower neighbors first, then
+        # its higher ones, each run ascending
+        for u, v in edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         self.adj_mask: Tuple[int, ...] = tuple(adj)
+        self.neighbors: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, nbrs))
 
     @property
     def m(self) -> int:
@@ -72,7 +87,11 @@ class Graph:
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:
-    """Induced subgraph on ``keep`` plus the order-preserving old-to-new id map."""
+    """Induced subgraph on ``keep`` plus the order-preserving old-to-new id map.
+
+    The map is increasing, so g's edges that it keeps stay sorted, valid
+    and without repeats, and the subgraph is built from them unchecked.
+    """
     kept = sorted(set(keep))
     for v in kept:
         if not (0 <= v < g.n):
@@ -83,7 +102,9 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Tuple[Graph, Dict[int, in
         for u, v in g.edges
         if u in remap and v in remap
     ]
-    return Graph(len(kept), edges), remap
+    sub = Graph.__new__(Graph)
+    sub._fill(len(kept), tuple(edges))
+    return sub, remap
 
 
 def local_adjacency(g: Graph, keep: Sequence[int]) -> List[int]:
@@ -139,29 +160,32 @@ def _p3_middles(g: Graph) -> int:
     """Mask of the vertices whose neighborhood is not a clique.
 
     Any subset of a clique is a clique, so no other vertex is the middle
-    of an induced P3 in any induced subgraph of g.  When every neighbor
-    of a vertex shares its closed neighborhood, that set is a clique
-    component, none of whose members is a middle: it is settled at its
-    lowest member, and the others are not tested.
+    of an induced P3 in any induced subgraph of g.  Each vertex walks its
+    neighbor tuple and compares closed neighborhoods as bitmasks.  When
+    every neighbor of a vertex shares its closed neighborhood, that set
+    is a clique component, none of whose members is a middle: it is
+    settled at its lowest member, flagged in a bytearray, and the others
+    are not tested.
     """
     adjm = g.adj_mask
-    out = settled = 0
-    for v in range(g.n):
-        if settled and settled >> v & 1:
+    out = 0
+    settled = bytearray(g.n)
+    for v, vs in enumerate(g.neighbors):
+        if settled[v]:
             continue
-        nbrs = rest = adjm[v]
+        nbrs = adjm[v]
         closed = nbrs | 1 << v
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            near = adjm[low.bit_length() - 1] | low
+        for w in vs:
+            near = adjm[w] | 1 << w
             if near != closed:
                 if near & nbrs != nbrs:
                     out |= 1 << v
                     break
                 closed = 0  # not a clique component
         else:
-            settled |= closed
+            if closed:
+                for w in vs:
+                    settled[w] = 1
     return out
 
 

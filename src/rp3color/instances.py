@@ -131,13 +131,59 @@ def parse_instance(text: str) -> Instance:
     edges: List[Tuple[int, int]] = []
     lists: Dict[int, int] = {}
     n = m = k = 0
+    color_bit: Dict[str, int] = {}  # token "c" -> list bit, for 1 <= c <= k
+    # the common edge and list lines are tested first; raw.strip() is
+    # built only for a header or an error message, and list colors go
+    # through int() only when a token is not in color_bit
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         tag = fields[0]
-        if tag == "p":
+        if tag == "e":
+            if header_line is None:
+                raise ParseError(line_no, "edge before header")
+            if len(fields) != 3:
+                raise ParseError(line_no, f"bad edge line {raw.strip()!r}")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError(line_no, f"non-integer endpoint in {raw.strip()!r}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(line_no, f"endpoint outside 1..{n}")
+            if u == v:
+                raise ParseError(line_no, f"loop at vertex {u}")
+            edges.append((u - 1, v - 1))
+        elif tag == "l":
+            if header_line is None:
+                raise ParseError(line_no, "list before header")
+            if len(fields) < 2:
+                raise ParseError(line_no, "list line without vertex")
+            mask: Optional[int] = 0
+            try:
+                for f in fields[2:]:
+                    mask |= color_bit[f]
+            except KeyError:
+                mask = None
+            try:
+                v = int(fields[1])
+                if mask is None:
+                    colors = [int(f) for f in fields[2:]]
+            except ValueError:
+                raise ParseError(line_no, f"non-integer in {raw.strip()!r}")
+            if not (1 <= v <= n):
+                raise ParseError(line_no, f"vertex {v} outside 1..{n}")
+            if v - 1 in lists:
+                raise ParseError(line_no, f"duplicate list for vertex {v}")
+            if mask is None:
+                if any(not (1 <= c <= k) for c in colors):
+                    raise ParseError(line_no, f"color outside 1..{k} in {raw.strip()!r}")
+                mask = mask_from_colors(colors)
+            lists[v - 1] = mask
+        elif tag.startswith("#"):
+            continue
+        elif tag == "p":
+            line = raw.strip()
             if header_line is not None:
                 raise ParseError(line_no, "duplicate header")
             if len(fields) != 5 or fields[1] != "glist":
@@ -149,37 +195,7 @@ def parse_instance(text: str) -> Instance:
             if n < 0 or m < 0 or not (1 <= k <= MAX_K):
                 raise ParseError(line_no, f"header out of range: n={n} m={m} k={k}")
             header_line = line_no
-        elif tag == "e":
-            if header_line is None:
-                raise ParseError(line_no, "edge before header")
-            if len(fields) != 3:
-                raise ParseError(line_no, f"bad edge line {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer endpoint in {line!r}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(line_no, f"endpoint outside 1..{n}")
-            if u == v:
-                raise ParseError(line_no, f"loop at vertex {u}")
-            edges.append((u - 1, v - 1))
-        elif tag == "l":
-            if header_line is None:
-                raise ParseError(line_no, "list before header")
-            if len(fields) < 2:
-                raise ParseError(line_no, "list line without vertex")
-            try:
-                v = int(fields[1])
-                colors = [int(f) for f in fields[2:]]
-            except ValueError:
-                raise ParseError(line_no, f"non-integer in {line!r}")
-            if not (1 <= v <= n):
-                raise ParseError(line_no, f"vertex {v} outside 1..{n}")
-            if v - 1 in lists:
-                raise ParseError(line_no, f"duplicate list for vertex {v}")
-            if any(not (1 <= c <= k) for c in colors):
-                raise ParseError(line_no, f"color outside 1..{k} in {line!r}")
-            lists[v - 1] = mask_from_colors(colors)
+            color_bit = {str(c): 1 << (c - 1) for c in range(1, k + 1)}
         else:
             raise ParseError(line_no, f"unknown line tag {tag!r}")
     if header_line is None:

@@ -108,25 +108,21 @@ def _free(adjm, out, v: int, mask: int, inside: int) -> int:
     return mask & ~(taken >> 1)
 
 
-def _color_each(adjm, out, vertices: Iterable[int], lists, colored: int) -> None:
+def _color_each(neighbors, out, vertices: Iterable[int], lists) -> None:
     """Give each of ``vertices``, in order, the smallest color of
-    lists[v] that no graph neighbor in the bitmask ``colored`` holds in
-    ``out``, and add it to ``colored``; with -1 every neighbor is
-    walked, and an uncolored one holds 0 and blocks nothing.  Bit c of
-    ``taken`` stands for color c, one above its list bit.  A vertex with
-    no free color is an internal bug and raises RuntimeError."""
+    lists[v] that no graph neighbor holds in ``out``, walking the
+    neighbor tuple neighbors[v]; an uncolored neighbor holds 0 and
+    blocks nothing.  Bit c of ``taken`` stands for color c, one above
+    its list bit.  A vertex with no free color is an internal bug and
+    raises RuntimeError."""
     for v in vertices:
         taken = 0
-        rest = adjm[v] & colored
-        while rest:
-            low = rest & -rest
-            taken |= 1 << out[low.bit_length() - 1]
-            rest ^= low
+        for w in neighbors[v]:
+            taken |= 1 << out[w]
         free = lists[v] & ~(taken >> 1)
         if not free:
             raise RuntimeError(f"no free color when restoring vertex {v}")
         out[v] = (free & -free).bit_length()
-        colored |= 1 << v
 
 
 def _name(step: LiftStep) -> str:
@@ -144,8 +140,8 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
     neighbor outside the record (one not lifted yet holds 0).  A single
     vertex takes its smallest free color, several the first coloring of
     oracle.colorings; each step's lift argument says one exists.  They
-    are then checked against their lists and, walking the adjacency
-    bitmask, their neighbors, and the lifted coloring is verified in
+    are then checked against their lists and, walking their neighbor
+    tuples, their neighbors, and the lifted coloring is verified in
     full against the trace's input.  A defect is an internal bug and
     raises RuntimeError.
     """
@@ -162,7 +158,7 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
     for step in reversed(trace):
         saved = step.lists
         if len(saved) == 1:
-            _color_each(adjm, out, saved, saved, -1)
+            _color_each(g.neighbors, out, saved, saved)
         elif saved:
             vertices = tuple(saved)
             inside = sum(1 << v for v in vertices)
@@ -181,15 +177,12 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
                     f"lift failed after {_name(step)}: vertex {v} colored {c} "
                     "outside its list"
                 )
-            rest = g.adj_mask[v]
-            while rest:
-                w = (rest & -rest).bit_length() - 1
+            for w in g.neighbors[v]:
                 if out[w] == c:
                     raise RuntimeError(
                         f"lift failed after {_name(step)}: edge ({v}, {w}) is "
                         f"monochromatic in color {c}"
                     )
-                rest &= rest - 1
     lifted = tuple(out)
     defect = coloring_defect(source, lifted)
     if defect is not None:
@@ -322,42 +315,49 @@ def peel_order(inst: Instance) -> List[int]:
     Colored after the kernel and after every vertex removed later, it
     then sees fewer colored list-graph neighbors than it has colors, so
     a free color is left for it (degree choosability, Erdős–Rubin–
-    Taylor).  A vertex with an empty list is never removed.  One pass
-    over the edges counts the list-graph neighbors; no list-graph
-    bitmask is built.  Each vertex enters the stack once, when its count
-    first drops below its list size, and no count is read after that,
-    so a removal walks only the graph neighbors still ``waiting`` to
-    enter it and skips those already on the stack or removed.
+    Taylor).  A vertex with an empty list is never removed.  Each vertex
+    enters the stack once, when its count first drops below its list
+    size, and no count is read after that.  So a vertex with fewer graph
+    neighbors than colors (its neighbor tuple is shorter than its list)
+    goes on the stack at once, uncounted; the others count their
+    list-graph neighbors on their neighbor tuples, and those that cannot
+    go on the stack yet are flagged as ``waiting``.  A removal walks the
+    neighbor tuple and updates only the vertices still waiting, and once
+    none waits, the rest of the stack, last first, ends the order.
     """
     lists = inst.lists
-    adj = inst.graph.adj_mask
+    nbrs = inst.graph.neighbors
     size = list(map(int.bit_count, lists))
     deg = [0] * len(lists)
-    for u, v in inst.graph.edges:
-        if lists[u] & lists[v]:
-            deg[u] += 1
-            deg[v] += 1
     stack = []
-    waiting = 0
-    for v, d in enumerate(deg):
-        if d < size[v]:
-            stack.append(v)
-        else:
-            waiting |= 1 << v
+    waiting = bytearray(len(lists))
+    left = 0
+    for v, vs in enumerate(nbrs):
+        if len(vs) >= size[v]:
+            mask = lists[v]
+            d = 0
+            for w in vs:
+                if lists[w] & mask:
+                    d += 1
+            if d >= size[v]:
+                deg[v] = d
+                waiting[v] = 1
+                left += 1
+                continue
+        stack.append(v)
     order = []
-    while stack:
+    while left and stack:
         v = stack.pop()
         order.append(v)
-        rest = adj[v] & waiting
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = low.bit_length() - 1
-            if lists[w] & lists[v]:
+        mask = lists[v]
+        for w in nbrs[v]:
+            if waiting[w] and lists[w] & mask:
                 deg[w] -= 1
                 if deg[w] < size[w]:
                     stack.append(w)
-                    waiting ^= low
+                    waiting[w] = 0
+                    left -= 1
+    order += reversed(stack)
     return order
 
 
@@ -368,18 +368,20 @@ def clique_hall_refutation(inst: Instance) -> Optional[Refutation]:
     Such a pair proves the instance uncolorable: Q needs |Q| distinct
     colors, all from C (Hall's condition).  The check is sound and
     incomplete.  A member v of a violating Q has |L(v)| <= |C| < |Q| <=
-    deg(v) + 1, so only vertices with |L(v)| <= deg(v) take part.  From
-    each of them it grows one greedy maximal clique among them, lowest
-    vertex first.  A clique whose members take distinct colors greedily
-    is skipped; otherwise the members with |L(v)| >= |Q| are dropped
-    until none is left.  A clique of more than k vertices fails as a
-    whole; a smaller one is tested subset by subset, in bitmask order.
+    deg(v) + 1, so only vertices with |L(v)| <= deg(v) take part, deg(v)
+    being the length of v's neighbor tuple.  From each of them it grows
+    one greedy maximal clique among them, lowest vertex first.  A clique
+    whose members take distinct colors greedily is skipped; otherwise
+    the members with |L(v)| >= |Q| are dropped until none is left.  A
+    clique of more than k vertices fails as a whole; a smaller one is
+    tested subset by subset, in bitmask order.
     """
     adj = inst.graph.adj_mask
+    nbrs = inst.graph.neighbors
     lists = inst.lists
     small = 0
     for v, mask in enumerate(lists):
-        if mask.bit_count() <= adj[v].bit_count():
+        if mask.bit_count() <= len(nbrs[v]):
             small |= 1 << v
     tried: Set[int] = set()
     rest = small
@@ -483,10 +485,10 @@ def _decide(
     split (_split); any other nonempty kernel is searched through its
     candidate stream, identity element first.  The kernel's coloring is
     extended to the peeled vertices in reverse peel order; a vertex then
-    walks only its neighbors in the kernel or peeled after it, since no
-    other holds a color yet.  When every vertex peeled, no kernel is
-    built.  ``depth`` counts the splits above this call; the root call
-    (depth 0) records and logs the number of vertices peeled.
+    walks all its neighbors, and those peeled before it hold no color
+    yet.  When every vertex peeled, no kernel is built.  ``depth``
+    counts the splits above this call; the root call (depth 0) records
+    and logs the number of vertices peeled.
     """
     g = inst.graph
     order = peel_order(inst)
@@ -511,11 +513,9 @@ def _decide(
     if phi is None or not order:
         return phi
     out = [0] * g.n
-    colored = 0
     for v, c in zip(keep, phi):
         out[v] = c
-        colored |= 1 << v
-    _color_each(g.adj_mask, out, reversed(order), inst.lists, colored)
+    _color_each(g.neighbors, out, reversed(order), inst.lists)
     return tuple(out)
 
 

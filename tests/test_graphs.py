@@ -15,7 +15,8 @@ from rp3color import (
     induced_subgraph,
 )
 
-from rp3color.graphs import _p3_middles, co_components, local_adjacency
+from rp3color.cli import random_instance
+from rp3color.graphs import _p3_middles, bits, co_components, local_adjacency
 
 from instance_reference import is_clique, is_stable_set
 
@@ -61,6 +62,25 @@ def test_build_rejects_loops_and_bad_ids():
         Graph(3, [(0, 5)])
     with pytest.raises(GraphError, match=r"\(-1, 0\)"):
         Graph(3, [(-1, 0)])
+
+
+def test_neighbor_tuples_match_the_masks():
+    # edges given twice, reversed and out of order, with isolated
+    # vertices; induced subgraphs renumber, so their tuples are rebuilt
+    rng = random.Random(4243)
+    for _ in range(200):
+        n = rng.randint(0, 40)
+        p = rng.choice([0.05, 0.2, 0.5])
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 3)]
+        edges += rng.sample(edges, len(edges) // 4)
+        rng.shuffle(edges)
+        g = Graph(n, edges)
+        sub, _ = induced_subgraph(g, rng.sample(range(n), rng.randint(0, n)))
+        for h in (g, sub):
+            assert len(h.neighbors) == h.n
+            for v in range(h.n):
+                assert h.neighbors[v] == tuple(bits(h.adj_mask[v]))
 
 
 def test_induced_subgraph_examples():
@@ -315,11 +335,15 @@ def test_packing_agrees_with_reference_2p3():
 
 def p3_middles_brute(g):
     """The definition: v is a middle when two of its neighbors are not
-    adjacent."""
+    adjacent.  Neighbor sets come from the edge list."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     out = 0
     for v in range(g.n):
-        nbrs = [w for w in range(g.n) if g.has_edge(v, w)]
-        if any(not g.has_edge(a, b) for a, b in itertools.combinations(nbrs, 2)):
+        pairs = itertools.combinations(sorted(nbrs[v]), 2)
+        if any(b not in nbrs[a] for a, b in pairs):
             out |= 1 << v
     return out
 
@@ -352,7 +376,10 @@ def middle_scan_graphs():
     K_2 components, K_4 with a pendant vertex (its simplicial vertices'
     neighbors are not all twins), seeded disjoint unions of cliques,
     some with a pendant vertex or an edge between two cliques, all
-    relabelled, and seeded random graphs."""
+    relabelled, seeded random graphs, and the clique forests with a
+    star of cli.random_instance at n = 500-2,000, as drawn and
+    relabelled, whose clique components are settled at their lowest
+    member."""
     yield Graph(0, [])
     yield Graph(4, [])
     yield Graph(6, [(0, 1), (2, 3), (4, 5)])
@@ -378,6 +405,11 @@ def middle_scan_graphs():
         n = rng.randint(0, 12)
         p = rng.choice([0.15, 0.3, 0.5, 0.7])
         yield Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+    for n in (500, 1000, 1500, 2000):
+        g = random_instance(rng, n).graph
+        perm = rng.sample(range(n), n)
+        yield g
+        yield Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def test_p3_middles_match_the_definition():

@@ -29,7 +29,7 @@ from rp3color.profiles import frugal_profile, unit_propagate
 
 from goodp3_reference import eager_pivot_refinements, find_type_p3
 from instance_reference import find_good_p3, verify_coloring
-from peel_reference import edge_loop_peel_order
+from peel_reference import edge_loop_peel_order, greedy_color_back
 from profile_reference import propagated
 from reducer_reference import eliminate_singletons, record_kind, record_vertex
 from split_reference import eager_split
@@ -648,6 +648,37 @@ def test_peel_order_matches_edge_loop_reference():
         order = pipeline.peel_order(inst)
         assert order == edge_loop_peel_order(inst)
         assert all(inst.lists[v] for v in order)
+
+
+def test_color_back_matches_greedy_reference_at_scale():
+    # clique forests with a star peel away whole, so the coloring is the
+    # greedy one over the reversed peel order; with pendant paths hung
+    # off C_4 on {1,2} and the complement of C_7 on {1,2,3,4}, which
+    # keep every vertex, the kernel's coloring is taken from the solve
+    # and the peeled vertices must still be colored greedily around it
+    rng = random.Random(3141)
+    c4 = mk(4, [(v, (v + 1) % 4) for v in range(4)], [{1, 2}] * 4)
+    anti = seven_anticycle()
+    anti = Instance(anti.graph, 5, (mask_from_colors({1, 2, 3, 4}),) * 7)
+    kernels = 0
+    for n in (1000, 5000):
+        for _ in range(2):
+            inst = random_instance(rng, n)
+            verdict = solve(inst)
+            assert verdict.stats["peeled"] == n
+            order = edge_loop_peel_order(inst)
+            assert verdict.coloring == greedy_color_back(inst, order, ())
+            hung = hang_paths(rng, inst, [c4, anti])
+            order = edge_loop_peel_order(hung)
+            verdict = solve(hung, SolveOptions(force=True))
+            if verdict.status != "colorable":
+                continue
+            assert verdict.stats["peeled"] == len(order) < hung.graph.n
+            kernel = sorted(set(range(hung.graph.n)) - set(order))
+            phi = [verdict.coloring[v] for v in kernel]
+            assert verdict.coloring == greedy_color_back(hung, order, phi)
+            kernels += 1
+    assert kernels >= 2
 
 
 def chain():
