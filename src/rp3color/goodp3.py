@@ -171,7 +171,7 @@ def _pinned_child(
     lists = list(base)
     for v, c in zip(patch, psi):
         lists[v] = 1 << (c - 1)
-    if not unit_propagate(inst.graph.adj_mask, lists):
+    if not unit_propagate(inst.graph.neighbors, lists):
         return None
     return Instance(inst.graph, inst.k, tuple(lists))
 

@@ -1,12 +1,12 @@
 """Immutable simple graphs, induced subgraphs, and the induced-path
 enumeration behind the packing check and the good-P3 search.
 
-Vertices are the integers 0..n-1.  Adjacency is kept twice per
-vertex: an integer bitmask (bit w of adj_mask[v] is set when vw is an
-edge) for the set algebra of the search, and an ascending tuple of
-neighbor ids (neighbors[v]) for the passes over a whole input, where a
-walk over a bitmask as long as the vertex id would cost more.  Vertex
-sets are bitmasks and paths are tuples of vertex ids.
+Vertices are the integers 0..n-1.  Adjacency is kept twice per vertex,
+and the rule is tuples for walks, masks for set algebra: a walk over a
+vertex's neighbors reads the ascending tuple neighbors[v], and unions,
+intersections, membership tests and complements read the bitmask
+adj_mask[v] (bit w set when vw is an edge).  Vertex sets are bitmasks,
+walked as such, and paths are tuples of vertex ids.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class Graph:
     """A simple undirected graph, immutable after construction.
 
     Parallel edges are collapsed; loops and out-of-range endpoints are
-    rejected.  adj_mask[v] and neighbors[v] hold the same neighbors, as
-    a bitmask and as an ascending tuple.
+    rejected.  neighbors[v], an ascending tuple for walks, and
+    adj_mask[v], a bitmask for set algebra, hold the same neighbors.
     """
 
     __slots__ = ("n", "edges", "adj_mask", "neighbors")
@@ -109,18 +109,13 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Tuple[Graph, Dict[int, in
 
 def local_adjacency(g: Graph, keep: Sequence[int]) -> List[int]:
     """Neighbor bitmasks of the subgraph of g induced on ``keep``, by
-    position in ``keep``."""
-    pos = {1 << v: 1 << i for i, v in enumerate(keep)}  # vertex bit -> position bit
-    inside = sum(pos)
-    adjm = g.adj_mask
+    position in ``keep``: each vertex walks its neighbor tuple."""
+    pos = {v: 1 << i for i, v in enumerate(keep)}  # vertex -> position bit
     out = []
     for v in keep:
-        rest = adjm[v] & inside
         local = 0
-        while rest:
-            low = rest & -rest
-            local |= pos[low]
-            rest ^= low
+        for w in g.neighbors[v]:
+            local |= pos.get(w, 0)
         out.append(local)
     return out
 

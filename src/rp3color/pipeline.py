@@ -95,26 +95,11 @@ class Verdict:
     stats: Dict[str, int] = field(default_factory=dict)
 
 
-def _free(adjm, out, v: int, mask: int, inside: int) -> int:
-    """The colors of ``mask`` that no neighbor of v outside the bitmask
-    ``inside`` holds in ``out``.  Bit c of ``taken`` stands for color c,
-    one above its list bit, so an uncolored neighbor blocks nothing."""
-    taken = 0
-    rest = adjm[v] & ~inside
-    while rest:
-        low = rest & -rest
-        taken |= 1 << out[low.bit_length() - 1]
-        rest ^= low
-    return mask & ~(taken >> 1)
-
-
 def _color_each(neighbors, out, vertices: Iterable[int], lists) -> None:
-    """Give each of ``vertices``, in order, the smallest color of
-    lists[v] that no graph neighbor holds in ``out``, walking the
-    neighbor tuple neighbors[v]; an uncolored neighbor holds 0 and
-    blocks nothing.  Bit c of ``taken`` stands for color c, one above
-    its list bit.  A vertex with no free color is an internal bug and
-    raises RuntimeError."""
+    """Give each of ``vertices``, in order, the lowest color of lists[v]
+    that no neighbor on its tuple neighbors[v] holds in ``out``; bit c of
+    ``taken`` stands for color c, so an uncolored neighbor (0) blocks
+    nothing.  No free color is an internal bug: RuntimeError."""
     for v in vertices:
         taken = 0
         for w in neighbors[v]:
@@ -135,15 +120,15 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
 
     ``trace`` is one trace, closed by its last record; an empty trace
     lifts to ``phi`` itself.  Records are undone newest-first by one
-    rule: the vertices in a record's ``lists`` are colored again from
-    those lists so that no two clash and none takes the color of a graph
-    neighbor outside the record (one not lifted yet holds 0).  A single
-    vertex takes its smallest free color, several the first coloring of
-    oracle.colorings; each step's lift argument says one exists.  They
-    are then checked against their lists and, walking their neighbor
-    tuples, their neighbors, and the lifted coloring is verified in
-    full against the trace's input.  A defect is an internal bug and
-    raises RuntimeError.
+    rule.  A record's vertices are set to 0, so that their stale colors
+    block nothing, as a vertex not lifted yet does.  The free colors of
+    each are those of its saved list that no neighbor holds, read on its
+    neighbor tuple.  A single vertex takes its lowest free color (the
+    first coloring oracle.colorings would give), several the first
+    coloring of oracle.colorings over theirs; each step's lift argument
+    says one exists.  They are then checked against their lists and
+    neighbors, and the lifted coloring is verified in full against the
+    trace's input.  A defect is an internal bug and raises RuntimeError.
     """
     if not trace:
         return phi
@@ -151,18 +136,24 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
         raise ValueError("trace does not end with a closing record")
     source, keep = trace[-1].closing
     g = source.graph
-    adjm = g.adj_mask
+    nbrs = g.neighbors
     out = [0] * g.n
     for child, v in enumerate(keep):
         out[v] = phi[child]
     for step in reversed(trace):
         saved = step.lists
+        for v in saved:
+            out[v] = 0  # a stale color blocks nothing
         if len(saved) == 1:
-            _color_each(g.neighbors, out, saved, saved)
+            _color_each(nbrs, out, saved, saved)
         elif saved:
             vertices = tuple(saved)
-            inside = sum(1 << v for v in vertices)
-            allowed = [_free(adjm, out, v, saved[v], inside) for v in vertices]
+            allowed = []
+            for v in vertices:
+                taken = 0
+                for w in nbrs[v]:
+                    taken |= 1 << out[w]
+                allowed.append(saved[v] & ~(taken >> 1))
             colors = next(colorings(local_adjacency(g, vertices), allowed, 0), None)
             if colors is None:
                 raise RuntimeError(
@@ -170,14 +161,14 @@ def lift(trace: ReductionTrace, phi: Coloring) -> Coloring:
                 )
             for v, c in zip(vertices, colors):
                 out[v] = c
-        for v, mask in step.lists.items():
+        for v, mask in saved.items():
             c = out[v]
             if not (c >= 1 and (mask >> (c - 1)) & 1):
                 raise RuntimeError(
                     f"lift failed after {_name(step)}: vertex {v} colored {c} "
                     "outside its list"
                 )
-            for w in g.neighbors[v]:
+            for w in nbrs[v]:
                 if out[w] == c:
                     raise RuntimeError(
                         f"lift failed after {_name(step)}: edge ({v}, {w}) is "

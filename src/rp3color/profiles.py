@@ -10,7 +10,7 @@ so what they yield needs no lift.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .instances import Instance, colors_from_mask
 
@@ -27,14 +27,14 @@ def cover_cap(r: int) -> int:
 
 
 def unit_propagate(
-    adj: List[int], lists: List[int], work: Optional[List[int]] = None
+    nbrs: Sequence[Sequence[int]], lists: List[int], work: Optional[List[int]] = None
 ) -> bool:
-    """Unit propagation in place: each vertex in ``work`` has a list of
-    at most one color and removes that color from every neighbor's list
-    (``adj`` holds neighbor bitmasks); a neighbor left with one color
-    joins the worklist.  With ``work`` None the worklist starts as
-    every vertex whose list has at most one color, so the result is the
-    fixpoint of the whole instance.
+    """Unit propagation in place: each vertex v in ``work`` has a list of
+    at most one color and removes that color from the list of every
+    neighbor, walking its neighbor tuple nbrs[v] (Graph.neighbors); a
+    neighbor left with one color joins the worklist.  With ``work`` None
+    the worklist starts as every vertex whose list has at most one
+    color, so the result is the fixpoint of the whole instance.
 
     Returns False at the first empty list (``lists`` is then partly
     propagated), True at the fixpoint.  The proper list colorings stay
@@ -47,11 +47,7 @@ def unit_propagate(
         bit = lists[v]
         if bit == 0:
             return False
-        nbrs = adj[v]
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            w = low.bit_length() - 1
+        for w in nbrs[v]:
             m = lists[w]
             if m & bit:
                 m = lists[w] = m & ~bit
@@ -103,9 +99,8 @@ def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
     g, k = inst.graph, inst.k
     n = g.n
     cap = min((k - 1) * cover_cap(r), n)
-    adjm = g.adj_mask
     start = list(inst.lists)
-    if not unit_propagate(adjm, start):
+    if not unit_propagate(g.neighbors, start):
         return
     root = tuple(start)
     seen: Set[Tuple[int, ...]] = {root}
@@ -123,7 +118,7 @@ def frugal_profile(inst: Instance, r: int) -> Iterator[Instance]:
                         continue
                     child = list(lists)
                     child[v] = 1 << (c - 1)
-                    if not unit_propagate(adjm, child, [v]):
+                    if not unit_propagate(g.neighbors, child, [v]):
                         continue
                     out = tuple(child)
                     grown = sizes[:c] + (sizes[c] + 1,) + sizes[c + 1 :]

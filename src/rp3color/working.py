@@ -212,15 +212,14 @@ class WorkingInstance:
     def eliminate_singletons(self) -> None:
         """Delete the lowest-id vertex with a one-color list, removing
         its color from every neighbor list, until none is left."""
-        adjm, alive, lists = self.graph.adj_mask, self.alive, self.lists
+        nbrs, alive, lists = self.graph.neighbors, self.alive, self.lists
         while True:
             v = self.first_single()
             if v is None:
                 return
             bit = lists[v]
-            neighbors = [w for w in bits(adjm[v]) if alive[w]]
             self.record({}, {v: bit})
             self.kill(v)
-            for w in neighbors:
-                if lists[w] & bit:
+            for w in nbrs[v]:
+                if alive[w] and lists[w] & bit:
                     self.set_list(w, lists[w] & ~bit)

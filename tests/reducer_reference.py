@@ -12,11 +12,13 @@ An undo record holds only its step number and the lists it saved.
 record_kind, record_vertex, outcome, step5_ball and step11_roles read
 back from those, and from the instance the round ran on, what tests ask
 of a record: its provenance, the vertex it deletes, the step-5 outcome,
-ball and boundary, and the step-11 roles.
+ball and boundary, and the step-11 roles.  lift_by_brute_force undoes
+a trace by pipeline.lift's rule, enumerating each record's colorings.
 """
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from rp3color.graphs import Graph
 from rp3color.instances import (
@@ -277,3 +279,55 @@ def step11_roles(inst: Instance, step: LiftStep) -> Dict[str, int]:
         "i": i,
         "j": j,
     }
+
+
+def lift_by_brute_force(
+    trace: ReductionTrace, phi
+) -> Optional[Tuple[Tuple[int, ...], int]]:
+    """The lift of ``phi`` through ``trace`` by pipeline.lift's rule, and
+    how many vertices a record recolored away from the color they held
+    when it was undone; None when some record has no such coloring.
+
+    Records go newest-first.  Each one's vertices, in record order with
+    colors ascending, take the first assignment from their saved lists
+    that is proper among them and avoids every color held by a neighbor
+    outside the record (0, none, for one not colored yet).  The colors
+    the record's own vertices hold are ignored.  Neighbor sets come from
+    the edge list.
+    """
+    source, keep = trace[-1].closing
+    g = source.graph
+    near: List[Set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        near[u].add(v)
+        near[v].add(u)
+    out = [0] * g.n
+    for child, v in enumerate(keep):
+        out[v] = phi[child]
+    recolored = 0
+    for step in reversed(trace):
+        vertices = tuple(step.lists)
+        options = []
+        for v in vertices:
+            taken = {out[w] for w in near[v] if w not in step.lists}
+            listed = colors_from_mask(step.lists[v])
+            options.append([c for c in listed if c not in taken])
+        pairs = [
+            (i, j)
+            for i, j in itertools.combinations(range(len(vertices)), 2)
+            if vertices[j] in near[vertices[i]]
+        ]
+        colors = next(
+            (
+                combo
+                for combo in itertools.product(*options)
+                if all(combo[i] != combo[j] for i, j in pairs)
+            ),
+            None,
+        )
+        if colors is None:
+            return None
+        for v, c in zip(vertices, colors):
+            recolored += out[v] not in (0, c)
+            out[v] = c
+    return tuple(out), recolored

@@ -361,7 +361,7 @@ def propagate_singletons(inst):
     """``inst`` unit-propagated from every one-color list by
     profiles.unit_propagate; None once a list is empty."""
     lists = list(inst.lists)
-    if not unit_propagate(inst.graph.adj_mask, lists):
+    if not unit_propagate(inst.graph.neighbors, lists):
         return None
     return Instance(inst.graph, inst.k, tuple(lists))
 

@@ -36,6 +36,7 @@ from reducer_reference import (
     center_context_report,
     check_center_context,
     eliminate_singletons,
+    lift_by_brute_force,
     outcome,
     record_kind,
     record_vertex,
@@ -708,6 +709,38 @@ def test_corrupted_undo_record_fails_lift():
     bad = replace(step, lists={u: 1 << (lift(trace, phi)[w] - 1)})
     with pytest.raises(RuntimeError, match=f"no free color when restoring vertex {u}"):
         lift([bad], phi)
+
+
+def test_lift_matches_brute_force_rule():
+    """lift equals the rule enumerated by brute force on 300 seeded
+    bounded-degree draws.  Among them are step-11 records whose center
+    and anchors, kept in the output, still hold their output colors when
+    the record is undone; the rule ignores those, so the lift recolors
+    some of them.  As in assert_same_reduction, only an input with a
+    good P3 may fail to reduce; lift fails exactly where the rule finds
+    no coloring for some record."""
+    rng = random.Random(77)
+    lifts = recolored = 0
+    for _ in range(300):
+        inst = bounded_degree_instance(rng, rng.randint(4, 40))
+        try:
+            out, trace = reduce_to_binary(inst)
+        except (InstanceError, RuntimeError):
+            assert find_good_p3(inst) is not None
+            continue
+        phi = binary_list_color(out)
+        if phi is None or not trace:
+            continue
+        want = lift_by_brute_force(trace, phi)
+        if want is None:
+            with pytest.raises(RuntimeError, match="no free color"):
+                lift(trace, phi)
+            continue
+        assert lift(trace, phi) == want[0]
+        lifts += 1
+        recolored += want[1]
+    assert lifts >= 100
+    assert recolored >= 1
 
 
 def test_lift_step4_skips_only_taken_colors():
