@@ -3,7 +3,8 @@
 The public surface: graph and instance models with file formats, an
 exhaustive oracle, the frugality profile and good-P3 elimination
 streams, the 11-step reduction with certificate lifting, the 2-SAT
-finish, the solver pipeline, and the hardness gadget generator.
+finish, the solver pipeline, and the hardness gadget generator, which
+loads on first use because no solve needs it.
 """
 
 from .graphs import (
@@ -35,11 +36,16 @@ from .goodp3 import (
 from .reducer import reduce_once, reduce_to_binary
 from .twosat import CnfFormula, binary_list_color, solve_2sat, to_2sat
 from .pipeline import SolveOptions, Verdict, candidate_stream, lift, solve
-from .hardness import (
-    NaeInstance,
-    build_hardness_graph,
-    parse_nae,
-    serialize_nae,
-)
 
 __version__ = "0.1.0"
+
+_HARDNESS = {"NaeInstance", "build_hardness_graph", "parse_nae", "serialize_nae"}
+
+
+def __getattr__(name):
+    """The hardness generator's public names, imported on first use."""
+    if name in _HARDNESS:
+        from . import hardness
+
+        return getattr(hardness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,6 @@ from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .graphs import Graph, anticomplete_packing
-from .hardness import build_hardness_graph, parse_nae
 from .instances import (
     Instance,
     InstanceError,
@@ -122,6 +121,8 @@ def _cmd_check_free(args) -> int:
 
 
 def _cmd_gen_hard(args) -> int:
+    from .hardness import build_hardness_graph, parse_nae
+
     inst = build_hardness_graph(_load(args.file, parse_nae))
     sys.stdout.write(serialize_instance(inst))
     return 0

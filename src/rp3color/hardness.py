@@ -10,33 +10,33 @@ the family a hardness frontier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import List, Optional, Tuple
 
 from .graphs import Graph
 from .instances import Instance, ParseError, full_mask
 
 
-@dataclass(frozen=True)
-class NaeInstance:
+class NaeInstance(namedtuple("NaeInstance", "n clauses")):
     """Monotone formula: clauses are triples of 1-based variable ids.
 
     Repeats inside a clause are allowed; (x, x, x) is the smallest
     unsatisfiable formula under not-all-equal semantics.
     """
 
-    n: int
-    clauses: Tuple[Tuple[int, int, int], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"variable count {self.n} negative")
-        for clause in self.clauses:
+    def __new__(cls, n: int, clauses: Tuple[Tuple[int, int, int], ...]):
+        if n < 0:
+            raise ValueError(f"variable count {n} negative")
+        for clause in clauses:
             if len(clause) != 3:
                 raise ValueError(f"clause {clause} does not have 3 literals")
             for i in clause:
-                if not 1 <= i <= self.n:
-                    raise ValueError(f"variable {i} outside 1..{self.n}")
+                if not 1 <= i <= n:
+                    raise ValueError(f"variable {i} outside 1..{n}")
+        return super().__new__(cls, n, clauses)
 
     @property
     def m(self) -> int:

@@ -6,7 +6,7 @@ color c is allowed).  k is at most 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .graphs import Graph
@@ -53,25 +53,23 @@ def full_mask(k: int) -> int:
     return (1 << k) - 1
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(namedtuple("Instance", "graph k lists")):
     """A list-coloring instance (graph, k, per-vertex color lists)."""
 
-    graph: Graph
-    k: int
-    lists: Tuple[int, ...]
+    __slots__ = ()
+    # _replace builds through _make, so it validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if not (1 <= self.k <= MAX_K):
-            raise InstanceError(f"k={self.k} outside 1..{MAX_K}")
-        if len(self.lists) != self.graph.n:
-            raise InstanceError(
-                f"{len(self.lists)} lists for {self.graph.n} vertices"
-            )
-        full = full_mask(self.k)
-        for v, mask in enumerate(self.lists):
+    def __new__(cls, graph: Graph, k: int, lists: Tuple[int, ...]):
+        if not (1 <= k <= MAX_K):
+            raise InstanceError(f"k={k} outside 1..{MAX_K}")
+        if len(lists) != graph.n:
+            raise InstanceError(f"{len(lists)} lists for {graph.n} vertices")
+        full = full_mask(k)
+        for v, mask in enumerate(lists):
             if mask & ~full:
-                raise InstanceError(f"list of vertex {v} exceeds 1..{self.k}")
+                raise InstanceError(f"list of vertex {v} exceeds 1..{k}")
+        return super().__new__(cls, graph, k, lists)
 
     def __repr__(self) -> str:
         return f"Instance(n={self.graph.n}, k={self.k})"
@@ -102,14 +100,14 @@ def coloring_defect(inst: Instance, phi: Coloring) -> Optional[str]:
     Checks, in order: length, color range, list membership, and
     properness along edges.
     """
-    g = inst.graph
+    g, k, lists = inst
     if len(phi) != g.n:
         return f"coloring has {len(phi)} entries for {g.n} vertices"
     for v in range(g.n):
         c = phi[v]
-        if not (1 <= c <= inst.k):
-            return f"vertex {v} has color {c} outside 1..{inst.k}"
-        if not (inst.lists[v] >> (c - 1)) & 1:
+        if not (1 <= c <= k):
+            return f"vertex {v} has color {c} outside 1..{k}"
+        if not (lists[v] >> (c - 1)) & 1:
             return f"vertex {v} colored {c} outside its list"
     for u, v in g.edges:
         if phi[u] == phi[v]:

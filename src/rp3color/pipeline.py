@@ -24,7 +24,7 @@ search took.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .goodp3 import _earliest_good, good_triple_index, pivot_refinements
@@ -57,27 +57,30 @@ log = logging.getLogger("rp3color")
 Refutation = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    r: int = 2
-    force: bool = False
-    # kept only while perfbench/worker.py still passes jobs=1
-    jobs: int = 1
-    budget: Optional[int] = None
+class SolveOptions(namedtuple("SolveOptions", "r force jobs budget")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"r={self.r}, need at least 1")
-        if self.jobs != 1:
+    def __new__(
+        cls,
+        r: int = 2,
+        force: bool = False,
+        # kept only while perfbench/worker.py still passes jobs=1
+        jobs: int = 1,
+        budget: Optional[int] = None,
+    ):
+        if r < 1:
+            raise ValueError(f"r={r}, need at least 1")
+        if jobs != 1:
             raise ValueError(
-                f"jobs={self.jobs}, need 1: the worker-process pool was removed"
+                f"jobs={jobs}, need 1: the worker-process pool was removed"
             )
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"budget={self.budget}, need at least 1")
+        if budget is not None and budget < 1:
+            raise ValueError(f"budget={budget}, need at least 1")
+        return super().__new__(cls, r, force, jobs, budget)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "status coloring witness refutation stats")):
     """Solver outcome.
 
     status is one of "colorable", "not-colorable", "not-rp3-free",
@@ -88,11 +91,18 @@ class Verdict:
     join kernel carries none.
     """
 
-    status: str
-    coloring: Optional[Coloring] = None
-    witness: Optional[Tuple[Tuple[int, ...], ...]] = None
-    refutation: Optional[Refutation] = None
-    stats: Dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        status: str,
+        coloring: Optional[Coloring] = None,
+        witness: Optional[Tuple[Tuple[int, ...], ...]] = None,
+        refutation: Optional[Refutation] = None,
+        stats: Optional[Dict[str, int]] = None,
+    ):
+        stats = {} if stats is None else stats
+        return super().__new__(cls, status, coloring, witness, refutation, stats)
 
 
 def _color_each(neighbors, out, vertices: Iterable[int], lists) -> None:

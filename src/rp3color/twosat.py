@@ -9,7 +9,7 @@ scales to tens of thousands of vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
 from .instances import Coloring, Instance, InstanceError, colors_from_mask
@@ -18,18 +18,18 @@ from .instances import Coloring, Instance, InstanceError, colors_from_mask
 Clause = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    nvars: int
-    clauses: Tuple[Clause, ...]
+class CnfFormula(namedtuple("CnfFormula", "nvars clauses")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        for clause in self.clauses:
+    def __new__(cls, nvars: int, clauses: Tuple[Clause, ...]):
+        for clause in clauses:
             if not (1 <= len(clause) <= 2):
                 raise ValueError(f"clause size {len(clause)} outside 1..2")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.nvars:
+                if lit == 0 or abs(lit) > nvars:
                     raise ValueError(f"literal {lit} out of range")
+        return super().__new__(cls, nvars, clauses)
 
 
 DecodeEntry = Tuple[int, int, int]  # vertex, smaller color, larger color

@@ -13,7 +13,7 @@ for, each revalidated lazily on lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -21,8 +21,7 @@ from .graphs import bits, induced_subgraph
 from .instances import Instance
 
 
-@dataclass(frozen=True)
-class LiftStep:
+class LiftStep(namedtuple("LiftStep", "info lists closing")):
     """One reduction or singleton step as a local undo record.
 
     ``lists`` maps each vertex the lift (re)colors, by its id in the
@@ -35,9 +34,17 @@ class LiftStep:
     the input id of every vertex of the trace's output, in output order.
     """
 
-    info: dict = field(default_factory=dict)
-    lists: Dict[int, int] = field(default_factory=dict)
-    closing: Optional[Tuple[Instance, Tuple[int, ...]]] = None
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        info: Optional[dict] = None,
+        lists: Optional[Dict[int, int]] = None,
+        closing: Optional[Tuple[Instance, Tuple[int, ...]]] = None,
+    ):
+        return super().__new__(
+            cls, {} if info is None else info, {} if lists is None else lists, closing
+        )
 
 
 ReductionTrace = List[LiftStep]
@@ -99,7 +106,7 @@ class WorkingInstance:
     # -- changes -------------------------------------------------------
 
     def record(self, info: dict, lists: Optional[Dict[int, int]] = None) -> None:
-        self.trace.append(LiftStep(info, lists or {}))
+        self.trace.append(LiftStep(info, lists))
 
     def set_list(self, v: int, mask: int) -> None:
         """Shrink the list of alive vertex v to ``mask``."""
@@ -206,7 +213,7 @@ class WorkingInstance:
         else:
             graph, _ = induced_subgraph(src.graph, keep)
         out = Instance(graph, src.k, tuple(self.lists[v] for v in keep))
-        trace[-1] = replace(trace[-1], closing=(src, keep))
+        trace[-1] = trace[-1]._replace(closing=(src, keep))
         return out, trace
 
     def eliminate_singletons(self) -> None:

@@ -4,7 +4,6 @@ import itertools
 import logging
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -684,7 +683,7 @@ def test_lift_reads_only_lists_and_closing():
             continue
         want = lift(trace, phi)
         assert verify_coloring(inst, want)
-        assert lift([replace(s, info={}) for s in trace], phi) == want
+        assert lift([s._replace(info={}) for s in trace], phi) == want
         kinds.update(record_kind(s) for s in trace)
         steps.update(s.info.get("step") for s in trace)
     assert min(kinds.values()) >= 10 and len(kinds) == 5
@@ -701,12 +700,12 @@ def test_corrupted_undo_record_fails_lift():
     step = trace[0]
     u = record_vertex(step)
     # a saved list the vertex never had: caught by the final check
-    bad = replace(step, lists={u: mask_from_colors({5})})
+    bad = step._replace(lists={u: mask_from_colors({5})})
     with pytest.raises(RuntimeError, match="outside its list"):
         lift([bad], phi)
     # a saved list that the neighbors use up
     (w,) = (x for x in range(4) if inst.graph.has_edge(u, x))
-    bad = replace(step, lists={u: 1 << (lift(trace, phi)[w] - 1)})
+    bad = step._replace(lists={u: 1 << (lift(trace, phi)[w] - 1)})
     with pytest.raises(RuntimeError, match=f"no free color when restoring vertex {u}"):
         lift([bad], phi)
 
