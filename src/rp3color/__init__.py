@@ -29,10 +29,7 @@ from .instances import (
 from .oracle import frugal_colorings, solve_exact, solve_exact_frugal
 from .profiles import cover_cap, frugal_profile
 from .working import LiftStep, ReductionTrace
-from .goodp3 import (
-    good_triples,
-    pivot_refinements,
-)
+from .goodp3 import pivot_refinements
 from .reducer import reduce_once, reduce_to_binary
 from .twosat import CnfFormula, binary_list_color, solve_2sat, to_2sat
 from .pipeline import SolveOptions, Verdict, candidate_stream, lift, solve

@@ -3,49 +3,26 @@
 A triple of color sets is "good" when all three have size at least two
 and they pairwise intersect; an induced P3 whose lists form a good
 triple is the obstruction that blocks the later reduction stages.  This
-module orders the good triples, finds the earliest one an instance
-realizes, and branches on one such path (pivot_refinements, which reads
-the triple off the path's own lists and yields unit-propagated
-children); the search in pipeline repeats that until no good P3
-remains.  Each branch step preserves colorability in both directions
-(frugal colorings forward, arbitrary colorings come back through the
-pinned singletons).  The colorings of a patch come from
-oracle.colorings, frugal at the three pivot vertices only.
+module finds the earliest good P3 of an instance, ranking each path
+from its own three lists (heaviest triple first, ties by the triple of
+bitmasks, both orientations alike), and branches on one such path
+(pivot_refinements, which reads the triple off the path's own lists
+and yields unit-propagated children); the search in pipeline repeats
+that until no good P3 remains.  Each branch step preserves
+colorability in both directions (frugal colorings forward, arbitrary
+colorings come back through the pinned singletons).  The colorings of
+a patch come from oracle.colorings, frugal at the three pivot vertices
+only.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .graphs import InducedP3, bits, local_adjacency
-from .instances import GoodTriple, Instance, is_good_triple, p3_list_type
+from .instances import Instance
 from .oracle import colorings
 from .profiles import unit_propagate
-
-
-@lru_cache(maxsize=None)
-def good_triples(k: int) -> Tuple[GoodTriple, ...]:
-    """All good triples over {1..k}, heaviest first.
-
-    Sorted by total size non-increasing, ties in ascending lexicographic
-    order of the triple of bitmasks: the nested loops meet each weight's
-    triples in that order, so one bucket per weight needs no sort.
-    """
-    if not (1 <= k <= 8):
-        raise ValueError(f"k={k} outside 1..8")
-    masks = [m for m in range(1, 1 << k) if m.bit_count() >= 2]
-    buckets: List[List[GoodTriple]] = [[] for _ in range(3 * k + 1)]
-    for a in masks:
-        wa = a.bit_count()
-        for b in masks:
-            if not a & b:
-                continue
-            wab = wa + b.bit_count()
-            for c in masks:
-                if a & c and b & c:
-                    buckets[wab + c.bit_count()].append((a, b, c))
-    return tuple(t for bucket in reversed(buckets) for t in bucket)
 
 
 def pivot_refinements(
@@ -54,8 +31,10 @@ def pivot_refinements(
     """Unit-propagated refinements that pin a colored patch around one
     good P3.
 
-    The pivot must be an induced P3 whose lists form a good triple
-    (ValueError otherwise); either orientation gives the same stream.
+    The pivot must be an induced P3 of the graph whose lists form a
+    good triple (ValueError otherwise: an id out of range, a missing
+    path edge, a chord or a triple that is not good); either
+    orientation gives the same stream.
     Each output comes from a patch S with pivot inside S inside the
     closed pivot neighborhood, |S| <= 3k, and a proper list coloring psi
     of the patch in which no pivot vertex sees two patch neighbors share
@@ -104,12 +83,21 @@ def pivot_refinements(
     in the same order.  Distinct children may propagate to one list
     tuple; the search in pipeline drops the later ones.
     """
-    if not is_good_triple(p3_list_type(inst, pivot)):
-        raise ValueError(f"pivot {pivot} is not a good P3")
-    g, k, lists = inst.graph, inst.k, inst.lists
+    g, k, lists = inst
     adj = g.adj_mask
-    inside = (1 << pivot[0]) | (1 << pivot[1]) | (1 << pivot[2])
-    near = (adj[pivot[0]] | adj[pivot[1]] | adj[pivot[2]]) & ~inside
+    x, y, z = pivot
+    if not (
+        0 <= min(pivot)
+        and max(pivot) < g.n
+        and x != z
+        and (adj[y] >> x) & 1
+        and (adj[y] >> z) & 1
+        and not (adj[x] >> z) & 1
+        and _earliest_good(inst, (pivot,))
+    ):
+        raise ValueError(f"pivot {pivot} is not a good P3")
+    inside = (1 << x) | (1 << y) | (1 << z)
+    near = (adj[x] | adj[y] | adj[z]) & ~inside
     # base: the output lists before pinning, every neighbor at rest(v);
     # allowed: the colors each vertex may take inside a patch
     base = list(lists)
@@ -176,32 +164,36 @@ def _pinned_child(
     return Instance(inst.graph, inst.k, tuple(lists))
 
 
-@lru_cache(maxsize=None)
-def good_triple_index(k: int) -> Dict[GoodTriple, int]:
-    """Rank of each good triple: the smaller of its own position and its
-    reverse's position in good_triples(k), so both orientations of a
-    P3 rank alike."""
-    index: Dict[GoodTriple, int] = {}
-    for i, t in enumerate(good_triples(k)):
-        # a reverse met earlier keeps its own, smaller, position
-        index[t] = index.get((t[2], t[1], t[0]), i)
-    return index
+def _earliest_good(cur: Instance, p3s: Tuple[InducedP3, ...]) -> Optional[InducedP3]:
+    """The first P3 of ``p3s`` whose lists form a good triple of the
+    smallest rank, or None when no good P3 exists.
 
-
-def _earliest_good(
-    cur: Instance, index: Dict[GoodTriple, int], p3s: Tuple[InducedP3, ...]
-) -> Tuple[Optional[int], Optional[InducedP3]]:
-    """Smallest triple rank with a matching P3, and the first matching
-    P3 of ``p3s`` for that rank; (None, None) when no good P3 exists.
-    ``p3s`` is induced_p3_stream of cur's graph, built once per walk
-    since every node of a walk shares its graph.  The scan stops at
-    rank 0, which nothing can beat."""
-    best = pivot = None
-    lists = cur.lists
+    The rank of a good triple (a, b, c) over k colors, taken with a <= c
+    so that both orientations of a path rank alike, is
+    ((3k - |a| - |b| - |c|) << 3k) | (a << 2k) | (b << k) | c: heaviest
+    first, ties by the triple of bitmasks.  The scan compares its two
+    parts in turn, the weight first, and builds the low part only for a
+    path at least as heavy as the best so far.  It stops at three full
+    lists (a rank below 1 << 3k), which nothing can beat.  ``p3s`` is
+    induced_p3_stream of cur's graph, built once per walk since every
+    node of a walk shares its graph."""
+    _, k, lists = cur
+    k2, full = 2 * k, 3 * k
+    weight = low = 0
+    pivot = None
     for p3 in p3s:
-        i = index.get((lists[p3[0]], lists[p3[1]], lists[p3[2]]))
-        if i is not None and (best is None or i < best):
-            best, pivot = i, p3
-            if best == 0:
-                break
-    return best, pivot
+        x, y, z = p3
+        a, b, c = lists[x], lists[y], lists[z]
+        # intersections first: at a propagation fixpoint a one-color
+        # list shares no color with its neighbors
+        if a & b and b & c and a & c and a & (a - 1) and b & (b - 1) and c & (c - 1):
+            w = a.bit_count() + b.bit_count() + c.bit_count()
+            if w >= weight:
+                if a > c:
+                    a, c = c, a
+                key = (a << k2) | (b << k) | c
+                if w > weight or key < low:
+                    weight, low, pivot = w, key, p3
+                    if w == full:
+                        break
+    return pivot

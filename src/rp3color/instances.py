@@ -14,7 +14,6 @@ from .graphs import Graph
 MAX_K = 8
 
 Coloring = Tuple[int, ...]
-GoodTriple = Tuple[int, int, int]
 
 
 class InstanceError(ValueError):
@@ -73,25 +72,6 @@ class Instance(namedtuple("Instance", "graph k lists")):
 
     def __repr__(self) -> str:
         return f"Instance(n={self.graph.n}, k={self.k})"
-
-
-def is_good_triple(triple: GoodTriple) -> bool:
-    """All three sets have size at least 2 and pairwise intersect."""
-    a, b, c = triple
-    return (
-        a.bit_count() >= 2
-        and b.bit_count() >= 2
-        and c.bit_count() >= 2
-        and a & b != 0
-        and a & c != 0
-        and b & c != 0
-    )
-
-
-def p3_list_type(inst: Instance, p3: Tuple[int, int, int]) -> GoodTriple:
-    """Lists along the path in canonical orientation."""
-    a, b, c = p3
-    return (inst.lists[a], inst.lists[b], inst.lists[c])
 
 
 def coloring_defect(inst: Instance, phi: Coloring) -> Optional[str]:

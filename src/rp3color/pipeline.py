@@ -27,7 +27,7 @@ import logging
 from collections import namedtuple
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .goodp3 import _earliest_good, good_triple_index, pivot_refinements
+from .goodp3 import _earliest_good, pivot_refinements
 from .graphs import (
     Graph,
     anticomplete_packing,
@@ -236,7 +236,9 @@ def candidate_stream(
     One depth-first walk per searched kernel over a stack of streams: the bottom
     one is frugal_profile (each propagated list tuple once, nothing when
     propagating the input empties a list), each one above it the
-    pivot_refinements of a node's earliest good triple.  Every node is a
+    pivot_refinements of a node's earliest good P3 (_earliest_good, which
+    ranks each path from its own three lists and keeps no table, so
+    memory does not grow with k).  Every node is a
     unit-propagation fixpoint with no empty list on the input graph.  A
     node whose lists were visited before, under any element, is skipped
     but counts toward the budget: its subtree was explored in full.  A
@@ -252,7 +254,6 @@ def candidate_stream(
     if budget is None:
         budget = _Budget()
     info = log.isEnabledFor(logging.INFO)
-    index = good_triple_index(inst.k)
     p3s = tuple(induced_p3_stream(inst.graph))
     seen: Set[Tuple[int, ...]] = set()
     seen_final: Set[Tuple[int, ...]] = set()
@@ -277,7 +278,7 @@ def candidate_stream(
             budget.pruned += 1
             continue
         seen.add(cur.lists)
-        _, pivot = _earliest_good(cur, index, p3s)
+        pivot = _earliest_good(cur, p3s)
         if pivot is not None:
             stack.append(pivot_refinements(cur, pivot))
             continue

@@ -1,9 +1,11 @@
 """Reference good-P3 elimination that the solver's pruned walk is checked against.
 
 eliminate_type removes one list type at a time, literal_fold folds it
-over every good triple heaviest-first, and eliminate_good_p3 reaches the
-same leaves in the same order by expanding only the earliest good triple
-an instance realizes.  None of them prunes: they yield every leaf,
+over every good triple in good_order (heaviest first, ties by the
+triple, found by brute force over all triples), and eliminate_good_p3
+reaches the same leaves in the same order by expanding only the
+earliest good triple an instance realizes (earliest_good_p3, ranked by
+good_rank).  None of them prunes: they yield every leaf,
 including repeats and leaves with an empty list, so they branch through
 eager_pivot_refinements: every child of one pivot built up front from
 the sorted patch list, without the skips and the unit propagation of
@@ -13,24 +15,49 @@ pivot-frugality check written out here, so they share no frugality
 code with the solver's watched enumeration.
 """
 
-from itertools import combinations
-from typing import Iterator, List, Optional, Tuple
+from functools import lru_cache
+from itertools import combinations, product
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from rp3color.goodp3 import _earliest_good, good_triple_index, good_triples
 from rp3color.graphs import induced_p3_stream, induced_subgraph
-from rp3color.instances import (
-    Coloring,
-    GoodTriple,
-    Instance,
-    colors_from_mask,
-    is_good_triple,
-    p3_list_type,
-)
+from rp3color.instances import Coloring, Instance, colors_from_mask
 from rp3color.oracle import exact_colorings
+
+from instance_reference import GoodTriple, is_good_triple, p3_list_type
 
 
 def triple_weight(triple: GoodTriple) -> int:
     return sum(m.bit_count() for m in triple)
+
+
+@lru_cache(maxsize=None)
+def good_order(k: int) -> Tuple[GoodTriple, ...]:
+    """Every good triple over {1..k}, sorted by (-weight, triple)."""
+    good = [t for t in product(range(1 << k), repeat=3) if is_good_triple(t)]
+    return tuple(sorted(good, key=lambda t: (-triple_weight(t), t)))
+
+
+@lru_cache(maxsize=None)
+def good_rank(k: int) -> Dict[GoodTriple, int]:
+    """Rank of each good triple: the smaller of its own position and its
+    reverse's position in good_order(k), so both orientations of a P3
+    rank alike."""
+    pos = {t: i for i, t in enumerate(good_order(k))}
+    return {t: min(i, pos[t[::-1]]) for t, i in pos.items()}
+
+
+def earliest_good_p3(
+    inst: Instance, p3s: Sequence[Tuple[int, int, int]]
+) -> Optional[Tuple[int, Tuple[int, int, int]]]:
+    """(rank, P3) for the first P3 of ``p3s`` whose list type has the
+    smallest good_rank, or None when no P3 of ``p3s`` is good."""
+    rank = good_rank(inst.k)
+    best = None
+    for p3 in p3s:
+        i = rank.get(p3_list_type(inst, p3))
+        if i is not None and (best is None or i < best[0]):
+            best = (i, p3)
+    return best
 
 
 def _match_orientation(
@@ -119,7 +146,7 @@ def _type_leaves(cur: Instance, triple: GoodTriple) -> Iterator[Instance]:
 def literal_fold(inst: Instance):
     """eliminate_type applied for every good triple, heaviest first."""
     stream = [inst]
-    for gamma in good_triples(inst.k):
+    for gamma in good_order(inst.k):
         stream = [
             child for cur in stream for child in eliminate_type(cur, gamma)
         ]
@@ -140,12 +167,11 @@ def eliminate_good_p3(inst: Instance, r: int) -> Iterator[Instance]:
 
 
 def _good_leaves(cur: Instance) -> Iterator[Instance]:
-    p3s = tuple(induced_p3_stream(cur.graph))
-    best, pivot = _earliest_good(cur, good_triple_index(cur.k), p3s)
+    best = earliest_good_p3(cur, tuple(induced_p3_stream(cur.graph)))
     if best is None:
         yield cur
         return
-    gamma = good_triples(cur.k)[best]
+    gamma, pivot = good_order(cur.k)[best[0]], best[1]
     for child in eager_pivot_refinements(cur, gamma, pivot):
         yield from _good_leaves(child)
 

@@ -2,8 +2,10 @@
 
 is_stable_set and is_clique test a vertex set of a graph.  list_graph
 keeps the edges whose endpoint lists meet, p_value is the potential
-every reduction round lowers, and find_good_p3 is the first induced P3
-with a good list type, by a plain scan of the path stream.
+every reduction round lowers, is_good_triple is the definition of a
+good list type (a GoodTriple, as p3_list_type reads it off a path), and
+find_good_p3 is the first induced P3 with a good list type, by a plain
+scan of the path stream.
 verify_coloring accepts a proper list coloring, and with ``frugal`` set
 only a frugal one; frugal_defect names the first vertex that sees two
 neighbors in one color of its own list.
@@ -12,14 +14,9 @@ neighbors in one color of its own list.
 from typing import Iterable, Optional, Tuple
 
 from rp3color.graphs import Graph, induced_p3_stream
-from rp3color.instances import (
-    Coloring,
-    Instance,
-    coloring_defect,
-    colors_from_mask,
-    is_good_triple,
-    p3_list_type,
-)
+from rp3color.instances import Coloring, Instance, coloring_defect, colors_from_mask
+
+GoodTriple = Tuple[int, int, int]
 
 
 def is_stable_set(g: Graph, xs: Iterable[int]) -> bool:
@@ -50,6 +47,25 @@ def list_graph(inst: Instance) -> Graph:
 def p_value(inst: Instance) -> int:
     """Potential |V| + sum of list sizes; every reduction round lowers it."""
     return inst.graph.n + sum(m.bit_count() for m in inst.lists)
+
+
+def is_good_triple(triple: GoodTriple) -> bool:
+    """All three sets have size at least 2 and pairwise intersect."""
+    a, b, c = triple
+    return (
+        a.bit_count() >= 2
+        and b.bit_count() >= 2
+        and c.bit_count() >= 2
+        and a & b != 0
+        and a & c != 0
+        and b & c != 0
+    )
+
+
+def p3_list_type(inst: Instance, p3: Tuple[int, int, int]) -> GoodTriple:
+    """Lists along the path in canonical orientation."""
+    a, b, c = p3
+    return (inst.lists[a], inst.lists[b], inst.lists[c])
 
 
 def find_good_p3(inst: Instance) -> Optional[Tuple[int, int, int]]:

@@ -8,25 +8,28 @@ from hypothesis import given, settings, strategies as st
 from rp3color import (
     Graph,
     Instance,
+    candidate_stream,
     colors_from_mask,
-    good_triples,
     mask_from_colors,
     pivot_refinements,
     solve_exact_frugal,
 )
 from rp3color import goodp3
-from rp3color.goodp3 import good_triple_index
+from rp3color.graphs import induced_p3_stream
 from rp3color.oracle import colorings
 
 from goodp3_reference import (
     count_anticomplete_of_type,
     eager_pivot_refinements,
+    earliest_good_p3,
     eliminate_good_p3,
     eliminate_type,
     find_type_p3,
+    good_order,
+    good_rank,
     literal_fold,
 )
-from instance_reference import find_good_p3
+from instance_reference import find_good_p3, p3_list_type
 from profile_reference import is_refinement, propagated
 
 GAMMA = (0b011, 0b110, 0b101)  # ({1,2},{2,3},{1,3})
@@ -42,33 +45,97 @@ def good_direct(triple):
     return bool(sizes and a & b and b & c and a & c)
 
 
+def two_paths(k, first, second):
+    # two disjoint paths, 0-1-2 and 3-4-5, carrying the two triples
+    return Instance(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), k, first + second)
+
+
 def test_good_triples_small_k():
-    assert good_triples(1) == ()
-    assert good_triples(2) == ((0b11, 0b11, 0b11),)
+    assert good_order(1) == ()
+    assert good_order(2) == ((0b11, 0b11, 0b11),)
+    path = Graph(3, [(0, 1), (1, 2)])
+    for k in (1, 2):
+        for t in itertools.product(range(1 << k), repeat=3):
+            got = goodp3._earliest_good(Instance(path, k, t), ((0, 1, 2),))
+            assert got == ((0, 1, 2) if t == (0b11,) * 3 else None)
 
 
 def test_good_triples_k5_against_brute_force():
-    got = good_triples(5)
+    got = good_order(5)
     assert got[0] == (0b11111, 0b11111, 0b11111)
-    expected = sum(
-        1
-        for t in itertools.product(range(32), repeat=3)
-        if good_direct(t)
-    )
-    assert len(got) == expected
-    assert all(good_direct(t) for t in got)
+    expected = [t for t in itertools.product(range(32), repeat=3) if good_direct(t)]
+    assert sorted(got) == expected
     weights = [sum(bin(x).count("1") for x in t) for t in got]
     assert weights == sorted(weights, reverse=True)
-    for (wa, ta), (wb, tb) in zip(
-        zip(weights, got), zip(weights[1:], got[1:])
-    ):
+    for (wa, ta), (wb, tb) in zip(zip(weights, got), zip(weights[1:], got[1:])):
         if wa == wb:
             assert ta < tb
-    # both orientations of a triple share the rank of the earlier one
-    pos = {t: i for i, t in enumerate(got)}
-    assert good_triple_index(5) == {
-        t: min(i, pos[(t[2], t[1], t[0])]) for t, i in pos.items()
-    }
+    # _earliest_good finds exactly the good triples, ...
+    path = Graph(3, [(0, 1), (1, 2)])
+    good = set(expected)
+    for t in itertools.product(range(32), repeat=3):
+        found = goodp3._earliest_good(Instance(path, 5, t), ((0, 1, 2),))
+        assert (found is not None) == (t in good)
+    # ... and ranks them as the reference does, both orientations of a
+    # triple sharing the rank of the earlier one: of two triples
+    # consecutive by rank, the later one scanned first wins only on a tie
+    rank = good_rank(5)
+    by_rank = sorted(got, key=rank.get)
+    for ta, tb in zip(by_rank, by_rank[1:]):
+        want = (0, 1, 2) if rank[tb] == rank[ta] else (3, 4, 5)
+        assert goodp3._earliest_good(two_paths(5, tb, ta), ((0, 1, 2), (3, 4, 5))) == want
+
+
+def test_earliest_good_matches_the_reference_rank():
+    # disjoint paths, so the induced P3s are exactly the drawn ones, each
+    # with lists from a small pool (ties) read in a random orientation;
+    # the scan gets the paths shuffled, sometimes with a full-list path
+    # last, after good ones
+    rng = random.Random(2929)
+    ties = reversed_ties = full_last = 0
+    for k in range(2, 7):
+        full = (1 << k) - 1
+        rank = good_rank(k)
+        for _ in range(300):
+            pool = [
+                tuple(rng.choice((full, rng.randrange(1 << k))) for _ in range(3))
+                for _ in range(rng.randint(1, 3))
+            ]
+            lists = []
+            for _ in range(rng.randint(1, 6)):
+                lists += rng.choice(pool)
+            p3s = [(v, v + 1, v + 2)[:: rng.choice((1, -1))] for v in range(0, len(lists), 3)]
+            rng.shuffle(p3s)
+            if rng.random() < 0.3:
+                p3s.append((len(lists), len(lists) + 1, len(lists) + 2))
+                lists += [full] * 3
+            edges = [e for x, y, z in p3s for e in ((x, y), (y, z))]
+            inst = Instance(Graph(len(lists), edges), k, tuple(lists))
+            assert sorted(induced_p3_stream(inst.graph)) == sorted(min(p, p[::-1]) for p in p3s)
+            want = earliest_good_p3(inst, p3s)
+            assert goodp3._earliest_good(inst, tuple(p3s)) == (want[1] if want else None)
+            if want is None:
+                continue
+            tied = [t for t in map(p3_list_type, [inst] * len(p3s), p3s) if rank.get(t) == want[0]]
+            ties += len(tied) > 1
+            reversed_ties += len(set(tied)) > 1
+            full_last += want[1] == p3s[-1] and tied[0] == (full,) * 3 and any(
+                p3_list_type(inst, p) in rank for p in p3s[:-1]
+            )
+    assert ties >= 400 and reversed_ties >= 100 and full_last >= 100
+
+
+def test_candidate_stream_memory_is_bounded_in_k():
+    # a path with full lists at k = 7 branches on its only P3 at once;
+    # detection keeps no table of good triples, so it allocates little
+    inst = Instance(Graph(3, [(0, 1), (1, 2)]), 7, (0b1111111,) * 3)
+    tracemalloc.start()
+    try:
+        next(candidate_stream(inst, 2), None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_count_anticomplete_of_type():
@@ -115,10 +182,23 @@ def test_pivot_refinements_strips_outside_neighbor():
 
 
 def test_pivot_refinements_rejects_non_good_pivot():
-    # the lists {1,2}, {1,2}, {3} do not pairwise intersect
-    inst = mk(3, [(0, 1), (1, 2)], [{1, 2}, {1, 2}, {3}])
-    with pytest.raises(ValueError, match="not a good P3"):
-        pivot_refinements(inst, (0, 1, 2))
+    full = [{1, 2, 3, 4, 5}] * 3
+    cases = [
+        # the lists {1,2}, {1,2}, {3} do not pairwise intersect
+        (mk(3, [(0, 1), (1, 2)], [{1, 2}, {1, 2}, {3}]), (0, 1, 2)),
+        # an id out of range, either end
+        (mk(3, [(0, 1), (1, 2)], full, k=5), (0, 1, 3)),
+        (mk(3, [(0, 1), (1, 2)], full, k=5), (-1, 1, 2)),
+        # a missing path edge
+        (mk(3, [(0, 1)], full, k=5), (0, 1, 2)),
+        # a chord: a triangle
+        (mk(3, [(0, 1), (1, 2), (0, 2)], full, k=5), (0, 1, 2)),
+        # one vertex at both ends
+        (mk(3, [(0, 1), (1, 2)], full, k=5), (0, 1, 0)),
+    ]
+    for inst, pivot in cases:
+        with pytest.raises(ValueError, match="not a good P3"):
+            pivot_refinements(inst, pivot)
 
 
 @st.composite
@@ -164,7 +244,7 @@ def test_eliminate_type_weight_precondition():
 @settings(max_examples=25, deadline=None)
 @given(instances(max_n=4))
 def test_eliminate_type_outputs_are_type_free(inst):
-    heaviest = good_triples(inst.k)[0] if good_triples(inst.k) else None
+    heaviest = good_order(inst.k)[0] if good_order(inst.k) else None
     if heaviest is None:
         return
     for child in itertools.islice(eliminate_type(inst, heaviest), 80):
@@ -238,7 +318,7 @@ def test_pivot_refinements_match_eager_sorted_patches():
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
         lists = tuple(rng.randrange(1 << k) for _ in range(n))
         inst = Instance(Graph(n, edges), k, lists)
-        for triple in good_triples(k):
+        for triple in good_order(k):
             pivot = find_type_p3(inst, triple)
             if pivot is not None:
                 break

@@ -20,14 +20,13 @@ from rp3color import (
     solve,
     solve_exact,
 )
-from rp3color.goodp3 import good_triples
 from rp3color.oracle import exact_colorings, frugal_colorings
 from rp3color import pipeline
 from rp3color.cli import random_instance
 from rp3color.pipeline import _Budget
 from rp3color.profiles import frugal_profile, unit_propagate
 
-from goodp3_reference import eager_pivot_refinements, find_type_p3
+from goodp3_reference import eager_pivot_refinements, find_type_p3, good_order
 from instance_reference import find_good_p3, verify_coloring
 from peel_reference import edge_loop_peel_order, greedy_color_back
 from profile_reference import propagated
@@ -308,7 +307,7 @@ def pruned_fold(inst, r):
     seen, finals = set(), set()
     for element in frugal_profile(inst, r):
         stream = [element]
-        for gamma in good_triples(element.k):
+        for gamma in good_order(element.k):
             stream = [
                 leaf for cur in stream for leaf in propagated_type_leaves(cur, gamma)
             ]
@@ -399,12 +398,12 @@ def test_walk_nodes_are_propagated(monkeypatch):
     detect = pipeline._earliest_good
     checked = 0
 
-    def checking(cur, index, p3s):
+    def checking(cur, p3s):
         nonlocal checked
         assert 0 not in cur.lists
         assert propagated(cur) == cur
         checked += 1
-        return detect(cur, index, p3s)
+        return detect(cur, p3s)
 
     monkeypatch.setattr(pipeline, "_earliest_good", checking)
     insts = [multipartite((2, 2, 2), {1, 2, 3})]
