@@ -80,8 +80,8 @@ def pivot_refinements(
 
     So the stream is the unpruned one with the first of each list tuple
     kept, mapped through propagation, with the empty results dropped,
-    in the same order.  Distinct children may propagate to one list
-    tuple; the search in pipeline drops the later ones.
+    in the same order.  Distinct children may propagate to lists that
+    agree but in one-color lists; pipeline's search prunes the later.
     """
     g, k, lists = inst
     adj = g.adj_mask

@@ -11,8 +11,8 @@ complement is disconnected is a join of its co-components, which must
 take pairwise disjoint color sets; it is split, and each co-component is
 decided on its own color set by the same path, one level deeper.
 candidate_stream walks the kernel's profile elements and their good-P3
-branching depth-first, once per searched kernel, deduplicating nodes and
-leaves across the whole walk; each leaf is reduced to a binary-list
+branching depth-first, once per searched kernel, pruning repeated nodes
+by their multi-color lists; each leaf is reduced to a binary-list
 instance and handed to 2-SAT.  The first feasible leaf is lifted back
 through its reduction trace, the co-components' colorings are put
 together, the peeled vertices are colored again in reverse peel order,
@@ -38,6 +38,7 @@ from .graphs import (
     local_adjacency,
 )
 from .instances import (
+    MAX_K,
     Coloring,
     Instance,
     InstanceError,
@@ -51,6 +52,9 @@ from .twosat import binary_list_color
 from .working import LiftStep, ReductionTrace
 
 log = logging.getLogger("rp3color")
+
+# candidate_stream's bytes.translate key table; a list mask fits a byte
+_MULTI_COLOR = bytes(m if m & (m - 1) else 0 for m in range(1 << MAX_K))
 
 # (vertices, colors): a clique whose lists all lie inside the colors,
 # with more vertices than colors
@@ -233,30 +237,29 @@ def candidate_stream(
 ) -> Iterator[Instance]:
     """All branch candidates: propagated refinements with no good P3.
 
-    One depth-first walk per searched kernel over a stack of streams: the bottom
-    one is frugal_profile (each propagated list tuple once, nothing when
-    propagating the input empties a list), each one above it the
-    pivot_refinements of a node's earliest good P3 (_earliest_good, which
-    ranks each path from its own three lists and keeps no table, so
-    memory does not grow with k).  Every node is a
-    unit-propagation fixpoint with no empty list on the input graph.  A
-    node whose lists were visited before, under any element, is skipped
-    but counts toward the budget: its subtree was explored in full.  A
-    leaf is dropped when its lists with every one-color list set to 0
-    were seen before: at a fixpoint those lists constrain no neighbor,
-    so it reduces to the earlier leaf's instance.  No skip can hide a
-    feasible leaf.  Each leaf is a spanning refinement of the input that
-    may keep one-color lists; the input is feasible exactly when some
-    leaf is, and a leaf coloring is an input coloring.  ``budget``
-    collects the search counters and enforces its node cap; with INFO
-    logging on, they are logged as each element starts.
+    One depth-first walk per searched kernel over a stack of streams:
+    the bottom one is frugal_profile (each propagated list tuple once,
+    nothing when propagating the input empties a list), each one above
+    it the pivot_refinements of a node's earliest good P3
+    (_earliest_good).  Every node is a unit-propagation fixpoint with no
+    empty list on the input graph, so a one-color list shares its color
+    with no neighbor's list.  A node's key is its lists with every
+    one-color list set to 0, as bytes; a node whose key was met before
+    in this walk is pruned but counts toward the budget.  It differs
+    from the earlier node only in one-color lists, which the pivot
+    choice ignores and the refinements pass through, so its subtree
+    repeats earlier keys in order, and no prune hides a feasible leaf.
+    Each leaf is a spanning refinement of the input that may keep
+    one-color lists; the input is feasible exactly when some leaf is,
+    and a leaf coloring is an input coloring.  ``budget`` collects the
+    search counters and enforces its node cap; with INFO logging on,
+    they are logged as each element starts.
     """
     if budget is None:
         budget = _Budget()
     info = log.isEnabledFor(logging.INFO)
     p3s = tuple(induced_p3_stream(inst.graph))
-    seen: Set[Tuple[int, ...]] = set()
-    seen_final: Set[Tuple[int, ...]] = set()
+    seen: Set[bytes] = set()
     stack = [frugal_profile(inst, r)]
     while stack:
         cur = next(stack[-1], None)
@@ -274,19 +277,15 @@ def candidate_stream(
                     budget.pruned,
                 )
         budget.node()
-        if cur.lists in seen:
+        key = bytes(cur.lists).translate(_MULTI_COLOR)
+        if key in seen:
             budget.pruned += 1
             continue
-        seen.add(cur.lists)
+        seen.add(key)
         pivot = _earliest_good(cur, p3s)
         if pivot is not None:
             stack.append(pivot_refinements(cur, pivot))
             continue
-        key = tuple(m if m & (m - 1) else 0 for m in cur.lists)
-        if key in seen_final:
-            budget.pruned += 1
-            continue
-        seen_final.add(key)
         yield cur
 
 

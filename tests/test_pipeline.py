@@ -23,6 +23,8 @@ from rp3color import (
 from rp3color.oracle import exact_colorings, frugal_colorings
 from rp3color import pipeline
 from rp3color.cli import random_instance
+from rp3color.goodp3 import _earliest_good, pivot_refinements
+from rp3color.graphs import induced_p3_stream
 from rp3color.pipeline import _Budget
 from rp3color.profiles import frugal_profile, unit_propagate
 
@@ -32,7 +34,7 @@ from peel_reference import edge_loop_peel_order, greedy_color_back
 from profile_reference import propagated
 from reducer_reference import eliminate_singletons, record_kind, record_vertex
 from split_reference import eager_split
-from test_differential import random_join, to_instance
+from test_differential import random_join, singleton_heavy, to_instance
 
 
 def mk(n, edges, lists, k=5):
@@ -344,6 +346,95 @@ def test_candidates_match_pruned_literal_fold():
     assert compared >= 800
 
 
+def two_set_walk(inst, r, visits):
+    """The walk with two repeat rules: a node whose full list tuple was
+    visited before is skipped, and so is a leaf whose lists with each
+    one-color list set to 0 were yielded before.  Each node visited,
+    skipped or not, is appended to ``visits``."""
+    p3s = tuple(induced_p3_stream(inst.graph))
+    seen, finals = set(), set()
+
+    def walk(cur):
+        visits.append(cur)
+        if cur.lists in seen:
+            return
+        seen.add(cur.lists)
+        pivot = _earliest_good(cur, p3s)
+        if pivot is not None:
+            for child in pivot_refinements(cur, pivot):
+                yield from walk(child)
+            return
+        key = tuple(m if m & (m - 1) else 0 for m in cur.lists)
+        if key not in finals:
+            finals.add(key)
+            yield cur
+
+    for element in frugal_profile(inst, r):
+        yield from walk(element)
+
+
+def wheel_and_triangles(triangles):
+    """The odd wheel W_5 (hub 0, rim 1-5) with lists {1,2,3}, beside
+    ``triangles`` disjoint triangles with lists {1,2}, {2,3}, {1,3}.
+    W_5 needs four colors, so it is uncolorable, yet no clique has more
+    vertices than colors; every vertex has as many list-graph neighbors
+    as colors, so nothing peels, and the complement is connected, so
+    nothing splits.  Every induced P3 lies in W_5 and meets the hub's
+    closed neighborhood, so the input is 2P3-free."""
+    edges = [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)]
+    lists = [{1, 2, 3}] * 6
+    for t in range(6, 6 + 3 * triangles, 3):
+        edges += [(t, t + 1), (t + 1, t + 2), (t, t + 2)]
+        lists += [{1, 2}, {2, 3}, {1, 3}]
+    return mk(len(lists), edges, lists)
+
+
+def test_walk_prunes_repeated_multi_color_lists(monkeypatch):
+    # the 102 profile elements differ only in one-color lists and have
+    # 68 keys among them; each key reaches the good-P3 scan once
+    detect = pipeline._earliest_good
+    keys = []
+
+    def recording(cur, p3s):
+        keys.append(tuple(m if m & (m - 1) else 0 for m in cur.lists))
+        return detect(cur, p3s)
+
+    monkeypatch.setattr(pipeline, "_earliest_good", recording)
+    inst = wheel_and_triangles(1)
+    assert inst.graph.n == 9
+    verdict = solve(inst)
+    stats = verdict.stats
+    assert verdict.status == "not-colorable" and verdict.refutation is None
+    assert stats["elements"] == 102
+    assert len(keys) == len(set(keys)) == 68
+    assert len(keys) + stats["pruned"] == stats["nodes"]
+    assert stats["pruned"] == 34
+
+
+def test_candidates_match_two_set_walk():
+    # k = 5 inputs too large for the literal fold, searched whole: no
+    # packing check, peel or split; the one repeat rule must yield the
+    # same leaves in the same order as the two rules
+    rng = random.Random(3001)
+    insts = [wheel_and_triangles(t) for t in (1, 2, 3)]
+    insts += [to_instance(singleton_heavy(rng, rng.randint(6, 12))) for _ in range(40)]
+    while len(insts) < 83:
+        inst = to_instance(random_join(rng, rng.randint(2, 3)))
+        if inst.graph.n <= 12:
+            insts.append(inst)
+    leaves = nodes = visits = 0
+    for inst in insts:
+        budget = _Budget()
+        got = list(candidate_stream(inst, 2, budget))
+        visited = []
+        assert got == list(two_set_walk(inst, 2, visited))
+        assert budget.nodes <= len(visited)
+        leaves += len(got)
+        nodes += budget.nodes
+        visits += len(visited)
+    assert leaves >= 2000 and nodes + 1000 <= visits
+
+
 def test_leaf_keys_are_deduped_across_elements():
     # most of the nine profile elements reach leaves that an earlier
     # element reached; a leaf key met under an earlier element is not
@@ -407,12 +498,17 @@ def test_walk_nodes_are_propagated(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_earliest_good", checking)
     insts = [multipartite((2, 2, 2), {1, 2, 3})]
+    insts += [wheel_and_triangles(t) for t in (1, 2, 3)]
     rng = random.Random(2024)
     for _ in range(60):
         n = rng.randint(3, 7)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
         lists = [set(rng.sample(range(1, 6), rng.choice([1, 2, 3, 3]))) for _ in range(n)]
         insts.append(mk(n, edges, lists))
+    # a node whose multi-color lists repeat never reaches detection, so
+    # joins of two or three random graphs keep the count up
+    rng = random.Random(2025)
+    insts += [to_instance(random_join(rng, rng.randint(2, 3))) for _ in range(10)]
     for inst in insts:
         for _ in candidate_stream(inst, 2):
             pass

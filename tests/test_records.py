@@ -1,10 +1,13 @@
 """The package's records: validation errors, immutability, fresh
 defaults, tuple behavior, and an import path that loads neither
-dataclasses nor the hardness generator."""
+dataclasses nor the hardness generator and no standard-library module
+beyond the listed ones."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,22 @@ def test_import_path_skips_dataclasses_and_hardness():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_package_imports_only_the_listed_standard_modules():
+    # the README's Start-up section lists these six; cli and hardness
+    # load on demand, so their imports are left out
+    found = set()
+    for path in Path(rp3color.__file__).parent.glob("*.py"):
+        if path.stem in ("cli", "hardness"):
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    found.discard("__future__")
+    assert found == {"typing", "collections", "heapq", "itertools", "math", "logging"}
 
 
 def test_hardness_names_come_from_the_hardness_module():
