@@ -224,8 +224,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

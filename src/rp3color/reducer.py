@@ -45,11 +45,8 @@ def _roles(u0_mask: int) -> Tuple[int, ...]:
 
 
 def _first_in(order: Sequence[int], mask: int) -> int:
-    """First color of ``order`` that ``mask`` holds."""
-    for c in order:
-        if (mask >> (c - 1)) & 1:
-            return c
-    raise RuntimeError("color pool empty")
+    """First color of ``order`` that ``mask`` holds; it holds one."""
+    return next(c for c in order if (mask >> (c - 1)) & 1)
 
 
 def _context_sets(lists, adj, u0: int, four: int, five: int):
@@ -214,17 +211,16 @@ def _step11(ws, roles, u0, ring, a_side, b_side, a_outer, b_outer) -> None:
     for b in b_side:
         j_pool |= lists[b]
     j_pool &= lists[u0]
-    if not i_pool or not j_pool:
-        raise InstanceError(f"center {u0} has no anchor colors")
+    # every side vertex is in the ring, so its list meets L(u0), and
+    # each side holds one: neither pool is empty.  Were a = b, that
+    # vertex would put i and j in both pools, and each would be the
+    # first of both: i = j.  So one ring vertex, c, is left.
     i, j = _first_in(roles, i_pool), _first_in(roles, j_pool)
     if i == j:
         raise InstanceError(f"anchor colors coincide at {i}")
     a = next(v for v in a_side if (lists[v] >> (i - 1)) & 1)
     b = next(v for v in b_side if (lists[v] >> (j - 1)) & 1)
-    third = [v for v in ring if v not in (a, b)]
-    if len(third) != 1:
-        raise InstanceError(f"ring {ring} minus anchors is {third}")
-    c = third[0]
+    (c,) = (v for v in ring if v not in (a, b))
 
     ws.record({"step": 11}, {v: lists[v] for v in (u0, a, b, c)})
     ws.kill(c)

@@ -281,6 +281,21 @@ def test_bench_stdout_is_deterministic(capsys):
     assert "took" in first.err
 
 
+def test_oracle_crash_exits_5(tmp_path, capsys, monkeypatch):
+    # a command with no handler of its own reports a bug through main
+    def crash(inst):
+        raise RuntimeError("no coloring enumerated")
+
+    monkeypatch.setattr("rp3color.cli.solve_exact", crash)
+    code = main(["oracle", put(tmp_path, P3_FULL)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: internal: RuntimeError: no coloring enumerated"
+    )
+
+
 def test_bench_crash_exits_5(capsys, monkeypatch):
     # an InstanceError raised inside the search is a bug, not the usage
     # error that a ValueError from the command line is

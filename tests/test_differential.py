@@ -17,12 +17,10 @@ solve at a node budget so that a slow solve fails instead of hanging,
 and no solve may reach it.
 """
 
-import importlib.util
 import itertools
 import os
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -36,19 +34,12 @@ from rp3color import (
 )
 from rp3color import pipeline
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+from builders import load_reference
+
 LONG = os.environ.get("RP3COLOR_LONG_DIFFERENTIAL") == "1"
 long_only = pytest.mark.skipif(
     not LONG, reason="set RP3COLOR_LONG_DIFFERENTIAL=1 for the long sweep"
 )
-
-
-def load_reference():
-    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 R = load_reference()
 
@@ -245,10 +236,10 @@ def refutation_defect(ref, refutation):
     return None
 
 
-def check(ref, budget=None):
+def check(ref, budget=None, r=2):
     """Assert that solve agrees with the reference; returns the verdict."""
     inst = to_instance(ref)
-    verdict = solve(inst, SolveOptions(budget=budget))
+    verdict = solve(inst, SolveOptions(r=r, budget=budget))
     if verdict.status == "aborted" and budget is not None:
         return verdict
     expected = R.exact_coloring(ref)
@@ -367,6 +358,34 @@ def test_peeled_pieces_around_a_kernel(kernel, hosts, colorable):
         assert verdict.refutation is None
         assert verdict.stats["peeled"] == hung
         assert verdict.stats["elements"] > 0
+
+
+def two_wheels(hub):
+    """Two disjoint wheels W_5, each a 5-cycle with lists {1,2,3} and a
+    hub seeing all of it with list ``hub``.  Each wheel holds a P3 but
+    no two anticomplete ones, so the pair is 3P3-free and not
+    2P3-free; every clique is a triangle, so the root Hall check passes
+    and the search decides."""
+    edges = []
+    for base in (0, 6):
+        edges += [(base + v, base + (v + 1) % 5) for v in range(5)]
+        edges += [(base + v, base + 5) for v in range(5)]
+    rim = [(1, 2, 3)] * 5
+    return R.make(12, edges, (rim + [hub]) * 2)
+
+
+@pytest.mark.parametrize(
+    "hub, status", [((1, 2, 3), "not-colorable"), ((1, 2, 3, 4), "colorable")]
+)
+def test_two_wheels_at_r3(hub, status):
+    ref = two_wheels(hub)
+    inst = to_instance(ref)
+    assert anticomplete_packing(inst.graph, 3, 3) is None
+    assert solve(inst).status == "not-rp3-free"
+    verdict = check(ref, r=3)
+    assert verdict.status == status
+    assert verdict.refutation is None
+    assert verdict.stats["elements"] > 0
 
 
 def test_cliques_and_star():

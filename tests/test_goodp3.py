@@ -1,16 +1,16 @@
 import itertools
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from rp3color import (
     Graph,
     Instance,
     candidate_stream,
     colors_from_mask,
-    mask_from_colors,
     pivot_refinements,
     solve_exact_frugal,
 )
@@ -18,6 +18,8 @@ from rp3color import goodp3
 from rp3color.graphs import induced_p3_stream
 from rp3color.oracle import colorings
 
+import builders
+from builders import instances
 from goodp3_reference import (
     count_anticomplete_of_type,
     eager_pivot_refinements,
@@ -35,8 +37,7 @@ from profile_reference import is_refinement, propagated
 GAMMA = (0b011, 0b110, 0b101)  # ({1,2},{2,3},{1,3})
 
 
-def mk(n, edges, lists, k=3):
-    return Instance(Graph(n, edges), k, tuple(mask_from_colors(l) for l in lists))
+mk = partial(builders.mk, k=3)
 
 
 def good_direct(triple):
@@ -201,19 +202,8 @@ def test_pivot_refinements_rejects_non_good_pivot():
             pivot_refinements(inst, pivot)
 
 
-@st.composite
-def instances(draw, max_n=5, k=3):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
-    lists = tuple(
-        draw(st.integers(min_value=0, max_value=(1 << k) - 1)) for _ in range(n)
-    )
-    return Instance(Graph(n, edges), k, lists)
-
-
 @settings(max_examples=30, deadline=None)
-@given(instances())
+@given(instances(max_n=5))
 def test_pivot_outputs_clear_the_pivot_zone(inst):
     pivot = find_type_p3(inst, GAMMA)
     if pivot is None:

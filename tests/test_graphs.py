@@ -1,8 +1,6 @@
-import importlib.util
 import itertools
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +16,7 @@ from rp3color import (
 from rp3color.cli import random_instance
 from rp3color.graphs import _p3_middles, bits, co_components, local_adjacency
 
+from builders import load_reference
 from instance_reference import is_clique, is_stable_set
 
 
@@ -62,6 +61,15 @@ def test_build_rejects_loops_and_bad_ids():
         Graph(3, [(0, 5)])
     with pytest.raises(GraphError, match=r"\(-1, 0\)"):
         Graph(3, [(-1, 0)])
+
+
+def test_graph_equality_hash_and_repr():
+    g = Graph(3, [(1, 2), (0, 1)])
+    assert g == Graph(3, [(0, 1), (2, 1)])
+    assert hash(g) == hash(Graph(3, [(0, 1), (1, 2)]))
+    assert g != Graph(4, [(0, 1), (1, 2)])
+    assert g != (3, ((0, 1), (1, 2)))
+    assert repr(g) == "Graph(n=3, m=2)"
 
 
 def test_neighbor_tuples_match_the_masks():
@@ -307,15 +315,6 @@ def test_packing_witness_matches_unfiltered_search():
             assert anticomplete_packing(g, r, 3) == want
             found += want is not None
     assert found >= 500
-
-
-def load_reference():
-    """perfbench/reference.py, which imports nothing from rp3color."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_packing_agrees_with_reference_2p3():

@@ -1,15 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from rp3color import (
-    Graph,
     Instance,
     ParseError,
     coloring_defect,
     colors_from_mask,
-    full_mask,
     mask_from_colors,
     parse_instance,
     serialize_instance,
@@ -19,6 +17,7 @@ from rp3color import (
 from rp3color.instances import MAX_K
 from rp3color.profiles import frugal_profile
 
+from builders import instances, mk
 from instance_reference import (
     find_good_p3,
     frugal_defect,
@@ -27,21 +26,6 @@ from instance_reference import (
     verify_coloring,
 )
 from profile_reference import is_refinement
-
-
-def mk(n, edges, lists, k=5):
-    return Instance(Graph(n, edges), k, tuple(mask_from_colors(l) for l in lists))
-
-
-@st.composite
-def instances(draw, max_n=6, k=5):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
-    lists = tuple(
-        draw(st.integers(min_value=0, max_value=full_mask(k))) for _ in range(n)
-    )
-    return Instance(Graph(n, edges), k, lists)
 
 
 def test_list_graph():
@@ -56,7 +40,7 @@ def test_p_value():
     assert p_value(mk(2, [(0, 1)], [{1, 2}, {1, 2}])) == 6
 
 
-@given(instances())
+@given(instances(k=5))
 def test_p_value_bounded_by_k_plus_one(inst):
     assert p_value(inst) <= 6 * inst.graph.n
 
@@ -101,6 +85,12 @@ def test_verify_coloring():
 
     off_list = mk(1, [], [{2}])
     assert not verify_coloring(off_list, (3,))
+    assert coloring_defect(off_list, (3,)) == "vertex 0 colored 3 outside its list"
+
+    assert coloring_defect(k2, (1,)) == "coloring has 1 entries for 2 vertices"
+    assert coloring_defect(k2, (1, 2, 1)) == "coloring has 3 entries for 2 vertices"
+    assert coloring_defect(k2, (0, 1)) == "vertex 0 has color 0 outside 1..5"
+    assert coloring_defect(k2, (1, 6)) == "vertex 1 has color 6 outside 1..5"
 
 
 FIXTURE = """# three vertices, one constrained list
@@ -134,7 +124,7 @@ def test_roundtrip():
     assert again == inst
 
 
-@given(instances())
+@given(instances(k=5))
 def test_roundtrip_random(inst):
     assert parse_instance(serialize_instance(inst)) == inst
 
@@ -167,7 +157,14 @@ def test_parse_errors():
     assert err is not None and err.line_no == 3
 
 
-@given(instances())
+def test_parse_reads_colors_through_int():
+    """A color token that is not the plain decimal of a color, such as
+    01, is read by int()."""
+    inst = parse_instance("p glist 2 1 5\ne 1 2\nl 1 01 +3\nl 2 2 002\n")
+    assert inst.lists == (mask_from_colors({1, 3}), mask_from_colors({2}))
+
+
+@given(instances(k=5))
 def test_spanning_spread(inst):
     """Any coloring valid for shrunken lists is valid for the originals."""
     shrunk = Instance(
@@ -182,7 +179,7 @@ def test_spanning_spread(inst):
     assert verify_coloring(inst, phi)
 
 
-@given(instances(max_n=5))
+@given(instances(max_n=5, k=5))
 def test_frugal_spread(inst):
     """A frugal coloring stays frugal on any refinement that keeps its colors."""
     phi = solve_exact_frugal(inst)
@@ -203,7 +200,7 @@ def test_frugal_spread(inst):
 
 
 @settings(max_examples=40)
-@given(instances(max_n=5))
+@given(instances(max_n=5, k=5))
 def test_good_spread_over_profile(inst):
     """Children of the profile stream never reintroduce a good P3."""
     if find_good_p3(inst) is not None:
@@ -213,7 +210,7 @@ def test_good_spread_over_profile(inst):
 
 
 @settings(max_examples=50, deadline=None)
-@given(instances(max_n=6))
+@given(instances(max_n=6, k=5))
 def test_list_graph_equi_feasible(inst):
     thin = Instance(list_graph(inst), inst.k, inst.lists)
     assert (solve_exact(inst) is None) == (solve_exact(thin) is None)

@@ -5,28 +5,18 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from rp3color import (
-    Graph,
-    Instance,
     colors_from_mask,
     cover_cap,
     frugal_colorings,
-    mask_from_colors,
     solve_exact,
     solve_exact_frugal,
 )
 from rp3color.graphs import bits
 from rp3color.oracle import colorings, exact_colorings
 
+from builders import clique, instances, mk
 from instance_reference import find_good_p3, list_graph, verify_coloring
 from profile_reference import Hypergraph, cover_bound, hypergraph_stats
-
-
-def mk(n, edges, lists, k=5):
-    return Instance(Graph(n, edges), k, tuple(mask_from_colors(l) for l in lists))
-
-
-def clique(n):
-    return list(itertools.combinations(range(n), 2))
 
 
 def valid_direct(inst, phi, watch=()):
@@ -75,19 +65,8 @@ def test_solve_exact_frugal_examples():
     assert solve_exact_frugal(relaxed) == (1, 2, 2)
 
 
-@st.composite
-def instances(draw, max_n=5, k=3):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
-    lists = tuple(
-        draw(st.integers(min_value=0, max_value=(1 << k) - 1)) for _ in range(n)
-    )
-    return Instance(Graph(n, edges), k, lists)
-
-
 @settings(max_examples=120)
-@given(instances())
+@given(instances(max_n=5))
 def test_solve_exact_matches_direct_enumeration(inst):
     want = all_direct(inst)
     assert list(exact_colorings(inst)) == want
@@ -95,7 +74,7 @@ def test_solve_exact_matches_direct_enumeration(inst):
 
 
 @settings(max_examples=120)
-@given(instances(), st.integers(min_value=0, max_value=31))
+@given(instances(max_n=5), st.integers(min_value=0, max_value=31))
 def test_frugal_matches_direct_enumeration(inst, drawn):
     n = inst.graph.n
     want = all_direct(inst, watch=range(n))

@@ -28,6 +28,7 @@ from rp3color.graphs import induced_p3_stream
 from rp3color.pipeline import _Budget
 from rp3color.profiles import frugal_profile, unit_propagate
 
+from builders import clique, mk
 from goodp3_reference import eager_pivot_refinements, find_type_p3, good_order
 from instance_reference import find_good_p3, verify_coloring
 from peel_reference import edge_loop_peel_order, greedy_color_back
@@ -37,16 +38,8 @@ from split_reference import eager_split
 from test_differential import random_join, singleton_heavy, to_instance
 
 
-def mk(n, edges, lists, k=5):
-    return Instance(Graph(n, edges), k, tuple(mask_from_colors(l) for l in lists))
-
-
 def full(n, edges, k=5):
     return mk(n, edges, [set(range(1, k + 1))] * n, k)
-
-
-def clique(n):
-    return list(itertools.combinations(range(n), 2))
 
 
 def six_cycle_two_colors():
@@ -161,6 +154,29 @@ def test_root_check_refutes_an_empty_list():
 def test_solve_rejects_a_false_refutation(monkeypatch, inst, refutation, message):
     monkeypatch.setattr(pipeline, "clique_hall_refutation", lambda inst: refutation)
     with pytest.raises(RuntimeError, match=f"refutation failed verification: .*{message}"):
+        solve(inst)
+
+
+@pytest.mark.parametrize(
+    "color, message",
+    [
+        (lambda v: 1, r"edge \(0, 1\) is monochromatic in color 1"),
+        (lambda v: 0, "vertex 0 has color 0 outside 1..5"),
+        (lambda v: v + 3, "vertex 0 colored 3 outside its list"),
+    ],
+    ids=["clash", "uncolored", "off-list"],
+)
+def test_solve_rejects_a_false_coloring(monkeypatch, color, message):
+    """A P3 on lists {1,2} peels away whole, so the color-back alone
+    colors it; corrupted, its coloring fails the final check."""
+
+    def color_back(neighbors, out, vertices, lists):
+        for v in vertices:
+            out[v] = color(v)
+
+    monkeypatch.setattr(pipeline, "_color_each", color_back)
+    inst = mk(3, [(0, 1), (1, 2)], [{1, 2}] * 3)
+    with pytest.raises(RuntimeError, match=f"certificate failed verification: {message}"):
         solve(inst)
 
 

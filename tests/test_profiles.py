@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from rp3color import (
     Graph,
@@ -10,13 +10,13 @@ from rp3color import (
     anticomplete_packing,
     cover_cap,
     frugal_profile,
-    mask_from_colors,
     solve_exact,
     solve_exact_frugal,
 )
 from rp3color import profiles
 from rp3color.pipeline import lift
 
+from builders import instances, mk
 from instance_reference import verify_coloring
 from profile_reference import (
     hypergraph_stats,
@@ -26,21 +26,6 @@ from profile_reference import (
     propagated_rows,
 )
 from reducer_reference import eliminate_singletons, record_kind
-
-
-def mk(n, edges, lists, k=5):
-    return Instance(Graph(n, edges), k, tuple(mask_from_colors(l) for l in lists))
-
-
-@st.composite
-def instances(draw, max_n=6, k=3):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
-    lists = tuple(
-        draw(st.integers(min_value=0, max_value=(1 << k) - 1)) for _ in range(n)
-    )
-    return Instance(Graph(n, edges), k, lists)
 
 
 def test_eliminate_singletons_cascade():

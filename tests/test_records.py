@@ -15,12 +15,19 @@ import rp3color
 from rp3color import (
     CnfFormula,
     Graph,
+    GraphError,
     Instance,
     InstanceError,
     LiftStep,
     NaeInstance,
+    ParseError,
     SolveOptions,
     Verdict,
+    anticomplete_packing,
+    cover_cap,
+    induced_subgraph,
+    parse_instance,
+    parse_nae,
 )
 
 
@@ -106,6 +113,37 @@ BAD = [
         ValueError,
         "variable count -2 negative",
     ),
+    (lambda: Graph(-1), GraphError, "negative vertex count -1"),
+    (lambda: induced_subgraph(G2, [0, 2]), GraphError, "vertex 2 out of range"),
+    (lambda: induced_subgraph(G2, [-1]), GraphError, "vertex -1 out of range"),
+    # a path length below 2 is refused by the path enumeration
+    (lambda: anticomplete_packing(G2, 1, 1), GraphError, "path length 1 below 2"),
+    (lambda: anticomplete_packing(G2, 0, 3), GraphError, "packing size 0 below 1"),
+    (lambda: cover_cap(0), ValueError, "packing parameter 0 below 1"),
+    (
+        lambda: parse_nae("p nae three 1\n"),
+        ParseError,
+        "line 1: bad header counts 'p nae three 1'",
+    ),
+    (lambda: parse_nae("p nae 3 -1\n"), ParseError, "line 1: negative counts"),
+] + [
+    (lambda text=text: parse_instance(text), ParseError, message)
+    for text, message in [
+        ("p glist 2 1 5\ne 1\n", "line 2: bad edge line 'e 1'"),
+        ("p glist 2 1 5\ne 1 x\n", "line 2: non-integer endpoint in 'e 1 x'"),
+        ("p glist 2 1 5\ne 1 3\n", "line 2: endpoint outside 1..2"),
+        ("l 1 2\np glist 2 0 5\n", "line 1: list before header"),
+        ("p glist 2 0 5\nl\n", "line 2: list line without vertex"),
+        ("p glist 2 0 5\nl x 1\n", "line 2: non-integer in 'l x 1'"),
+        ("p glist 2 0 5\nl 1 2 y\n", "line 2: non-integer in 'l 1 2 y'"),
+        ("p glist 2 0 5\nl 3 1\n", "line 2: vertex 3 outside 1..2"),
+        ("p glist 2 0 5\nl 1 1\nl 1 2\n", "line 3: duplicate list for vertex 1"),
+        ("p list 2 0 5\n", "line 1: bad header 'p list 2 0 5'"),
+        ("p glist 2 0\n", "line 1: bad header 'p glist 2 0'"),
+        ("p glist 2 x 5\n", "line 1: non-integer header field in 'p glist 2 x 5'"),
+        ("p glist -1 0 5\n", "line 1: header out of range: n=-1 m=0 k=5"),
+        ("p glist 2 0 9\n", "line 1: header out of range: n=2 m=0 k=9"),
+    ]
 ]
 
 

@@ -12,6 +12,7 @@ from rp3color import (
     Instance,
     InstanceError,
     SolveOptions,
+    anticomplete_packing,
     binary_list_color,
     coloring_defect,
     colors_from_mask,
@@ -29,6 +30,7 @@ from rp3color.oracle import exact_colorings
 from rp3color.pipeline import candidate_stream, lift
 from rp3color.working import LiftStep
 
+from builders import mk
 from instance_reference import find_good_p3, list_graph, p_value, verify_coloring
 from reducer_reference import (
     center_context,
@@ -42,10 +44,6 @@ from reducer_reference import (
     step5_ball,
     step11_roles,
 )
-
-
-def mk(n, edges, lists, k=5):
-    return Instance(Graph(n, edges), k, tuple(mask_from_colors(l) for l in lists))
 
 
 def small_center_fixture():
@@ -84,6 +82,34 @@ def step9_fixture():
     ]
     lists = [{1, 4}, {4, 5}, {3, 5}, {1, 2, 3}, {3, 5}, {1, 2}]
     return mk(6, edges, lists)
+
+
+def step10_fixture():
+    # no good P3 and no two anticomplete P3s: center 0 ({1,2,3}) has the
+    # ring 1, 2, 5, 6, the four-side attachment 8 and the five-side
+    # attachment 9, both on {4,5}
+    edges = [
+        (0, 1), (0, 2), (0, 5), (0, 6), (1, 2), (1, 5), (1, 7),
+        (2, 3), (2, 6), (2, 8), (3, 4), (3, 6), (3, 7), (3, 8),
+        (4, 7), (4, 8), (4, 9), (5, 9), (6, 8), (7, 9),
+    ]
+    lists = [
+        {1, 2, 3}, {2, 3}, {1, 2, 4}, {3, 5}, {1, 3},
+        {3, 5}, {1, 4}, {1, 4}, {4, 5}, {4, 5},
+    ]
+    return mk(10, edges, lists)
+
+
+def step10_lift_fixture():
+    # a seeded draw with a good P3 whose first round fires step 10 at
+    # center 1 ({1,2,3,4}), pinning the four-side attachment 5 and the
+    # five-side attachment 2, and whose output 2-SAT colors
+    edges = [
+        (0, 1), (0, 2), (1, 3), (1, 4), (1, 6),
+        (2, 3), (2, 5), (3, 4), (4, 6), (5, 6),
+    ]
+    lists = [{2, 5}, {1, 2, 3, 4}, {1, 2, 5}, {2, 3, 5}, {3, 4, 5}, {4, 5}, {1, 3, 4}]
+    return mk(7, edges, lists)
 
 
 def step5c_fixture():
@@ -362,6 +388,56 @@ def test_twin_steps_under_every_palette():
         assert fired == {8: 60, 9: 60}
 
 
+def changed_lists(inst, child):
+    """The new colors of each list a round changed, keeping every vertex."""
+    return {
+        v: colors_from_mask(m) for v, m in enumerate(child.lists) if m != inst.lists[v]
+    }
+
+
+def test_step10_pins_both_outer_attachments(monkeypatch):
+    """Step 10 fires with an attachment on each side in an input with no
+    good P3 that the packing check passes, at the reducer's first round
+    and inside an unforced solve, whose verdict agrees with the exact
+    solver."""
+    inst = step10_fixture()
+    assert find_good_p3(inst) is None
+    assert anticomplete_packing(inst.graph, 2, 3) is None
+    child, step = reduce_once(inst, 0)
+    assert step.info == {"step": 10} and step.lists == {}
+    assert changed_lists(inst, child) == {8: (5,), 9: (4,)}
+    assert [r[0] for r in assert_same_reduction(inst)] == [10, 5]
+
+    real = pipeline.reduce_to_binary
+    reduced = []
+
+    def recording(leaf):
+        out, trace = real(leaf)
+        reduced.append((leaf, [s.info.get("step") for s in trace]))
+        return out, trace
+
+    monkeypatch.setattr(pipeline, "reduce_to_binary", recording)
+    assert solve(inst).status == "not-colorable"
+    assert solve_exact(inst) is None
+    # the identity element comes first, so the first leaf is the input
+    leaf, steps = reduced[0]
+    assert leaf == inst and steps[0] == 10
+
+
+def test_step10_lift_matches_brute_force():
+    inst = step10_lift_fixture()
+    assert find_good_p3(inst) is not None
+    child, step = reduce_once(inst, 1)
+    assert step.info == {"step": 10}
+    assert changed_lists(inst, child) == {2: (1, 2), 5: (5,)}
+    assert [r[0] for r in assert_same_reduction(inst)] == [10] + [4] * 6
+    out, trace = reduce_to_binary(inst)
+    phi = binary_list_color(out)
+    lifted = lift(trace, phi)
+    assert lifted == lift_by_brute_force(trace, phi)[0]
+    assert verify_coloring(inst, lifted)
+
+
 def test_reduce_once_rejects():
     with pytest.raises(InstanceError, match="k="):
         reduce_once(mk(1, [], [{1, 2, 3}], k=3), 0)
@@ -369,6 +445,8 @@ def test_reduce_once_rejects():
         reduce_once(mk(2, [(0, 1)], [{1, 2, 3}, {4}]), 0)
     with pytest.raises(InstanceError, match="below 3"):
         reduce_once(mk(1, [], [{1, 2}]), 0)
+    with pytest.raises(InstanceError, match="k=3, need 5"):
+        reduce_to_binary(mk(1, [], [{1, 2, 3}], k=3))
 
 
 def test_reduce_to_binary_trivial():

@@ -7,21 +7,15 @@ import pytest
 
 from rp3color import (
     CnfFormula,
-    Graph,
-    Instance,
     InstanceError,
     binary_list_color,
-    mask_from_colors,
     solve_2sat,
     solve_exact,
     to_2sat,
 )
 
+from builders import mk
 from instance_reference import verify_coloring
-
-
-def mk(n, edges, lists, k=5):
-    return Instance(Graph(n, edges), k, tuple(mask_from_colors(l) for l in lists))
 
 
 def test_k2_encoding_frozen():
