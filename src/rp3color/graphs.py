@@ -155,8 +155,9 @@ def _p3_middles(g: Graph) -> int:
     """Mask of the vertices whose neighborhood is not a clique.
 
     Any subset of a clique is a clique, so no other vertex is the middle
-    of an induced P3 in any induced subgraph of g.  Each vertex walks its
-    neighbor tuple and compares closed neighborhoods as bitmasks.  When
+    of an induced P3 in any induced subgraph of g.  A vertex with fewer
+    than two neighbors is skipped; each other vertex walks its neighbor
+    tuple and compares closed neighborhoods as bitmasks.  When
     every neighbor of a vertex shares its closed neighborhood, that set
     is a clique component, none of whose members is a middle: it is
     settled at its lowest member, flagged in a bytearray, and the others
@@ -166,7 +167,7 @@ def _p3_middles(g: Graph) -> int:
     out = 0
     settled = bytearray(g.n)
     for v, vs in enumerate(g.neighbors):
-        if settled[v]:
+        if settled[v] or len(vs) < 2:
             continue
         nbrs = adjm[v]
         closed = nbrs | 1 << v
@@ -185,12 +186,15 @@ def _p3_middles(g: Graph) -> int:
 
 
 def _induced_paths(
-    g: Graph, t: int, alive: int, mids: int = -1
+    g: Graph, t: int, alive: int, mids: int = -1, extend: bool = False
 ) -> Iterator[Tuple[int, ...]]:
     """Canonical induced t-vertex paths using only vertices in ``alive``.
 
     For t == 3 the paths are (x1, x2, x3) with middle x2 taken from
-    ``mids`` only, sorted by (x2, x1, x3); otherwise paths are emitted
+    ``mids`` only, sorted by (x2, x1, x3); with ``extend``, a middle is
+    passed over when the vertices of ``alive`` outside its closed
+    neighborhood induce no P3 with middle in ``mids``, so that no path
+    through it leaves room for another.  Otherwise paths are emitted
     in ascending lexicographic order of their canonical tuple (first
     endpoint smaller than the last).
     """
@@ -198,9 +202,15 @@ def _induced_paths(
         raise GraphError(f"path length {t} below 2")
     adjm = g.adj_mask
     if t == 3:
-        # the two inner loops inline bits(): this runs at every walk node
-        for mid in bits(alive & mids):
+        # the loops inline bits(): every packing scan and every walk run this
+        cand = alive & mids
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            mid = low.bit_length() - 1
             nbrs = adjm[mid] & alive
+            if extend and not _first_p3(adjm, alive ^ (nbrs | 1 << mid), mids):
+                continue
             while nbrs:
                 low = nbrs & -nbrs
                 nbrs ^= low
@@ -241,6 +251,24 @@ def _induced_paths(
             cands.append(adjm[w] & alive & ~block)
 
 
+def _first_p3(adjm: Sequence[int], alive: int, mids: int) -> Optional[InducedP3]:
+    """The first path that _induced_paths(g, 3, alive, mids) yields, or
+    None, where adjm is g.adj_mask: the same loops, without a generator."""
+    cand = alive & mids
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        mid = low.bit_length() - 1
+        nbrs = adjm[mid] & alive
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            ends = nbrs & ~adjm[low.bit_length() - 1]
+            if ends:
+                return (low.bit_length() - 1, mid, (ends & -ends).bit_length() - 1)
+    return None
+
+
 def anticomplete_packing(
     g: Graph, r: int, t: int
 ) -> Optional[Tuple[Tuple[int, ...], ...]]:
@@ -249,32 +277,27 @@ def anticomplete_packing(
     Two paths are anticomplete when they are disjoint and no edge joins
     them.  The search is exhaustive, so None certifies that no packing
     exists.  The witness is the first one in depth-first order over the
-    canonical path enumeration.  For t == 3, no path is extended whose
-    remaining vertices hold no P3 middle, and when r >= 2 no first path
-    has a middle whose closed neighborhood holds every middle: only
-    paths that cannot be extended are skipped, so the witness is the
-    same.
+    canonical path enumeration.  For t == 3 the search skips only
+    paths that cannot be extended, so the witness is the same as
+    without these cuts.  Middles are the vertices whose neighborhood is
+    not a clique.  Every path but the last is drawn only through a
+    middle whose non-neighborhood, among the vertices still alive,
+    induces a P3; each middle is tested when the enumeration reaches
+    it.  A path is extended only when the vertices it leaves induce a
+    P3, and at the last level the first such P3 completes the witness.
     """
     if r < 1:
         raise GraphError(f"packing size {r} below 1")
     adjm = g.adj_mask
-    full = (1 << g.n) - 1
-    mids = first = full
+    full = mids = (1 << g.n) - 1
     if t == 3:
-        mids = first = _p3_middles(g)
-        if r >= 2:
-            rest = mids
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not mids & ~(adjm[low.bit_length() - 1] | low):
-                    first ^= low
+        mids = _p3_middles(g)
 
     # depth-first over the paths, one stream per packed path: streams[i]
     # yields the paths anticomplete to chosen[:i], inside alive[i]
     chosen: List[Tuple[int, ...]] = []
     alive = [full]
-    streams = [_induced_paths(g, t, full, first)]
+    streams = [_induced_paths(g, t, full, mids, r > 1)]
     while streams:
         p = next(streams[-1], None)
         if p is None:
@@ -288,8 +311,15 @@ def anticomplete_packing(
         rest = alive[-1]
         for v in p:
             rest &= ~((1 << v) | adjm[v])
-        if rest & mids:
-            chosen.append(p)
-            alive.append(rest)
-            streams.append(_induced_paths(g, t, rest, mids))
+        if t == 3:
+            q = _first_p3(adjm, rest, mids)
+            if q is None:
+                continue
+            if len(streams) == r - 1:
+                return (*chosen, p, q)
+        elif not rest:
+            continue
+        chosen.append(p)
+        alive.append(rest)
+        streams.append(_induced_paths(g, t, rest, mids, True))
     return None

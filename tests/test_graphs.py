@@ -8,13 +8,23 @@ from hypothesis import given, settings, strategies as st
 from rp3color import (
     Graph,
     GraphError,
+    Instance,
+    SolveOptions,
     anticomplete_packing,
     induced_p3_stream,
     induced_subgraph,
+    mask_from_colors,
+    solve,
 )
 
 from rp3color.cli import random_instance
-from rp3color.graphs import _p3_middles, bits, co_components, local_adjacency
+from rp3color.graphs import (
+    _induced_paths,
+    _p3_middles,
+    bits,
+    co_components,
+    local_adjacency,
+)
 
 from builders import load_reference
 from instance_reference import is_clique, is_stable_set
@@ -30,6 +40,58 @@ def clique(n):
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def union(*parts):
+    """The disjoint union, each part numbered after the ones before it."""
+    n, edges = 0, []
+    for g in parts:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.n
+    return Graph(n, edges)
+
+
+def join(g, h):
+    """The disjoint union plus every edge between g and h."""
+    both = union(g, h)
+    cross = [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
+    return Graph(both.n, list(both.edges) + cross)
+
+
+def multipartite(*sizes):
+    out = Graph(0, [])
+    for size in sizes:
+        out = join(out, Graph(size, []))
+    return out
+
+
+def blow_up(g, h):
+    """g with each vertex replaced by an independent set of h vertices."""
+    edges = [
+        (u * h + x, v * h + y)
+        for u, v in g.edges
+        for x in range(h)
+        for y in range(h)
+    ]
+    return Graph(g.n * h, edges)
+
+
+def star(leaves):
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def wheel(rim):
+    """W_rim: a hub, vertex 0, joined to the cycle 1..rim."""
+    return join(Graph(1, []), cycle(rim))
+
+
+def relabel(rng, g):
+    perm = rng.sample(range(g.n), g.n)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def random_graph(rng, n, p):
+    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
 
 
 @st.composite
@@ -274,7 +336,7 @@ def test_freeness_is_hereditary(g):
 def packing_unfiltered(g, r):
     """The packing search for t = 3 with every alive vertex tried as a
     middle, in the enumeration order of induced_p3_stream: the reference
-    for the middle filter of anticomplete_packing."""
+    for the cuts of anticomplete_packing."""
 
     def p3s(alive):
         for mid in range(g.n):
@@ -315,6 +377,78 @@ def test_packing_witness_matches_unfiltered_search():
             assert anticomplete_packing(g, r, 3) == want
             found += want is not None
     assert found >= 500
+
+
+def twin_rich_graphs():
+    """Families whose vertices come in twin classes, which seeded random
+    draws rarely hold: K_{a,b} for a, b <= 7, K_{2,2,2}, K_{3,3,3},
+    C5[2] and C5[3] (C_5 with each vertex blown up to an independent
+    set), seeded disjoint unions of stars, P3s and W_5 of up to 16
+    vertices, as built and relabelled, and joins of two seeded random
+    graphs."""
+    for a in range(1, 8):
+        for b in range(1, 8):
+            yield multipartite(a, b)
+    yield multipartite(2, 2, 2)
+    yield multipartite(3, 3, 3)
+    yield blow_up(cycle(5), 2)
+    yield blow_up(cycle(5), 3)
+    rng = random.Random(1935)
+    pieces = [path(3), wheel(5), star(1), star(2), star(3), star(4)]
+    for _ in range(40):
+        parts = []
+        while len(parts) < 4:
+            piece = rng.choice(pieces)
+            if sum(q.n for q in parts) + piece.n > 16:
+                break
+            parts.append(piece)
+        g = union(*parts)
+        yield g
+        yield relabel(rng, g)
+    for _ in range(40):
+        left = random_graph(rng, rng.randint(1, 6), rng.choice([0.3, 0.6]))
+        right = random_graph(rng, rng.randint(1, 6), rng.choice([0.3, 0.6]))
+        yield join(left, right)
+
+
+def test_packing_witness_matches_unfiltered_search_on_twins():
+    found = Counter()
+    for g in twin_rich_graphs():
+        for r in (1, 2, 3, 4):
+            want = packing_unfiltered(g, r)
+            assert anticomplete_packing(g, r, 3) == want
+            found[r, want is not None] += 1
+    # packings at every r (16 at r = 4, from the unions of four parts),
+    # and many graphs without one at r >= 2
+    assert all(found[r, True] >= 10 for r in (1, 2, 3, 4))
+    assert all(found[r, False] >= 50 for r in (2, 3, 4))
+
+
+def test_packing_scan_work_at_scale(monkeypatch):
+    # counted, not timed: the streams of paths the scan opens, and the
+    # paths drawn from them
+    opened = Counter()
+
+    def counting(*args):
+        opened["streams"] += 1
+        for p in _induced_paths(*args):
+            opened["paths"] += 1
+            yield p
+
+    monkeypatch.setattr("rp3color.graphs._induced_paths", counting)
+    # what a middle of K_{200,200} leaves is the rest of its side, which
+    # holds no P3, so no path is drawn: the unfiltered scan drew 7,960,000
+    knn = multipartite(200, 200)
+    assert anticomplete_packing(knn, 2, 3) is None
+    assert opened["streams"] <= 1 and opened["paths"] == 0
+    opened.clear()
+    long_path = path(19200)
+    assert anticomplete_packing(long_path, 2, 3) == ((0, 1, 2), (4, 5, 6))
+    assert opened["streams"] <= 2 and opened["paths"] <= 2
+    monkeypatch.undo()
+    full = mask_from_colors({1, 2, 3, 4, 5})
+    verdict = solve(Instance(knn, 5, (full,) * knn.n), SolveOptions(r=2))
+    assert verdict.status == "colorable"
 
 
 def test_packing_agrees_with_reference_2p3():
@@ -373,8 +507,9 @@ def packing_dfs(g, r, t):
 def middle_scan_graphs():
     """Graphs for the middle scan: the empty graph, isolated vertices,
     K_2 components, K_4 with a pendant vertex (its simplicial vertices'
-    neighbors are not all twins), seeded disjoint unions of cliques,
-    some with a pendant vertex or an edge between two cliques, all
+    neighbors are not all twins), numbered last and then first, so that
+    the degree-1 vertex comes before the clique, seeded disjoint unions
+    of cliques, some with a pendant vertex or an edge between two cliques, all
     relabelled, seeded random graphs, and the clique forests with a
     star of cli.random_instance at n = 500-2,000, as drawn and
     relabelled, whose clique components are settled at their lowest
@@ -383,6 +518,7 @@ def middle_scan_graphs():
     yield Graph(4, [])
     yield Graph(6, [(0, 1), (2, 3), (4, 5)])
     yield Graph(5, list(itertools.combinations(range(4), 2)) + [(3, 4)])
+    yield Graph(5, [(0, 1)] + list(itertools.combinations(range(1, 5), 2)))
     rng = random.Random(1934)
     for _ in range(300):
         n, edges, groups = 0, [], []
