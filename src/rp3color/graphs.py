@@ -209,8 +209,10 @@ def _induced_paths(
             cand ^= low
             mid = low.bit_length() - 1
             nbrs = adjm[mid] & alive
-            if extend and not _first_p3(adjm, alive ^ (nbrs | 1 << mid), mids):
-                continue
+            if extend:
+                left = alive ^ (nbrs | 1 << mid)
+                if next(_induced_paths(g, 3, left, mids), None) is None:
+                    continue
             while nbrs:
                 low = nbrs & -nbrs
                 nbrs ^= low
@@ -249,24 +251,6 @@ def _induced_paths(
             path.append(w)
             closed.append(block)
             cands.append(adjm[w] & alive & ~block)
-
-
-def _first_p3(adjm: Sequence[int], alive: int, mids: int) -> Optional[InducedP3]:
-    """The first path that _induced_paths(g, 3, alive, mids) yields, or
-    None, where adjm is g.adj_mask: the same loops, without a generator."""
-    cand = alive & mids
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        mid = low.bit_length() - 1
-        nbrs = adjm[mid] & alive
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            ends = nbrs & ~adjm[low.bit_length() - 1]
-            if ends:
-                return (low.bit_length() - 1, mid, (ends & -ends).bit_length() - 1)
-    return None
 
 
 def anticomplete_packing(
@@ -312,7 +296,7 @@ def anticomplete_packing(
         for v in p:
             rest &= ~((1 << v) | adjm[v])
         if t == 3:
-            q = _first_p3(adjm, rest, mids)
+            q = next(_induced_paths(g, 3, rest, mids), None)
             if q is None:
                 continue
             if len(streams) == r - 1:

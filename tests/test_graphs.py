@@ -26,72 +26,24 @@ from rp3color.graphs import (
     local_adjacency,
 )
 
-from builders import load_reference
+from builders import (
+    blow_up,
+    complete_multipartite,
+    cycle,
+    join,
+    load_reference,
+    path,
+    random_graph,
+    relabel,
+    star,
+    union,
+    wheel,
+)
 from instance_reference import is_clique, is_stable_set
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def clique(n):
     return Graph(n, list(itertools.combinations(range(n), 2)))
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def union(*parts):
-    """The disjoint union, each part numbered after the ones before it."""
-    n, edges = 0, []
-    for g in parts:
-        edges += [(u + n, v + n) for u, v in g.edges]
-        n += g.n
-    return Graph(n, edges)
-
-
-def join(g, h):
-    """The disjoint union plus every edge between g and h."""
-    both = union(g, h)
-    cross = [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
-    return Graph(both.n, list(both.edges) + cross)
-
-
-def multipartite(*sizes):
-    out = Graph(0, [])
-    for size in sizes:
-        out = join(out, Graph(size, []))
-    return out
-
-
-def blow_up(g, h):
-    """g with each vertex replaced by an independent set of h vertices."""
-    edges = [
-        (u * h + x, v * h + y)
-        for u, v in g.edges
-        for x in range(h)
-        for y in range(h)
-    ]
-    return Graph(g.n * h, edges)
-
-
-def star(leaves):
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def wheel(rim):
-    """W_rim: a hub, vertex 0, joined to the cycle 1..rim."""
-    return join(Graph(1, []), cycle(rim))
-
-
-def relabel(rng, g):
-    perm = rng.sample(range(g.n), g.n)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
-def random_graph(rng, n, p):
-    return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
 
 
 @st.composite
@@ -388,9 +340,9 @@ def twin_rich_graphs():
     graphs."""
     for a in range(1, 8):
         for b in range(1, 8):
-            yield multipartite(a, b)
-    yield multipartite(2, 2, 2)
-    yield multipartite(3, 3, 3)
+            yield complete_multipartite(a, b)
+    yield complete_multipartite(2, 2, 2)
+    yield complete_multipartite(3, 3, 3)
     yield blow_up(cycle(5), 2)
     yield blow_up(cycle(5), 3)
     rng = random.Random(1935)
@@ -425,8 +377,8 @@ def test_packing_witness_matches_unfiltered_search_on_twins():
 
 
 def test_packing_scan_work_at_scale(monkeypatch):
-    # counted, not timed: the streams of paths the scan opens, and the
-    # paths drawn from them
+    # counted, not timed: the streams of paths the scan opens, its
+    # one-path probes among them, and the paths drawn from them
     opened = Counter()
 
     def counting(*args):
@@ -436,15 +388,18 @@ def test_packing_scan_work_at_scale(monkeypatch):
             yield p
 
     monkeypatch.setattr("rp3color.graphs._induced_paths", counting)
-    # what a middle of K_{200,200} leaves is the rest of its side, which
-    # holds no P3, so no path is drawn: the unfiltered scan drew 7,960,000
-    knn = multipartite(200, 200)
+    # K_{200,200}: the first stream, and one probe per middle, which
+    # finds no P3 in what the middle leaves, the rest of its side; so no
+    # path is drawn, where the unfiltered scan drew 7,960,000
+    knn = complete_multipartite(200, 200)
     assert anticomplete_packing(knn, 2, 3) is None
-    assert opened["streams"] <= 1 and opened["paths"] == 0
+    assert opened["streams"] <= knn.n + 1 and opened["paths"] == 0
     opened.clear()
+    # the first stream, the probe of middle 1, and the probe after
+    # (0, 1, 2), whose P3 completes the witness
     long_path = path(19200)
     assert anticomplete_packing(long_path, 2, 3) == ((0, 1, 2), (4, 5, 6))
-    assert opened["streams"] <= 2 and opened["paths"] <= 2
+    assert opened["streams"] <= 3 and opened["paths"] <= 3
     monkeypatch.undo()
     full = mask_from_colors({1, 2, 3, 4, 5})
     verdict = solve(Instance(knn, 5, (full,) * knn.n), SolveOptions(r=2))

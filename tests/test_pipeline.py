@@ -28,7 +28,7 @@ from rp3color.graphs import induced_p3_stream
 from rp3color.pipeline import _Budget
 from rp3color.profiles import frugal_profile, unit_propagate
 
-from builders import clique, mk
+from builders import clique, complete_multipartite, mk
 from goodp3_reference import eager_pivot_refinements, find_type_p3, good_order
 from instance_reference import find_good_p3, verify_coloring
 from peel_reference import edge_loop_peel_order, greedy_color_back
@@ -577,14 +577,8 @@ def test_budget_abort_counts_nodes():
 
 
 def multipartite(sizes, lists):
-    parts, start = [], 0
-    for size in sizes:
-        parts.append(range(start, start + size))
-        start += size
-    edges = [
-        (u, v) for a, b in itertools.combinations(parts, 2) for u in a for v in b
-    ]
-    return mk(start, edges, [lists] * start)
+    g = complete_multipartite(*sizes)
+    return mk(g.n, g.edges, [lists] * g.n)
 
 
 @pytest.mark.parametrize(

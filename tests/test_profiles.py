@@ -16,7 +16,7 @@ from rp3color import (
 from rp3color import profiles
 from rp3color.pipeline import lift
 
-from builders import instances, mk
+from builders import complete_multipartite, instances, mk
 from instance_reference import verify_coloring
 from profile_reference import (
     hypergraph_stats,
@@ -286,11 +286,8 @@ def test_profile_order_matches_recursive_oracle():
 
 
 def multipartite(parts, colors):
-    side = [i for i, size in enumerate(parts) for _ in range(size)]
-    n = len(side)
-    pairs = itertools.combinations(range(n), 2)
-    edges = [(u, v) for u, v in pairs if side[u] != side[v]]
-    return mk(n, edges, [colors] * n)
+    g = complete_multipartite(*parts)
+    return mk(g.n, g.edges, [colors] * g.n)
 
 
 def test_profile_is_lazy(monkeypatch):
