@@ -182,37 +182,23 @@ class _BudgetExceeded(Exception):
     pass
 
 
-class _Budget:
-    """Search counters with an optional hard cap on visited nodes, the
-    number of vertices peeled before the search and the number of
-    (co-component, color set) pairs a split decided with no empty cut
-    list."""
+class _Budget(dict):
+    """Verdict.stats as the search builds it: profile elements, visited
+    nodes, leaves, pruned nodes, the number of vertices peeled before
+    the search and the number of (co-component, color set) pairs a split
+    decided with no empty cut list.  ``limit``, when set, caps the
+    visited nodes."""
 
-    __slots__ = ("limit", "elements", "nodes", "leaves", "pruned", "peeled", "split")
+    __slots__ = ("limit",)
 
     def __init__(self, limit: Optional[int] = None):
+        super().__init__(elements=0, nodes=0, leaves=0, pruned=0, peeled=0, split=0)
         self.limit = limit
-        self.elements = 0
-        self.nodes = 0
-        self.leaves = 0
-        self.pruned = 0
-        self.peeled = 0
-        self.split = 0
 
     def node(self):
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
+        self["nodes"] += 1
+        if self.limit is not None and self["nodes"] > self.limit:
             raise _BudgetExceeded
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "elements": self.elements,
-            "nodes": self.nodes,
-            "leaves": self.leaves,
-            "pruned": self.pruned,
-            "peeled": self.peeled,
-            "split": self.split,
-        }
 
 
 def candidate_stream(
@@ -250,19 +236,19 @@ def candidate_stream(
             stack.pop()
             continue
         if len(stack) == 1:
-            budget.elements += 1
+            budget["elements"] += 1
             if info:
                 log.info(
                     "element %d (nodes=%d leaves=%d pruned=%d)",
-                    budget.elements,
-                    budget.nodes,
-                    budget.leaves,
-                    budget.pruned,
+                    budget["elements"],
+                    budget["nodes"],
+                    budget["leaves"],
+                    budget["pruned"],
                 )
         budget.node()
         key = bytes(cur.lists).translate(_MULTI_COLOR)
         if key in seen:
-            budget.pruned += 1
+            budget["pruned"] += 1
             continue
         seen.add(key)
         pivot = _earliest_good(cur, p3s)
@@ -282,7 +268,7 @@ def _first_coloring(
     set of the original instance.
     """
     for leaf in candidates:
-        budget.leaves += 1
+        budget["leaves"] += 1
         reduced, trace = reduce_to_binary(leaf)
         phi = binary_list_color(reduced)
         if phi is not None:
@@ -367,7 +353,6 @@ def clique_hall_refutation(inst: Instance) -> Optional[Refutation]:
     for v, mask in enumerate(lists):
         if mask.bit_count() <= len(nbrs[v]):
             small |= 1 << v
-    tried: Set[int] = set()
     rest = small
     while rest:
         low = rest & -rest
@@ -378,11 +363,11 @@ def clique_hall_refutation(inst: Instance) -> Optional[Refutation]:
             low = common & -common
             clique |= low
             common &= adj[low.bit_length() - 1]
-        if clique in tried:
-            continue
-        tried.add(clique)
-        # distinct colors picked greedily, one per member, rule out a
-        # violation; most cliques of colorable inputs stop here
+        # A clique met again is tested again, with no memo: one that does
+        # not return has at most k members (more fail as a whole), so a
+        # repeat costs at most k steps here and 2**k subsets below.
+        # Distinct colors picked greedily, one per member, rule out a
+        # violation; most cliques of colorable inputs stop here.
         used = 0
         walk = clique
         while walk:
@@ -477,7 +462,7 @@ def _decide(
     g = inst.graph
     order = peel_order(inst)
     if not depth:
-        budget.peeled = len(order)
+        budget["peeled"] = len(order)
         log.info("peeled %d of %d vertices", len(order), g.n)
     keep: Sequence[int] = ()
     phi: Optional[Coloring] = ()
@@ -553,7 +538,7 @@ def _split(
             cut = tuple(lists[v] & mask for v in members[i])
             phi = None
             if all(cut):
-                budget.split += 1
+                budget["split"] += 1
                 if edgeless[i]:
                     phi = tuple((m & -m).bit_length() for m in cut)
                 else:
@@ -641,15 +626,13 @@ def solve(inst: Instance, opts: Optional[SolveOptions] = None) -> Verdict:
         if defect is not None:
             raise RuntimeError(f"refutation failed verification: {defect}")
         log.info("clique Hall refutation: vertices %s, colors %s", *refutation)
-        return Verdict(
-            "not-colorable", refutation=refutation, stats=budget.as_dict()
-        )
+        return Verdict("not-colorable", refutation=refutation, stats=dict(budget))
 
     try:
         phi = _decide(inst, opts.r, budget)
     except _BudgetExceeded:
         log.info("budget of %d nodes exceeded", opts.budget)
-        return Verdict("aborted", stats=budget.as_dict())
+        return Verdict("aborted", stats=dict(budget))
     if phi is None:
-        return Verdict("not-colorable", stats=budget.as_dict())
-    return _certify(inst, phi, budget.as_dict())
+        return Verdict("not-colorable", stats=dict(budget))
+    return _certify(inst, phi, dict(budget))

@@ -90,53 +90,45 @@ def _node(lit: int) -> int:
 
 def _scc(nnodes: int, adj: List[List[int]]) -> List[int]:
     """Tarjan components, iteratively; ids come out in reverse
-    topological order of the condensation."""
+    topological order of the condensation.  A node is on Tarjan's stack
+    exactly while it is indexed and has no component yet."""
     index = [0] * nnodes
     low = [0] * nnodes
     comp = [-1] * nnodes
-    on_stack = bytearray(nnodes)
     stack: List[int] = []
     counter = 1
     ncomp = 0
     for root in range(nnodes):
         if index[root]:
             continue
-        work: List[List[int]] = [[root, 0]]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            frame = work[-1]
-            v, ptr = frame
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            advanced = False
-            edges = adj[v]
-            while ptr < len(edges):
-                w = edges[ptr]
-                ptr += 1
+            v, edges = work[-1]
+            for w in edges:
                 if not index[w]:
-                    frame[1] = ptr
-                    work.append([w, 0])
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if comp[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
     return comp
 
 

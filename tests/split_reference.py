@@ -34,7 +34,7 @@ def eager_split(kernel, parts, r, budget, depth) -> Optional[Coloring]:
             cut = tuple(lists[v] & mask for v in members[i])
             phi = None
             if all(cut):
-                budget.split += 1
+                budget["split"] += 1
                 part = Instance(graphs[i], kernel.k, cut)
                 if pipeline.clique_hall_refutation(part) is None:
                     phi = pipeline._decide(part, r, budget, depth + 1)

@@ -2,14 +2,16 @@
 
 perfbench/reference.py decides list colorability by forward checking
 and imports nothing from rp3color, so it shares no code with the
-pipeline under test.  Every family is drawn from a fixed seed with
-n = 10-20 and is free of 2 anticomplete induced P3s, so solve must
-decide it: a colorable verdict must carry a valid coloring and agree
-with the reference, and so must a not-colorable one.  A not-colorable
-verdict from the root clique Hall check must carry a refutation that
-holds on the reference's own edges and lists.  Most uncolorable random
-draws end at that check, so a few fixed uncolorable inputs that pass it
-keep the search's own not-colorable path covered.
+pipeline under test.  Every family is drawn from a fixed seed, and
+each r = 2 family has n = 10-20 and no 2 anticomplete induced P3s, so
+solve must decide it: a colorable verdict must carry a valid coloring
+and agree with the reference, and so must a not-colorable one.  A
+not-colorable verdict from the root clique Hall check must carry a
+refutation that holds on the reference's own edges and lists.  Most
+uncolorable random draws end at that check, so a few fixed uncolorable
+inputs that pass it keep the search's own not-colorable path covered.
+The r = 3 families (two disjoint wheels, unions of two 2P3-free pieces)
+have no 3 anticomplete induced P3s and are solved at r = 3.
 
 Tier 1 runs a sample that takes a few seconds.  The longer sweep runs
 with RP3COLOR_LONG_DIFFERENTIAL=1 in the environment; it caps each
@@ -386,6 +388,40 @@ def test_two_wheels_at_r3(hub, status):
     assert verdict.status == status
     assert verdict.refutation is None
     assert verdict.stats["elements"] > 0
+
+
+def two_pieces(rng):
+    """The disjoint union of two random graphs on five to seven vertices,
+    edge probability 0.65, each redrawn until the packing scan finds no
+    2 anticomplete induced P3s.  An induced P3 lies inside one piece, so
+    three anticomplete ones would put two in one piece: the union is
+    3P3-free.  Lists have two or three colors from {1, 2, 3, 4}."""
+    n, edges = 0, []
+    for _ in range(2):
+        while True:
+            size = rng.randint(5, 7)
+            pairs = itertools.combinations(range(size), 2)
+            new = [e for e in pairs if rng.random() < 0.65]
+            if anticomplete_packing(Graph(size, new), 2, 3) is None:
+                break
+        edges += [(u + n, v + n) for u, v in new]
+        n += size
+    lists = [rng.sample(range(1, 5), rng.randint(2, 3)) for _ in range(n)]
+    return R.make(n, edges, lists)
+
+
+def test_two_pieces_at_r3():
+    rng = random.Random(1009)
+    verdicts = []
+    for _ in range(300):
+        ref = two_pieces(rng)
+        assert anticomplete_packing(to_instance(ref).graph, 3, 3) is None
+        verdicts.append(check(ref, r=3))
+    counts = statuses(verdicts)
+    # most uncolorable draws end at the root check; the few that pass
+    # it are decided by the peel, the split or the search
+    searched = statuses(v for v in verdicts if v.refutation is None)
+    assert counts["colorable"] >= 100 and searched["not-colorable"] >= 3
 
 
 def test_cliques_and_star():

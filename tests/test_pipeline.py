@@ -4,6 +4,7 @@ import gc
 import itertools
 import logging
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,7 +29,7 @@ from rp3color.graphs import induced_p3_stream
 from rp3color.pipeline import _Budget
 from rp3color.profiles import frugal_profile, unit_propagate
 
-from builders import clique, complete_multipartite, mk
+from builders import clique, complete_multipartite, mk, path
 from goodp3_reference import eager_pivot_refinements, find_type_p3, good_order
 from instance_reference import find_good_p3, verify_coloring
 from peel_reference import edge_loop_peel_order, greedy_color_back
@@ -138,6 +139,20 @@ def test_root_check_finds_a_subset_of_a_clique():
 def test_root_check_refutes_an_empty_list():
     inst = mk(3, [(0, 1)], [{1, 2}, {1}, set()])
     assert pipeline.clique_hall_refutation(inst) == ((2,), ())
+
+
+def test_root_check_keeps_no_mask_per_clique():
+    # every inner vertex of a path with lists {1,2} starts a clique, and
+    # a mask kept per clique would grow with the square of n
+    g = path(20_000)
+    inst = Instance(g, 5, (mask_from_colors({1, 2}),) * g.n)
+    tracemalloc.start()
+    try:
+        assert pipeline.clique_hall_refutation(inst) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -358,7 +373,7 @@ def test_candidates_match_pruned_literal_fold():
             budget = _Budget()
             got = list(itertools.islice(candidate_stream(inst, 2, budget), per_instance))
             assert got == list(itertools.islice(pruned_fold(inst, 2), per_instance))
-            compared += budget.elements
+            compared += budget["elements"]
     assert compared >= 800
 
 
@@ -444,9 +459,9 @@ def test_candidates_match_two_set_walk():
         got = list(candidate_stream(inst, 2, budget))
         visited = []
         assert got == list(two_set_walk(inst, 2, visited))
-        assert budget.nodes <= len(visited)
+        assert budget["nodes"] <= len(visited)
         leaves += len(got)
-        nodes += budget.nodes
+        nodes += budget["nodes"]
         visits += len(visited)
     assert leaves >= 2000 and nodes + 1000 <= visits
 
@@ -549,7 +564,7 @@ def test_walk_enumerates_p3s_once(monkeypatch):
         for _ in candidate_stream(inst, 2, budget):
             pass
         assert calls == repeat
-        assert budget.nodes > 1
+        assert budget["nodes"] > 1
 
 
 def test_solve_leaves_few_reference_cycles():

@@ -13,6 +13,7 @@ from rp3color import (
     solve_exact,
     to_2sat,
 )
+from rp3color.twosat import _scc
 
 from builders import mk
 from instance_reference import verify_coloring
@@ -157,3 +158,28 @@ def test_large_sparse_instance_smoke():
     phi = binary_list_color(inst)
     if phi is not None:
         assert verify_coloring(inst, phi)
+
+
+def test_scc_matches_mutual_reachability():
+    rng = random.Random(2718)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        p = rng.choice([0.02, 0.05, 0.1, 0.3])
+        adj = [[w for w in range(n) if rng.random() < p] for _ in range(n)]
+        reach = []
+        for v in range(n):
+            seen = {v}
+            todo = [v]
+            while todo:
+                for w in adj[todo.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            reach.append(seen)
+        comp = _scc(n, adj)
+        for u in range(n):
+            for v in range(n):
+                assert (comp[u] == comp[v]) == (v in reach[u] and u in reach[v])
+            # ids in reverse topological order, which solve_2sat reads
+            assert all(comp[u] >= comp[w] for w in adj[u])
+        assert sorted(set(comp)) == list(range(len(set(comp))))
