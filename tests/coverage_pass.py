@@ -6,7 +6,9 @@ Run from the repository root:
 
 It runs the suite in this process under sys.settrace (several times
 slower than a plain run), then lists each package statement none of
-whose executable lines produced a line event, as ``module:line: text``.
+whose executable lines produced a line event, as ``module:line: text``,
+and exits 1 if any is listed other than cli.py's ``__main__`` guard
+(EXPECTED), else with pytest's exit status.
 A statement counts as run when any line of its header does: the whole
 statement for a simple one, the lines before its body for a compound
 one.  Lines the compiler emits no code for (``try:``, ``else:``, a bare
@@ -30,6 +32,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rp3color"
 DESELECT = "tests/test_pipeline.py::test_solve_leaves_few_reference_cycles"
+# (module, statement) pairs no in-process run can reach
+EXPECTED = {("cli.py", "sys.exit(main())")}
 
 
 def executable_lines(path):
@@ -58,7 +62,7 @@ def statements(tree):
 
 
 def unexecuted(hits):
-    """``module:line: text`` for every package statement not in ``hits``."""
+    """(module, line, text) of every package statement not in ``hits``."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
@@ -69,7 +73,7 @@ def unexecuted(hits):
             mine = code.intersection(header)
             if mine and not mine & ran:
                 out.append((path.name, first, lines[first - 1].strip()))
-    return [f"{name}:{first}: {text}" for name, first, text in sorted(set(out))]
+    return sorted(set(out))
 
 
 def main(argv):
@@ -101,8 +105,10 @@ def main(argv):
         threading.settrace(None)
     missed = unexecuted(hits)
     print(f"{len(missed)} package statements never ran (pytest exit {int(code)}):")
-    for line in missed:
-        print(line)
+    for name, first, text in missed:
+        print(f"{name}:{first}: {text}")
+    if any((name, text) not in EXPECTED for name, _, text in missed):
+        return 1
     return int(code)
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: certificates, exit codes, determinism."""
 
+import logging
 import os
 import subprocess
 import sys
@@ -326,3 +327,21 @@ def test_trace_goes_to_stderr(tmp_path):
     assert proc.stdout.startswith("s COLORABLE\n")
     assert "element" in proc.stderr
     assert "peeled 0 of 6 vertices" in proc.stderr
+
+
+def test_trace_in_process(tmp_path, capsys):
+    """The same --trace run in this process, so that a tracer sees the
+    logging set-up; the root logger is put back afterwards."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()  # basicConfig adds nothing to a root with handlers
+    try:
+        code = main(["solve", "--trace", put(tmp_path, C6_TWO)])
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.startswith("s COLORABLE\n")
+    assert "element" in captured.err
+    assert "peeled 0 of 6 vertices" in captured.err

@@ -31,8 +31,10 @@ from rp3color import (
     Instance,
     SolveOptions,
     anticomplete_packing,
+    coloring_defect,
     mask_from_colors,
     solve,
+    solve_exact,
 )
 from rp3color import pipeline
 
@@ -424,6 +426,38 @@ def test_two_pieces_at_r3():
     assert counts["colorable"] >= 100 and searched["not-colorable"] >= 3
 
 
+def forced_solves(rng, draws):
+    """Solve ``draws`` seeded graphs of any kind under force (n = 6-10,
+    edge density 0.3-0.6, lists of 2-5 colors) and check each verdict
+    against oracle.solve_exact.  Returns the counts of not-colorable
+    verdicts and of those decided past the root clique Hall check."""
+    refuted = searched = 0
+    for _ in range(draws):
+        n = rng.randint(6, 10)
+        p = rng.uniform(0.3, 0.6)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        lists = [rng.sample(range(1, 6), rng.choice((2, 2, 3, 3, 4, 5))) for _ in range(n)]
+        inst = Instance(Graph(n, edges), 5, tuple(map(mask_from_colors, lists)))
+        verdict = solve(inst, SolveOptions(force=True))
+        if solve_exact(inst) is None:
+            assert verdict.status == "not-colorable", (edges, lists)
+            refuted += 1
+            searched += verdict.refutation is None
+        else:
+            assert verdict.status == "colorable", (edges, lists)
+            assert coloring_defect(inst, verdict.coloring) is None
+    return refuted, searched
+
+
+def test_forced_solves_outside_the_class():
+    # a forced solve skips the packing check, and its candidate stream
+    # is complete below its support bound on any graph, so its
+    # not-colorable verdicts hold on these draws too (most of which hold
+    # two anticomplete induced P3s)
+    refuted, searched = forced_solves(random.Random(1010), 3500)
+    assert refuted >= 50 and searched >= 20
+
+
 def test_cliques_and_star():
     rng = random.Random(1002)
     counts = statuses(
@@ -545,3 +579,6 @@ def test_long_sweep():
     print("long sweep:", counts)
     assert counts["colorable"] + counts["not-colorable"] >= len(draws) // 2
     assert counts["aborted"] == 0
+    refuted, searched = forced_solves(random.Random(2002), 20000)
+    print("forced solves: not-colorable", refuted, "past the root check", searched)
+    assert refuted >= 250 and searched >= 120

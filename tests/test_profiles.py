@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from rp3color import (
 from rp3color import profiles
 from rp3color.pipeline import lift
 
-from builders import complete_multipartite, instances, mk
+from builders import blow_up, complete_multipartite, cycle, instances, mk
 from instance_reference import verify_coloring
 from profile_reference import (
     hypergraph_stats,
@@ -105,18 +106,22 @@ def test_profile_empty_graph():
     assert [e for e in frugal_profile(inst, 2)] == [inst]
 
 
+def support_bound(k, r):
+    """frugal_profile's bound on the support, read through the module so
+    that a patched cover_cap counts."""
+    return k * (k - 1) * profiles.cover_cap(r)
+
+
 def profile_direct(inst, r):
     """Independent enumeration of the stream, straight from the rules:
     every tuple of stable classes in order, then propagated_rows."""
     k, n, g = inst.k, inst.graph.n, inst.graph
-    cap = min((k - 1) * cover_cap(r), n)
+    bound = support_bound(k, r)
     rows = []
     for vec in itertools.product(range(k + 1), repeat=n):
         classes = {i: [v for v in range(n) if vec[v] == i] for i in range(1, k + 1)}
-        ok = True
+        ok = n - vec.count(0) <= bound
         for i, cls in classes.items():
-            if len(cls) > cap:
-                ok = False
             for v in cls:
                 if not inst.lists[v] & (1 << (i - 1)):
                     ok = False
@@ -213,11 +218,10 @@ def profile_recursive(inst, r):
     through propagated_rows."""
     g, k = inst.graph, inst.k
     n = g.n
-    cap = min((k - 1) * cover_cap(r), n)
+    bound = support_bound(k, r)
     adjm = g.adj_mask
     vec = [0] * n
     class_mask = [0] * (k + 1)
-    class_size = [0] * (k + 1)
 
     def build():
         out = []
@@ -243,21 +247,19 @@ def profile_recursive(inst, r):
             for c in range(1, k + 1):
                 if not (inst.lists[v] >> (c - 1)) & 1:
                     continue
-                if class_size[c] >= cap or class_mask[c] & adjm[v]:
+                if class_mask[c] & adjm[v]:
                     continue
                 vec[v] = c
                 class_mask[c] |= 1 << v
-                class_size[c] += 1
                 yield from rec(v + 1, left - 1)
                 vec[v] = 0
                 class_mask[c] &= ~(1 << v)
-                class_size[c] -= 1
 
-    for support in range(0, min(n, k * cap) + 1):
+    for support in itertools.takewhile(lambda s: s <= bound, range(n + 1)):
         yield from rec(0, support)
 
 
-def test_profile_order_matches_recursive_oracle():
+def test_profile_order_matches_recursive_oracle(monkeypatch):
     rng = random.Random(4242)
     compared = 0
     # most propagated tuples repeat or die, so it takes more and larger
@@ -275,19 +277,68 @@ def test_profile_order_matches_recursive_oracle():
         assert got == want
         compared += len(got)
     assert compared >= 20000
-    # whole dense streams, where many entries propagate to equal lists
-    sizes = []
-    for parts, colors in (((2, 2, 2), range(1, 6)), ((3, 3, 3), (1, 2, 3))):
-        inst = multipartite(parts, colors)
+    # whole dense streams, where many children propagate to lists seen
+    # before; such a child is neither yielded nor pinned further, so the
+    # pins stay at the counts below (keeping it for the next level gives
+    # the same stream with 18,312 pins on C5[2] with lists {1,2,3})
+    real = profiles.unit_propagate
+    pins = live = 0
+
+    def counting(adj, lists, work=None):
+        nonlocal pins, live
+        ok = real(adj, lists, work)
+        if work is not None:
+            pins += 1
+            live += ok
+        return ok
+
+    monkeypatch.setattr(profiles, "unit_propagate", counting)
+    for inst, size, want_pins in (
+        (multipartite((2, 2, 2), range(1, 6)), 6946, 7665),
+        (multipartite((3, 3, 3), (1, 2, 3)), 70, 513),
+        (multipartite((2, 2, 2, 2), range(1, 6)), 20061, 33620),
+        (mk(10, blow_up(cycle(5), 2).edges, [(1, 2, 3)] * 10), 2161, 6648),
+    ):
+        pins = live = 0
         got = [e.lists for e in frugal_profile(inst, 2)]
         assert got == list(propagated_rows(inst, profile_recursive(inst, 2)))
-        sizes.append(len(got))
-    assert sizes == [6946, 70]
+        assert len(got) == size and pins == want_pins
+        # live children beyond the yielded ones repeat seen lists
+        assert live > size - 1
 
 
 def multipartite(parts, colors):
     g = complete_multipartite(*parts)
     return mk(g.n, g.edges, [colors] * g.n)
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2, 3])
+def test_support_bound_cuts_the_stream(monkeypatch, levels):
+    """With cover_cap patched so that the support bound is a few levels,
+    the stream is the oracles' streams cut at that support."""
+    cut = 0
+    rng = random.Random(4343 + levels)
+    for _ in range(60):
+        k = rng.choice([3, 5])
+        n = rng.randint(0, 7)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        inst = Instance(Graph(n, edges), k, tuple(rng.randrange(1 << k) for _ in range(n)))
+        r = rng.choice([1, 2])
+        whole = [e.lists for e in frugal_profile(inst, r)]
+        monkeypatch.setattr(profiles, "cover_cap", lambda r: Fraction(levels, k * (k - 1)))
+        got = [e.lists for e in frugal_profile(inst, r)]
+        assert got == list(propagated_rows(inst, profile_recursive(inst, r)))
+        if n <= 4 and k == 3:
+            assert got == profile_direct(inst, r)
+        monkeypatch.undo()
+        assert got == whole[: len(got)]
+        cut += len(got) < len(whole)
+    assert cut >= 5
+    inst = multipartite((2, 2, 2), range(1, 6))
+    monkeypatch.setattr(profiles, "cover_cap", lambda r: Fraction(levels, 20))
+    got = [e.lists for e in frugal_profile(inst, 2)]
+    assert got == list(propagated_rows(inst, profile_recursive(inst, 2)))
+    assert len(got) < 6946
 
 
 def test_profile_is_lazy(monkeypatch):

@@ -25,7 +25,7 @@ from rp3color import (
     solve_exact,
     solve_exact_frugal,
 )
-from rp3color import pipeline
+from rp3color import pipeline, reducer
 from rp3color.oracle import exact_colorings
 from rp3color.pipeline import candidate_stream, lift
 from rp3color.working import LiftStep
@@ -864,3 +864,35 @@ def test_debug_log_accounts_for_every_round(caplog):
     steps = [s.info["step"] for s in trace if "step" in s.info]
     assert rounds and steps.count(4) >= 2
     assert sorted(rounds) == sorted(steps)
+
+
+def test_thousand_k4_kernel_runs_step5_through_solve(monkeypatch):
+    """1,000 disjoint K4s, each with lists {1,2,3}, {1,2,4}, {1,3,4} and
+    {2,3,4}: nothing peels (each vertex has three list-graph neighbors
+    and three colors), the complement is connected, and the graph has
+    no induced P3, so the profile's first element is a walk leaf whose
+    one reduction runs step 5 once per K4."""
+    quads = 1000
+    edges = [
+        (4 * i + a, 4 * i + b)
+        for i in range(quads)
+        for a, b in itertools.combinations(range(4), 2)
+    ]
+    lists = [{1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {2, 3, 4}] * quads
+    inst = mk(4 * quads, edges, lists)
+    real = reducer._round
+    steps = Counter()
+
+    def counting(ws, u0):
+        fired = len(ws.trace)
+        real(ws, u0)
+        steps[ws.trace[fired].info["step"]] += 1
+
+    monkeypatch.setattr(reducer, "_round", counting)
+    verdict = solve(inst)
+    assert verdict.status == "colorable"
+    assert coloring_defect(inst, verdict.coloring) is None
+    assert verdict.stats == {
+        "elements": 1, "nodes": 1, "leaves": 1, "pruned": 0, "peeled": 0, "split": 0
+    }
+    assert steps == {5: quads}
